@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ParseError, RedopError
+from .errors import RedopError
 from .problems import parse_problem
 from .report import FAILED, UNDECIDABLE, emit_report
 from .runner import COMMANDS, run
@@ -46,7 +46,7 @@ def main(argv=None):
         return 2
     try:
         problem = parse_problem(text)
-    except ParseError as e:
+    except RedopError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     try:

@@ -304,9 +304,15 @@ def normalize(e):
     return e
 
 
-def free_atoms(e):
-    """Atoms the normal form of e genuinely depends on."""
-    return set(normalize(e).free_symbols)
+def depends_on(e, v):
+    """Dependence through free symbols or unknown-function formal arguments."""
+    if v in e.free_symbols:
+        return True
+    for s in e.free_symbols:
+        info = _FN_INDEX.get(s)
+        if info is not None and v in info[0].args:
+            return True
+    return False
 
 
 def _provably_nonzero(f):
@@ -327,18 +333,34 @@ def _provably_nonzero(f):
     return False
 
 
-def _nonzero_by_factors(p):
-    if _provably_nonzero(p):
-        return True
+def split_factors(p, keep):
+    """(multiplier, residual) with p = multiplier*residual, both unnormalized.
+
+    The rational content and every irreducible factor power whose base
+    satisfies keep go to the multiplier, the other factors to the residual.
+    When p cannot be factored it is a single factor of itself.
+    """
     try:
         content, factors = sp.factor_list(p)
     except Exception:
-        return False
-    if not factors:
-        return _provably_nonzero(content)
-    return _provably_nonzero(content) and all(
-        _provably_nonzero(f) for f, _ in factors
-    )
+        # opaque kernels can defeat the polynomial machinery in many ways;
+        # an unsplit p is always a correct answer
+        content, factors = sp.S.One, [(p, 1)]
+    multiplier = content
+    residual = sp.S.One
+    for base, k in factors:
+        if keep(base):
+            multiplier = multiplier * base**k
+        else:
+            residual = residual * base**k
+    return multiplier, residual
+
+
+def _nonzero_by_factors(p):
+    if _provably_nonzero(p):
+        return True
+    multiplier, residual = split_factors(p, _provably_nonzero)
+    return residual == 1 and _provably_nonzero(multiplier)
 
 
 def fingerprint(e):

@@ -24,8 +24,8 @@ from .core import (
     normalize,
     substitute,
 )
-from .errors import DegenerateInverse, LeaderNotSolvable, WrongCoorderBranch
-from .jets import DifferentialFunction, VectorField, chain_jets, ord
+from .errors import DegenerateInverse, WrongCoorderBranch
+from .jets import VectorField, jet_values, ord
 from .reduction import determining_singular, solve_for_leader
 from .singular import eliminate_on_Q, substitute_jets
 
@@ -80,39 +80,15 @@ def zeta_from_family(family, xi):
     )
 
 
-def _family_jet_map(L, family):
-    ctx = family.ctx
-    cache = {}
-
-    def deriv(idx):
-        e = cache.get(idx)
-        if e is None:
-            if idx == (0, 0):
-                e = family.f
-            elif idx.a1 > 0:
-                from .jets import MultiIndex
-
-                e = diff(deriv(MultiIndex(idx.a1 - 1, idx.a2)), ctx.x1)
-            else:
-                from .jets import MultiIndex
-
-                e = diff(deriv(MultiIndex(idx.a1, idx.a2 - 1)), ctx.x2)
-            cache[idx] = e
-        return e
-
-    return {s: deriv(idx) for s, idx in chain_jets(L.body, ctx).items()}
-
-
 def verify_family_solves(L, family):
     """is_zero verdict of L with u = f substituted, kappa a free atom."""
-    body = substitute_jets(L.body, family.ctx, _family_jet_map(L, family))
+    body = substitute_jets(L.body, family.ctx, jet_values(L, family.f))
     return is_zero(body)
 
 
 @dataclass
 class BijectionReport:
     zeta: Expr
-    zeta_star: Expr | None
     solves: TriBool
     determining: TriBool
     invariance: TriBool
@@ -143,7 +119,6 @@ def verify_bijection(L, family, xi):
     determining = is_zero(residual)
     return BijectionReport(
         zeta=zeta,
-        zeta_star=None,
         solves=solves,
         determining=determining,
         invariance=invariance,
@@ -212,17 +187,25 @@ class BacklundReport:
     samples_requested: int
 
     @property
+    def surface(self):
+        """Zero verdict on the implicit-surface residual.
+
+        PROVEN_ZERO when it is structurally zero, SAMPLED_ZERO when every
+        sampled point is within 1e-9, else PROBABLY_NONZERO (this includes
+        finding no point at all).
+        """
+        if self.structural is TriBool.PROVEN_ZERO:
+            return TriBool.PROVEN_ZERO
+        if self.points and all(res <= 1e-9 for _pt, res in self.points):
+            return TriBool.SAMPLED_ZERO
+        return TriBool.PROBABLY_NONZERO
+
+    @property
     def passed(self):
-        ok_ids = (
+        return (
             self.identity_q is TriBool.PROVEN_ZERO
             and self.identity_g is TriBool.PROVEN_ZERO
-        )
-        if not ok_ids:
-            return False
-        if self.structural is TriBool.PROVEN_ZERO:
-            return True
-        return bool(self.points) and all(
-            abs(res) <= 1e-9 for (_pt, res) in self.points
+            and self.surface is not TriBool.PROBABLY_NONZERO
         )
 
 
@@ -233,38 +216,6 @@ DEFAULT_KAPPAS = (
     sp.Integer(2),
     sp.Rational(5, 2),
 )
-
-
-def _implicit_jet_map(L, ctx, Phi):
-    """Jets of the implicitly defined u as (x, u)-functions.
-
-    u_1 = -Phi_1/Phi_u and so on, prolonged by the chain rule along the
-    surface Phi(x, u) = const.
-    """
-    Phi_u = diff(Phi, ctx.u)
-    first = {
-        1: normalize(-diff(Phi, ctx.x1) / Phi_u),
-        2: normalize(-diff(Phi, ctx.x2) / Phi_u),
-    }
-    cache = {}
-
-    def J(idx):
-        e = cache.get(idx)
-        if e is None:
-            from .jets import MultiIndex
-
-            if idx == (0, 0):
-                e = ctx.u
-            elif idx.a1 > 0:
-                p = J(MultiIndex(idx.a1 - 1, idx.a2))
-                e = normalize(diff(p, ctx.x1) + diff(p, ctx.u) * first[1])
-            else:
-                p = J(MultiIndex(idx.a1, idx.a2 - 1))
-                e = normalize(diff(p, ctx.x2) + diff(p, ctx.u) * first[2])
-            cache[idx] = e
-        return e
-
-    return {s: J(idx) for s, idx in chain_jets(L.body, ctx).items()}
 
 
 def backlund_verify(L, zeta, Phi, xi, kappas=None, samples=10, seed=0):
@@ -301,7 +252,9 @@ def backlund_verify(L, zeta, Phi, xi, kappas=None, samples=10, seed=0):
         identity_g = is_zero(diff(Phi, ctx.x1) + diff(G, ctx.x1) * Phi_u)
     else:
         identity_g = TriBool.SAMPLED_ZERO
-    residual = substitute_jets(L.body, ctx, _implicit_jet_map(L, ctx, Phi))
+    # jets of the u defined implicitly by Phi(x, u) = const: u_i = -Phi_i/Phi_u
+    slopes = {i: normalize(-diff(Phi, ctx.var(i)) / Phi_u) for i in (1, 2)}
+    residual = substitute_jets(L.body, ctx, jet_values(L, ctx.u, slopes))
     structural = is_zero(residual)
     points = []
     if kappas is None:

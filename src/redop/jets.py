@@ -11,10 +11,9 @@ from typing import NamedTuple
 import sympy as sp
 
 from .core import (
-    Expr,
-    FnDerivSymbol,
     UnknownFunction,
     _d,
+    depends_on,
     diff,
     fn_symbol_info,
     normalize,
@@ -109,6 +108,18 @@ class JetContext:
             self.functions[fn.inverse.name] = fn.inverse
         return fn
 
+    def ensure_function(self, name, args):
+        """The function registered under name with these formal arguments.
+
+        A function registered under the same name with other arguments (a
+        zeta copied by transpose from the other orientation) is replaced by
+        a new one, so that its derivative symbols index the requested axes.
+        """
+        fn = self.functions.get(name)
+        if fn is None or fn.args != tuple(args):
+            fn = self.add_function(name, args)
+        return fn
+
 
 def chain_jets(body, ctx):
     """Jet symbols the body depends on, directly or through unknown functions.
@@ -156,14 +167,7 @@ class DifferentialFunction:
 
     @property
     def depends_on_u(self):
-        u = self.ctx.u
-        if u in self.body.free_symbols:
-            return True
-        for s in self.body.free_symbols:
-            info = fn_symbol_info(s)
-            if info is not None and u in info[0].args:
-                return True
-        return False
+        return depends_on(self.body, self.ctx.u)
 
 
 def ord(L):
@@ -192,6 +196,33 @@ def total_derivative(L, axis):
         if ds != 0:
             raw = raw + ds * ctx.jet(idx.bump(axis))
     return DifferentialFunction(raw, ctx)
+
+
+def jet_values(L, value, slopes=None):
+    """Values of the jets L depends on when u is given by value.
+
+    Total derivatives follow D_i p = d_i p + p_u * u_i. For an implicit u,
+    value is u itself and slopes maps each axis to u_i as a function of
+    (x, u). An explicit value has no u in it, so its jets are plain partial
+    derivatives and need no slopes.
+    """
+    ctx = L.ctx
+    cache = {MultiIndex(0, 0): value}
+
+    def J(idx):
+        e = cache.get(idx)
+        if e is None:
+            if idx.a1 > 0:
+                axis, p = 1, J(MultiIndex(idx.a1 - 1, idx.a2))
+            else:
+                axis, p = 2, J(MultiIndex(idx.a1, idx.a2 - 1))
+            e = diff(p, ctx.var(axis))
+            if depends_on(p, ctx.u):
+                e = normalize(e + diff(p, ctx.u) * slopes[axis])
+            cache[idx] = e
+        return e
+
+    return {s: J(idx) for s, idx in chain_jets(L.body, ctx).items()}
 
 
 class VectorField:

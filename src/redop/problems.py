@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .core import is_zero, normalize
+from .core import normalize
 from .errors import ParseError, UndeclaredIdentifier
 from .families import SolutionFamily
 from .jets import DifferentialFunction, JetContext, VectorField, ord
@@ -409,9 +409,7 @@ class _Parser:
         if name in self.ansatzes:
             raise ParseError("duplicate ansatz %r" % name, t.line, t.col)
         self.expect_punct(":")
-        phi = self.ctx.functions.get("phi")
-        if phi is None:
-            phi = self.ctx.add_function("phi", (sp.Symbol("w"),))
+        phi = self.ctx.ensure_function("phi", (sp.Symbol("w"),))
         self.scope["phi"] = phi.base
         try:
             f = self.parse_expr()

@@ -17,11 +17,12 @@ from .core import (
     TriBool,
     UnknownFunction,
     _d,
+    depends_on,
     diff,
     fn_symbol_info,
-    free_atoms,
     is_zero,
     normalize,
+    split_factors,
     substitute,
 )
 from .errors import (
@@ -33,10 +34,9 @@ from .errors import (
 )
 from .jets import (
     DifferentialFunction,
-    MultiIndex,
-    VectorField,
     apply_prolonged,
     chain_jets,
+    jet_values,
     ord,
     total_derivative,
 )
@@ -45,20 +45,8 @@ from .singular import (
     _top_kept_jet,
     analyze_reduced_set,
     eliminate_on_Q,
-    reduced_field,
     substitute_jets,
 )
-
-
-def _depends_on(e, v):
-    """Dependence through free symbols or unknown-function formal arguments."""
-    if v in e.free_symbols:
-        return True
-    for s in e.free_symbols:
-        info = fn_symbol_info(s)
-        if info is not None and v in info[0].args:
-            return True
-    return False
 
 
 def solve_for_leader(Lhat, leader):
@@ -69,9 +57,9 @@ def solve_for_leader(Lhat, leader):
     """
     body = Lhat.body if isinstance(Lhat, DifferentialFunction) else normalize(Lhat)
     a = diff(body, leader)
-    if a != 0 and not _depends_on(a, leader):
+    if a != 0 and not depends_on(a, leader):
         b = normalize(body - a * leader)
-        if not _depends_on(b, leader):
+        if not depends_on(b, leader):
             if is_zero(a) in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO):
                 return normalize(-b / a)
             raise LeaderNotSolvable(
@@ -91,10 +79,10 @@ def solve_for_leader(Lhat, leader):
         )
     K = kernels[0]
     c = normalize(_d(body, K, {}))
-    if c == 0 or _depends_on(c, leader):
+    if c == 0 or depends_on(c, leader):
         raise LeaderNotSolvable("kernel %s does not enter affinely" % K)
     rest = normalize(body - c * K)
-    if _depends_on(rest, leader):
+    if depends_on(rest, leader):
         raise LeaderNotSolvable("%s appears outside the kernel %s" % (leader, K))
     if is_zero(c) not in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO):
         raise LeaderNotSolvable("kernel coefficient %s may vanish" % c)
@@ -253,9 +241,7 @@ def de0_equation(L, zeta_name="zeta"):
     u10 = ctx.jet(1, 0)
     a = diff(L.body, u10)
     H = normalize(-(L.body - a * u10) / a)
-    zeta = ctx.functions.get(zeta_name)
-    if zeta is None:
-        zeta = ctx.add_function(zeta_name, (ctx.x1, ctx.x2, ctx.u))
+    zeta = ctx.ensure_function(zeta_name, (ctx.x1, ctx.x2, ctx.u))
     z = zeta.base
     r = max((idx.a2 for idx in chain_jets(H, ctx).values()), default=0)
     Y = [z]
@@ -276,9 +262,7 @@ def eq6_equation(L, zeta_name="zeta"):
     u11 = ctx.jet(1, 1)
     c = diff(L.body, u11)
     F = normalize(-(L.body - c * u11) / c)
-    zeta = ctx.functions.get(zeta_name)
-    if zeta is None:
-        zeta = ctx.add_function(zeta_name, (ctx.x1, ctx.x2, ctx.u))
+    zeta = ctx.ensure_function(zeta_name, (ctx.x1, ctx.x2, ctx.u))
     z = zeta.base
     z1 = zeta.sym((1, 0, 0))
     zu = zeta.sym((0, 0, 1))
@@ -376,9 +360,7 @@ def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
         noninv = ctx.x1
     else:
         raise UnsupportedAnsatz("omega must be one of the independent variables")
-    phi = ctx.functions.get(phi_name)
-    if phi is None:
-        phi = ctx.add_function(phi_name, (sp.Symbol("w"),))
+    phi = ctx.ensure_function(phi_name, (sp.Symbol("w"),))
     f = sp.sympify(f)
     applied_map = {}
     for order, s in phi._syms.items():
@@ -387,7 +369,7 @@ def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
     if not applied_map:
         raise UnsupportedAnsatz("ansatz does not involve %s" % phi_name)
     f = normalize(f.xreplace(applied_map))
-    if _depends_on(f, ctx.u):
+    if depends_on(f, ctx.u):
         raise UnsupportedAnsatz("ansatz body may not depend on u")
 
     char = normalize(
@@ -406,20 +388,7 @@ def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
     if is_zero(omega_invariance) is not TriBool.PROVEN_ZERO:
         raise UnsupportedAnsatz("omega is not an invariant of the field")
 
-    derivs = {MultiIndex(0, 0): f}
-
-    def deriv(idx):
-        e = derivs.get(idx)
-        if e is None:
-            if idx.a1 > 0:
-                e = diff(deriv(MultiIndex(idx.a1 - 1, idx.a2)), ctx.x1)
-            else:
-                e = diff(deriv(MultiIndex(idx.a1, idx.a2 - 1)), ctx.x2)
-            derivs[idx] = e
-        return e
-
-    jetmap = {s: deriv(idx) for s, idx in chain_jets(L.body, ctx).items()}
-    body = substitute_jets(L.body, ctx, jetmap)
+    body = substitute_jets(L.body, ctx, jet_values(L, f))
     if body == 0:
         return AnsatzReduction(
             multiplier=sp.S.One,
@@ -437,40 +406,25 @@ def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
             to_syms[node] = phi.sym(node._order)
     body = normalize(body.xreplace(to_syms))
 
-    num, den = body.as_numer_denom()
-    multiplier = sp.S.One
-    residual = sp.S.One
-    try:
-        content, factors = sp.factor_list(num)
-    except Exception:
-        content, factors = sp.S.One, [(num, 1)]
-    multiplier = multiplier * content
-    for base, kpow in factors:
-        has_noninv = noninv in base.free_symbols
-        base_phi_order = _phi_order(base, phi)
-        if has_noninv:
-            if base_phi_order > 0:
-                raise ResidualNonInvariant(
-                    "factor %s mixes %s with derivatives of %s"
-                    % (base, noninv, phi_name)
-                )
-            multiplier = multiplier * base**kpow
-        else:
-            residual = residual * base**kpow
-    for base, kpow in sp.factor_list(den)[1] + [(sp.factor_list(den)[0], 1)]:
-        has_noninv = noninv in base.free_symbols
-        base_phi_order = _phi_order(base, phi)
-        if has_noninv and base_phi_order > 0:
+    def noninvariant(base, where):
+        """Whether the factor has noninv in it; it must then be free of phi's derivatives."""
+        if noninv not in base.free_symbols:
+            return False
+        if _phi_order(base, phi) > 0:
             raise ResidualNonInvariant(
-                "denominator factor %s mixes %s with derivatives of %s"
-                % (base, noninv, phi_name)
+                "%s %s mixes %s with derivatives of %s" % (where, base, noninv, phi_name)
             )
-        if has_noninv or base_phi_order < 0:
-            multiplier = multiplier / base**kpow
-        else:
-            residual = residual / base**kpow
-    multiplier = normalize(multiplier)
-    residual = normalize(residual)
+        return True
+
+    # the multiplier takes the numerator factors with noninv in them and
+    # the denominator factors with noninv in them or free of phi
+    num, den = body.as_numer_denom()
+    num_mult, num_res = split_factors(num, lambda b: noninvariant(b, "factor"))
+    den_mult, den_res = split_factors(
+        den, lambda b: noninvariant(b, "denominator factor") or _phi_order(b, phi) < 0
+    )
+    multiplier = normalize(num_mult / den_mult)
+    residual = normalize(num_res / den_res)
     verdict = is_zero(multiplier)
     order = _phi_order(residual, phi)
     if order >= 1:

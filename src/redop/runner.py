@@ -6,9 +6,9 @@ import time
 
 import sympy as sp
 
-from .core import CONFIG, TriBool, diff, fn_symbol_info, is_zero, normalize, primitive_equation
+from .core import CONFIG, TriBool, fn_symbol_info, is_zero, normalize, primitive_equation
 from .errors import NotAffineInLeader
-from .families import backlund_verify, verify_bijection, zeta_from_family
+from .families import backlund_verify, verify_bijection
 from .jets import ord, transpose
 from .reduction import (
     conditional_invariance_test,
@@ -17,7 +17,6 @@ from .reduction import (
     reduce_with_ansatz,
 )
 from .report import (
-    FAILED,
     PROVED,
     SAMPLED,
     UNDECIDABLE,
@@ -139,13 +138,21 @@ def _cmd_coorder(problem, options):
 
 
 def _solved_display(eq, zeta):
+    """The equation solved for its highest zeta derivative of constant coefficient."""
+    num, den = eq.as_numer_denom()
+    terms = sp.Add.make_args(sp.expand(num))
     candidates = []
     for s in eq.free_symbols:
         info = fn_symbol_info(s)
-        if info is not None and info[0] is zeta and any(info[1]):
-            c = diff(eq, s)
-            if isinstance(c, sp.Number) and c != 0:
-                candidates.append((info[1][0], sum(info[1]), s, c))
+        if info is None or info[0] is not zeta or not any(info[1]) or den.has(s):
+            continue
+        # eq is linear in s exactly when no term divided by s still has s
+        quotients = [t / s for t in terms if t.has(s)]
+        if any(q.has(s) for q in quotients):
+            continue
+        c = normalize(sp.Add(*quotients) / den)
+        if isinstance(c, sp.Number) and c != 0:
+            candidates.append((info[1][0], sum(info[1]), s, c))
     if not candidates:
         return "%s = 0" % render(primitive_equation(eq))
     _, _, s, c = max(candidates, key=lambda q: (q[0], q[1], q[2].name))
@@ -262,16 +269,17 @@ def _cmd_bijection(problem, options):
         claim="flow identity Phi_1 + G*Phi_u = 0",
         status=zero_claim_status(bk.identity_g),
     ))
-    if bk.structural is TriBool.PROVEN_ZERO:
-        status, detail = PROVED, "residual is structurally zero; %d points exact" % len(bk.points)
-    elif bk.points and all(res <= 1e-9 for _, res in bk.points):
-        status, detail = SAMPLED, "max residual %.3g over %d points" % (
+    surface = bk.surface
+    if surface is TriBool.PROVEN_ZERO:
+        detail = "residual is structurally zero; %d points exact" % len(bk.points)
+    elif surface is TriBool.SAMPLED_ZERO:
+        detail = "max residual %.3g over %d points" % (
             max(res for _, res in bk.points), len(bk.points))
     else:
-        status, detail = FAILED, "residual nonzero or no sample points found"
+        detail = "residual nonzero or no sample points found"
     verdicts.append(Verdict(
         claim="implicit-surface residual vanishes at sampled points",
-        status=status, detail=detail,
+        status=zero_claim_status(surface), detail=detail,
     ))
     expressions = {"zeta": render(rep.zeta), "Phi": render(fam.Phi)}
     return verdicts, expressions
@@ -291,12 +299,20 @@ def run(command, problem, **options):
     """Execute one command against a parsed problem, returning a report."""
     if command not in _DISPATCH:
         raise ValueError("unknown command %r" % command)
-    if options.get("samples"):
-        CONFIG["samples"] = int(options["samples"])
+    samples = options.get("samples")
+    if samples is not None and samples < 1:
+        raise ValueError("--samples must be at least 1, got %d" % samples)
+    # samples and seed hold for this command only
+    saved = dict(CONFIG)
+    if samples is not None:
+        CONFIG["samples"] = int(samples)
     if options.get("seed") is not None:
         CONFIG["seed"] = int(options["seed"])
     t0 = time.perf_counter()
-    verdicts, expressions = _DISPATCH[command](problem, options)
+    try:
+        verdicts, expressions = _DISPATCH[command](problem, options)
+    finally:
+        CONFIG.update(saved)
     elapsed = (time.perf_counter() - t0) * 1000.0
     inputs = {
         k: str(v)

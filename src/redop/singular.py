@@ -9,7 +9,7 @@ bracket closure of two-field modules.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy as sp
 
@@ -21,14 +21,13 @@ from .core import (
     _provably_nonzero,
     diff,
     fn_symbol_info,
-    free_atoms,
     is_zero,
     normalize,
+    split_factors,
 )
 from .errors import BothCoefficientsZero, NonPolynomialSplit, NotRepresentable
 from .jets import (
     DifferentialFunction,
-    JetContext,
     MultiIndex,
     VectorField,
     chain_jets,
@@ -198,20 +197,8 @@ def _split_nonvanishing(e):
     factor into the multiplier; what remains is the residual.
     """
     num, den = normalize(e).as_numer_denom()
-    multiplier = sp.S.One / den
-    residual = num
-    try:
-        content, factors = sp.factor_list(num)
-    except Exception:
-        return normalize(multiplier), normalize(residual)
-    multiplier = multiplier * content
-    residual = sp.S.One
-    for base, k in factors:
-        if _provably_nonzero(base):
-            multiplier = multiplier * base**k
-        else:
-            residual = residual * base**k
-    return normalize(multiplier), normalize(residual)
+    multiplier, residual = split_factors(num, _provably_nonzero)
+    return normalize(multiplier / den), normalize(residual)
 
 
 def _top_kept_jet(ctx, kept_axis, k):
@@ -261,9 +248,7 @@ def weak_coorder(L, Q, axis=None):
 
 def reduced_field(ctx, xi, zeta_name="zeta"):
     """Q = xi*d_1 + d_2 + zeta(x1,x2,u)*d_u with a registered unknown zeta."""
-    zeta = ctx.functions.get(zeta_name)
-    if zeta is None:
-        zeta = ctx.add_function(zeta_name, (ctx.x1, ctx.x2, ctx.u))
+    zeta = ctx.ensure_function(zeta_name, (ctx.x1, ctx.x2, ctx.u))
     return VectorField(ctx, xi, 1, zeta.base), zeta
 
 

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from redop import CONFIG, parse_problem
 from redop.cli import main
 from redop.report import AnalysisReport, emit_report, parse_report
+from redop.runner import run
 
 from helpers import corpus_text
 
@@ -53,6 +55,16 @@ class TestExitCodes:
         assert main(["verify", prob("heat"), "--field", "ghost"]) == 2
         assert "ghost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("statement", [
+        "eq: u_t = 1/(u_x - u_x);",
+        "eq: u_t = u_xx;\nfield f: 0,1,ln(0);",
+    ])
+    def test_degenerate_expression_is_two(self, tmp_path, capsys, statement):
+        bad = tmp_path / "degenerate.prob"
+        bad.write_text("vars t x;\ndep u;\n%s\n" % statement)
+        assert main(["analyze", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_undecidable_is_three(self, prob, capsys):
         assert main(["analyze", prob("ttt")]) == 3
         out = capsys.readouterr().out
@@ -97,6 +109,16 @@ class TestFlags:
         )
         assert code == 0
         assert "[proved]" in capsys.readouterr().out
+
+    def test_samples_below_one_is_two(self, prob, capsys):
+        assert main(["detsys", prob("heat"), "--samples", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_samples_and_seed_apply_to_one_command(self):
+        before = dict(CONFIG)
+        run("bijection", parse_problem(corpus_text("heat")), family="grow",
+            samples=50, seed=7)
+        assert CONFIG == before
 
     def test_xi_selects_the_reduced_set(self, prob, capsys):
         assert main(["detsys", prob("transport"), "--xi", "u"]) == 0

@@ -100,6 +100,19 @@ class TestWaveDetermining:
         residual = instantiate_function(eq6, zeta, value)
         assert residual == 0
 
+    def test_transposed_set_ignores_zeta_of_the_other_orientation(self):
+        def equation():
+            ctx = JetContext("x", "y", "u")
+            return DifferentialFunction(
+                ctx.jet(1, 1) - sp.exp(ctx.u) - ctx.x2 * ctx.jet(1, 0), ctx
+            )
+
+        fresh = determining_singular(transpose(equation()), 0)
+        L = equation()
+        determining_singular(L, 0)
+        after = determining_singular(transpose(L), 0)
+        assert equations_equal(after.equations[0], fresh.equations[0])
+
     def test_generic_wave_solved_form(self):
         ctx, L, F = wave_generic()
         ds = determining_singular(L, 0)
