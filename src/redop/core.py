@@ -12,6 +12,7 @@ so that no foreign node kinds (Derivative, Subs) ever appear.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 
 import sympy as sp
@@ -29,8 +30,12 @@ Expr = sp.Expr
 _BAD = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 # Runtime knobs for probabilistic zero testing. The CLI may override
-# "samples" and "seed"; library callers can pass them per call instead.
-CONFIG = {"samples": 5, "retries": 50, "seed": 0, "coeff_bound": 1000}
+# them; library callers can pass them per call instead.
+CONFIG = {"samples": 5, "seed": 0}
+# extra sample draws allowed per atom, and the bound on numerators and
+# denominators of sampled rational coordinates
+RETRIES = 50
+COEFF_BOUND = 1000
 
 
 class TriBool(enum.Enum):
@@ -51,38 +56,45 @@ class TriBool(enum.Enum):
 
 
 class FnDerivSymbol(sp.Symbol):
-    """Interned atom for a partial derivative of an unknown function.
+    """Atom for a partial derivative of an unknown function.
 
-    The owning function and the derivative multi-index are looked up through
-    a registry keyed by the interned symbol, so two symbols with the same
-    function and multi-index are the identical atom.
+    The atom carries its owning function and derivative multi-index. As with
+    sympy.Dummy, its identity includes the function's serial number, so atoms
+    of two declarations never compare equal even when they print alike.
     """
 
-    __slots__ = ()
+    __slots__ = ("fn", "order")
 
+    def __new__(cls, fn, order):
+        obj = sp.Symbol.__xnew__(cls, fn.deriv_name(order))
+        obj.fn = fn
+        obj.order = order
+        return obj
 
-# symbol -> (UnknownFunction, order tuple); redeclaring a function name
-# rebinds its symbols, which is intended (problem files are independent)
-_FN_INDEX: dict[FnDerivSymbol, tuple["UnknownFunction", tuple[int, ...]]] = {}
+    def _hashable_content(self):
+        return sp.Symbol._hashable_content(self) + (self.fn.serial, self.order)
 
 
 class AppliedMapBase(sp.Function):
     """Base class for unknown functions applied at non-formal arguments."""
 
-    _fn: "UnknownFunction" = None
-    _order: tuple = ()
+    fn: "UnknownFunction" = None
+    order: tuple = ()
 
 
 def _applied_fdiff(self, argindex=1):
-    fn = self._fn
-    if fn.inverse_of is not None and not any(self._order):
+    fn = self.fn
+    if fn.inverse_of is not None and not any(self.order):
         # derivative of a declared inverse: Ftil'(s) = 1/F'(Ftil(s))
         f = fn.inverse_of
         one = tuple(1 if i == 0 else 0 for i in range(len(f.args)))
         return 1 / f.applied(one, (self,))
-    new = list(self._order)
+    new = list(self.order)
     new[argindex - 1] += 1
     return fn.applied(tuple(new), self.args)
+
+
+_SERIALS = itertools.count()
 
 
 class UnknownFunction:
@@ -101,6 +113,7 @@ class UnknownFunction:
             raise ValueError("formal arguments must be distinct")
         self.name = str(name)
         self.args = args
+        self.serial = next(_SERIALS)
         self.nonzero = set()
         self.inverse = None
         self.inverse_of = None
@@ -147,9 +160,7 @@ class UnknownFunction:
         order = self._check_order(order)
         s = self._syms.get(order)
         if s is None:
-            s = FnDerivSymbol(self.deriv_name(order))
-            self._syms[order] = s
-        _FN_INDEX[s] = (self, order)
+            s = self._syms[order] = FnDerivSymbol(self, order)
         return s
 
     @property
@@ -170,8 +181,8 @@ class UnknownFunction:
                 if (
                     isinstance(a, AppliedMapBase)
                     and fn.inverse is not None
-                    and a._fn is fn.inverse
-                    and not any(a._order)
+                    and a.fn is fn.inverse
+                    and not any(a.order)
                 ):
                     return a.args[0]
                 return None
@@ -181,8 +192,8 @@ class UnknownFunction:
                 (AppliedMapBase,),
                 {
                     "nargs": len(self.args),
-                    "_fn": self,
-                    "_order": order,
+                    "fn": self,
+                    "order": order,
                     "fdiff": _applied_fdiff,
                     "eval": _eval,
                 },
@@ -205,16 +216,15 @@ class UnknownFunction:
 
 def fn_symbol_info(s):
     """(UnknownFunction, order) for a derivative symbol, or None."""
-    return _FN_INDEX.get(s)
+    return (s.fn, s.order) if isinstance(s, FnDerivSymbol) else None
 
 
 def _bump_symbol(s, v):
-    fn, order = _FN_INDEX[s]
-    for i, a in enumerate(fn.args):
+    for i, a in enumerate(s.fn.args):
         if a == v:
-            new = list(order)
+            new = list(s.order)
             new[i] += 1
-            return fn.sym(tuple(new))
+            return s.fn.sym(tuple(new))
     return sp.S.Zero
 
 
@@ -306,13 +316,9 @@ def normalize(e):
 
 def depends_on(e, v):
     """Dependence through free symbols or unknown-function formal arguments."""
-    if v in e.free_symbols:
-        return True
-    for s in e.free_symbols:
-        info = _FN_INDEX.get(s)
-        if info is not None and v in info[0].args:
-            return True
-    return False
+    return v in e.free_symbols or any(
+        isinstance(s, FnDerivSymbol) and v in s.fn.args for s in e.free_symbols
+    )
 
 
 def _provably_nonzero(f):
@@ -323,8 +329,7 @@ def _provably_nonzero(f):
     if isinstance(f, sp.exp):
         return True
     if isinstance(f, FnDerivSymbol):
-        info = _FN_INDEX.get(f)
-        return info is not None and info[1] in info[0].nonzero
+        return f.order in f.fn.nonzero
     if isinstance(f, sp.Pow):
         b, p = f.args
         return p.is_Rational and _provably_nonzero(b)
@@ -368,7 +373,7 @@ def fingerprint(e):
     return sp.srepr(sp.sympify(e))
 
 
-def _sample_points(n, samples, retries, seed, bound):
+def _sample_points(n, samples, seed):
     """Evaluate n at random rational points; yields exact-or-high-precision values."""
     opaque = {}
     for node in n.atoms(AppliedMapBase):
@@ -380,14 +385,14 @@ def _sample_points(n, samples, retries, seed, bound):
         isinstance(p, sp.Pow) and not p.exp.is_Integer for p in body.atoms(sp.Pow)
     )
     rng = random.Random("%s:%s" % (seed, fingerprint(n)))
-    budget = samples + retries * max(1, len(atoms))
+    budget = samples + RETRIES * max(1, len(atoms))
     got = []
     while len(got) < samples and budget > 0:
         budget -= 1
         point = {}
         for a in atoms:
-            num = rng.randint(1, bound)
-            den = rng.randint(1, bound)
+            num = rng.randint(1, COEFF_BOUND)
+            den = rng.randint(1, COEFF_BOUND)
             sign = 1 if positive_only or rng.random() < 0.5 else -1
             point[a] = sp.Rational(sign * num, den)
         val = body.xreplace(point)
@@ -438,7 +443,7 @@ def is_zero(e, samples=None, seed=None):
         return TriBool.PROVEN_NONZERO
     samples = CONFIG["samples"] if samples is None else samples
     seed = CONFIG["seed"] if seed is None else seed
-    values = _sample_points(n, samples, CONFIG["retries"], seed, CONFIG["coeff_bound"])
+    values = _sample_points(n, samples, seed)
     for v in values:
         if v.is_Rational:
             if v != 0:
@@ -470,5 +475,9 @@ def primitive_equation(e):
 
 
 def equations_equal(a, b):
-    """Equality of equations up to nonzero rational multiples and denominators."""
-    return primitive_equation(a) == primitive_equation(b)
+    """Equality of equations up to nonzero rational multiples and denominators.
+
+    The equations are compared as text, so atoms of two declarations of the
+    same function match.
+    """
+    return fingerprint(primitive_equation(a)) == fingerprint(primitive_equation(b))

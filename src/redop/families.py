@@ -16,10 +16,10 @@ import sympy as sp
 
 from .core import (
     Expr,
+    FnDerivSymbol,
     TriBool,
     UnknownFunction,
     diff,
-    fn_symbol_info,
     is_zero,
     normalize,
     substitute,
@@ -34,10 +34,9 @@ def instantiate_function(e, fn, value):
     """Replace derivative symbols of fn by the partials of a concrete value."""
     m = {}
     for s in e.free_symbols:
-        info = fn_symbol_info(s)
-        if info is not None and info[0] is fn:
+        if isinstance(s, FnDerivSymbol) and s.fn is fn:
             val = value
-            for var, count in zip(fn.args, info[1]):
+            for var, count in zip(fn.args, s.order):
                 for _ in range(count):
                     val = diff(val, var)
             m[s] = val
@@ -260,9 +259,7 @@ def backlund_verify(L, zeta, Phi, xi, kappas=None, samples=10, seed=0):
     if kappas is None:
         kappas = DEFAULT_KAPPAS
     rng = random.Random(seed)
-    can_evaluate = not any(
-        fn_symbol_info(s) is not None for s in Phi.free_symbols
-    )
+    can_evaluate = not any(isinstance(s, FnDerivSymbol) for s in Phi.free_symbols)
     if can_evaluate:
         phi_fn = sp.lambdify((ctx.x1, ctx.x2, ctx.u), Phi, "mpmath")
         res_fn = None

@@ -11,11 +11,11 @@ from typing import NamedTuple
 import sympy as sp
 
 from .core import (
+    FnDerivSymbol,
     UnknownFunction,
     _d,
     depends_on,
     diff,
-    fn_symbol_info,
     normalize,
 )
 from .errors import OrderUndefined
@@ -133,9 +133,8 @@ def chain_jets(body, ctx):
         if idx is not None:
             out[s] = idx
             continue
-        info = fn_symbol_info(s)
-        if info is not None:
-            for a in info[0].args:
+        if isinstance(s, FnDerivSymbol):
+            for a in s.fn.args:
                 aidx = ctx.index(a)
                 if aidx is not None:
                     out[a] = aidx
@@ -161,9 +160,6 @@ class DifferentialFunction:
 
     def __hash__(self):
         return hash((self.body, id(self.ctx)))
-
-    def order(self):
-        return ord(self)
 
     @property
     def depends_on_u(self):
@@ -326,9 +322,8 @@ def transpose(L):
         if idx is not None:
             m[s] = flipped.jet(idx.a2, idx.a1)
             continue
-        info = fn_symbol_info(s)
-        if info is not None:
-            for a in info[0].args:
+        if isinstance(s, FnDerivSymbol):
+            for a in s.fn.args:
                 aidx = ctx.index(a)
                 if aidx is None:
                     continue

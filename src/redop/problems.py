@@ -157,7 +157,8 @@ class ProblemFile:
     def __eq__(self, other):
         if not isinstance(other, ProblemFile):
             return NotImplemented
-        return self._signature() == other._signature()
+        # each parse declares its own functions, so compare atoms by text
+        return sp.srepr(self._signature()) == sp.srepr(other._signature())
 
 
 class _Parser:

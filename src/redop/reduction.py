@@ -14,12 +14,12 @@ import sympy as sp
 from .core import (
     AppliedMapBase,
     Expr,
+    FnDerivSymbol,
     TriBool,
     UnknownFunction,
     _d,
     depends_on,
     diff,
-    fn_symbol_info,
     is_zero,
     normalize,
     split_factors,
@@ -70,8 +70,7 @@ def solve_for_leader(Lhat, leader):
         if node.has(leader):
             kernels.append(node)
     for s in body.free_symbols:
-        info = fn_symbol_info(s)
-        if info is not None and leader in info[0].args:
+        if isinstance(s, FnDerivSymbol) and leader in s.fn.args:
             kernels.append(s)
     if len(kernels) != 1:
         raise LeaderNotSolvable(
@@ -93,12 +92,9 @@ def solve_for_leader(Lhat, leader):
         if is_zero(rhs) is TriBool.PROVEN_ZERO:
             raise LeaderNotSolvable("logarithm of a vanishing value")
         return normalize(sp.log(rhs))
-    if isinstance(K, sp.Symbol):
-        fn, order = fn_symbol_info(K)
-    else:
-        fn, order = K._fn, K._order
-        if K.args != (leader,):
-            raise LeaderNotSolvable("kernel argument %s is not the leader" % (K.args,))
+    fn, order = K.fn, K.order
+    if isinstance(K, AppliedMapBase) and K.args != (leader,):
+        raise LeaderNotSolvable("kernel argument %s is not the leader" % (K.args,))
     if any(order) or len(fn.args) != 1 or fn.args[0] != leader:
         raise LeaderNotSolvable("kernel %s is not a plain function of the leader" % K)
     if fn.inverse is None:
@@ -332,17 +328,14 @@ class AnsatzReduction:
     essential_order: int
     order_exact: bool
     omega: Expr
-    phi: UnknownFunction
     multiplier_verdict: TriBool = field(default=TriBool.PROBABLY_NONZERO)
 
 
 def _phi_order(e, phi):
-    orders = [-1]
-    for s in e.free_symbols:
-        info = fn_symbol_info(s)
-        if info is not None and info[0] is phi:
-            orders.append(info[1][0])
-    return max(orders)
+    return max(
+        [s.order[0] for s in e.free_symbols if isinstance(s, FnDerivSymbol) and s.fn is phi],
+        default=-1,
+    )
 
 
 def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
@@ -362,10 +355,11 @@ def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
         raise UnsupportedAnsatz("omega must be one of the independent variables")
     phi = ctx.ensure_function(phi_name, (sp.Symbol("w"),))
     f = sp.sympify(f)
-    applied_map = {}
-    for order, s in phi._syms.items():
-        if s in f.free_symbols:
-            applied_map[s] = phi.applied(order, (omega,))
+    applied_map = {
+        s: phi.applied(s.order, (omega,))
+        for s in f.free_symbols
+        if isinstance(s, FnDerivSymbol) and s.fn is phi
+    }
     if not applied_map:
         raise UnsupportedAnsatz("ansatz does not involve %s" % phi_name)
     f = normalize(f.xreplace(applied_map))
@@ -396,14 +390,13 @@ def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
             essential_order=-1,
             order_exact=True,
             omega=omega,
-            phi=phi,
             multiplier_verdict=TriBool.PROVEN_NONZERO,
         )
 
     to_syms = {}
     for node in body.atoms(AppliedMapBase):
-        if node._fn is phi and node.args == (omega,):
-            to_syms[node] = phi.sym(node._order)
+        if node.fn is phi and node.args == (omega,):
+            to_syms[node] = phi.sym(node.order)
     body = normalize(body.xreplace(to_syms))
 
     def noninvariant(base, where):
@@ -441,6 +434,5 @@ def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
         essential_order=order,
         order_exact=exact,
         omega=omega,
-        phi=phi,
         multiplier_verdict=verdict,
     )

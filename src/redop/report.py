@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import sympy as sp
 from sympy.printing.str import StrPrinter
 
-from .core import TriBool, fn_symbol_info
+from .core import FnDerivSymbol, TriBool
 
 PROVED = "proved"
 SAMPLED = "sampled"
@@ -37,9 +37,8 @@ class GrammarPrinter(StrPrinter):
 
     def _print_Symbol(self, expr):
         if self._settings["call_form"]:
-            info = fn_symbol_info(expr)
-            if info is not None and not any(info[1]) and info[0].name != "phi":
-                fn = info[0]
+            if isinstance(expr, FnDerivSymbol) and not any(expr.order) and expr.fn.name != "phi":
+                fn = expr.fn
                 return "%s(%s)" % (fn.name, ", ".join(a.name for a in fn.args))
         return super()._print_Symbol(expr)
 

@@ -6,7 +6,7 @@ import time
 
 import sympy as sp
 
-from .core import CONFIG, TriBool, fn_symbol_info, is_zero, normalize, primitive_equation
+from .core import CONFIG, FnDerivSymbol, TriBool, is_zero, normalize, primitive_equation
 from .errors import NotAffineInLeader
 from .families import backlund_verify, verify_bijection
 from .jets import ord, transpose
@@ -143,8 +143,7 @@ def _solved_display(eq, zeta):
     terms = sp.Add.make_args(sp.expand(num))
     candidates = []
     for s in eq.free_symbols:
-        info = fn_symbol_info(s)
-        if info is None or info[0] is not zeta or not any(info[1]) or den.has(s):
+        if not isinstance(s, FnDerivSymbol) or s.fn is not zeta or not any(s.order) or den.has(s):
             continue
         # eq is linear in s exactly when no term divided by s still has s
         quotients = [t / s for t in terms if t.has(s)]
@@ -152,7 +151,7 @@ def _solved_display(eq, zeta):
             continue
         c = normalize(sp.Add(*quotients) / den)
         if isinstance(c, sp.Number) and c != 0:
-            candidates.append((info[1][0], sum(info[1]), s, c))
+            candidates.append((s.order[0], sum(s.order), s, c))
     if not candidates:
         return "%s = 0" % render(primitive_equation(eq))
     _, _, s, c = max(candidates, key=lambda q: (q[0], q[1], q[2].name))

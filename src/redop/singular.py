@@ -15,12 +15,12 @@ import sympy as sp
 
 from .core import (
     Expr,
+    FnDerivSymbol,
     TriBool,
     UnknownFunction,
     _d,
     _provably_nonzero,
     diff,
-    fn_symbol_info,
     is_zero,
     normalize,
     split_factors,
@@ -44,11 +44,8 @@ def substitute_jets(body, ctx, jetmap):
     """
     m = dict(jetmap)
     for s in body.free_symbols:
-        info = fn_symbol_info(s)
-        if info is not None:
-            fn, order = info
-            if any(a in jetmap for a in fn.args):
-                m[s] = fn.applied(order, tuple(jetmap.get(a, a) for a in fn.args))
+        if isinstance(s, FnDerivSymbol) and any(a in jetmap for a in s.fn.args):
+            m[s] = s.fn.applied(s.order, tuple(jetmap.get(a, a) for a in s.fn.args))
     return normalize(body.xreplace(m))
 
 
@@ -266,31 +263,28 @@ def _poly_split(e, gens):
     return [normalize(c) for c in p.coeffs()]
 
 
-def _null_covers(null_orders, fn, order):
-    for nfn, norder in null_orders:
-        if nfn is fn and all(a >= b for a, b in zip(order, norder)):
-            return True
-    return False
+def _null_covers(null_orders, order):
+    return any(all(a >= b for a, b in zip(order, n)) for n in null_orders)
 
 
-def _reduce_by_null(e, null_orders):
+def _reduce_by_null(e, unknown, null_orders):
+    """e with every derivative of unknown at or above a vanishing order set to 0."""
     if not null_orders:
         return e
     m = {}
     for s in e.free_symbols:
-        info = fn_symbol_info(s)
-        if info is not None and _null_covers(null_orders, *info):
+        if isinstance(s, FnDerivSymbol) and s.fn is unknown and _null_covers(null_orders, s.order):
             m[s] = sp.S.Zero
     return normalize(e.xreplace(m)) if m else e
 
 
 def _bare_symbol(e):
     """The function-derivative symbol s when e = c*s for a nonzero number c."""
-    if isinstance(e, sp.Symbol):
-        return e if fn_symbol_info(e) is not None else None
+    if isinstance(e, FnDerivSymbol):
+        return e
     if isinstance(e, sp.Mul):
-        syms = [a for a in e.args if fn_symbol_info(a) is not None]
-        rest = [a for a in e.args if fn_symbol_info(a) is None]
+        syms = [a for a in e.args if isinstance(a, FnDerivSymbol)]
+        rest = [a for a in e.args if not isinstance(a, FnDerivSymbol)]
         if len(syms) == 1 and all(a.is_Number for a in rest):
             return syms[0]
     return None
@@ -301,8 +295,8 @@ def consistency_closure(equations, unknown, u, depth=2):
 
     Differentiates the system with respect to u, propagates vanishing
     derivative symbols upward, and searches for a member free of the unknown
-    that is nonzero. Returns (consistent, closure list); a True verdict means
-    only that no contradiction was found at the explored depth.
+    that is nonzero. A True verdict means only that no contradiction was
+    found at the explored depth.
     """
     eqs = []
     for e in equations:
@@ -315,7 +309,7 @@ def consistency_closure(equations, unknown, u, depth=2):
         reduced = []
         seen = set()
         for e in eqs:
-            e = _reduce_by_null(e, null_orders)
+            e = _reduce_by_null(e, unknown, null_orders)
             if e == 0:
                 continue
             key = sp.srepr(e)
@@ -325,26 +319,19 @@ def consistency_closure(equations, unknown, u, depth=2):
             reduced.append(e)
         eqs = reduced
         for e in eqs:
-            zeta_syms = [
-                s
-                for s in e.free_symbols
-                if (info := fn_symbol_info(s)) is not None and info[0] is unknown
-            ]
-            if not zeta_syms:
+            if not any(isinstance(s, FnDerivSymbol) and s.fn is unknown for s in e.free_symbols):
                 verdict = is_zero(e)
                 if verdict in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO):
-                    return False, eqs
+                    return False
                 continue
             s = _bare_symbol(e)
-            if s is not None:
-                info = fn_symbol_info(s)
-                if info[0] is unknown and (info[0], info[1]) not in null_orders:
-                    null_orders.append((info[0], info[1]))
-                    changed = True
+            if s is not None and s.fn is unknown and s.order not in null_orders:
+                null_orders.append(s.order)
+                changed = True
         if round_no < depth:
             new = []
             for e in eqs:
-                de = _reduce_by_null(diff(e, u), null_orders)
+                de = _reduce_by_null(diff(e, u), unknown, null_orders)
                 if de != 0:
                     new.append(de)
             if new:
@@ -352,7 +339,7 @@ def consistency_closure(equations, unknown, u, depth=2):
                 changed = True
         if not changed:
             break
-    return True, eqs
+    return True
 
 
 @dataclass
@@ -402,8 +389,8 @@ def analyze_reduced_set(L, xi, zeta_name="zeta"):
                 if c != 0 and key not in seen:
                     seen.add(key)
                     s_zero.append(c)
-        ultra_ok, _closU = consistency_closure(s_ultra, zeta, ctx.u)
-        zero_ok, _closZ = consistency_closure(s_zero, zeta, ctx.u)
+        ultra_ok = consistency_closure(s_ultra, zeta, ctx.u)
+        zero_ok = consistency_closure(s_zero, zeta, ctx.u)
     except NonPolynomialSplit:
         s_ultra = None
         s_zero = None
@@ -505,10 +492,9 @@ def representation_check(L, xi, k):
     body = substitute_jets(L.body, ctx, jetmap)
     present = [idx for idx, w in omegas.items() if w in body.free_symbols]
     for s in body.free_symbols:
-        info = fn_symbol_info(s)
-        if info is not None:
+        if isinstance(s, FnDerivSymbol):
             for idx, w in omegas.items():
-                if w in info[0].args and idx not in present:
+                if w in s.fn.args and idx not in present:
                     present.append(idx)
     bad = [idx for idx in present if idx.a1 > k]
     if bad:

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no function
+mutates module-level state."""
 
 import ast
 from pathlib import Path
@@ -26,3 +27,41 @@ def test_every_imported_name_is_used(path):
     unused = sorted("%s (line %d)" % (name, line)
                     for name, line in imported.items() if name not in used)
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+MUTATORS = {"update", "append", "add", "setdefault", "pop", "clear"}
+# runner.run restores CONFIG after each command
+RESTORED = {"CONFIG"}
+
+
+def _module_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names - RESTORED
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_mutates_module_level_containers(path):
+    tree = ast.parse(path.read_text())
+    shared = _module_level_names(tree)
+    hits = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in shared:
+                hits.add("%s (line %d)" % (target.id, node.lineno))
+    assert not hits, "module-level state mutated: " + ", ".join(sorted(hits))

@@ -3,7 +3,7 @@
 import pytest
 import sympy as sp
 
-from redop import parse_problem, render_problem, normalize, ord
+from redop import TriBool, is_zero, parse_problem, render_problem, normalize, ord
 from redop.errors import ParseError, UndeclaredIdentifier
 
 from helpers import corpus_stems, corpus_text
@@ -165,3 +165,12 @@ class TestRoundTrip:
         assert p2 == p
         # canonical text is a fixed point of another round trip
         assert render_problem(p2) == rendered
+
+
+class TestDeclarationsOwnTheirAtoms:
+    def test_nonvanishing_assumption_survives_a_redeclaration(self):
+        p = parse_problem("vars x y;\ndep u;\nfn F(u) assume nonzero F_u;\neq: u_xy = F(u);\n")
+        F_u = p.ctx.functions["F"].sym((1,))
+        assert is_zero(F_u) is TriBool.PROVEN_NONZERO
+        parse_problem("vars x y;\ndep u;\nfn F(u);\neq: u_xy = F_u;\n")
+        assert is_zero(F_u) is TriBool.PROVEN_NONZERO

@@ -14,6 +14,7 @@ from redop import (
     determining_singular,
     eq6_equation,
     equations_equal,
+    is_zero,
     normalize,
     primitive_equation,
     reduce_with_ansatz,
@@ -258,3 +259,16 @@ class TestReduceWithAnsatz:
         phi = ctx.add_function("phi", (sp.Symbol("w"),))
         with pytest.raises(UnsupportedAnsatz):
             reduce_with_ansatz(L, VectorField(ctx, 0, 1, ctx.u), phi.base * ctx.x2, ctx.x1)
+
+
+class TestAtomsBelongToTheirDeclaration:
+    def test_determining_equation_survives_another_problem(self):
+        ctx, L = heat()
+        ds = determining_singular(L, 0)
+        eq, zeta = ds.equations[0], ds.zeta
+        assert is_zero(instantiate_function(eq, zeta, ctx.u)) is TriBool.PROVEN_ZERO
+        other = JetContext("t", "x", "u")
+        determining_singular(
+            DifferentialFunction(other.jet(1, 0) - other.jet(0, 2) - other.u, other), 0
+        )
+        assert is_zero(instantiate_function(eq, zeta, ctx.u)) is TriBool.PROVEN_ZERO
