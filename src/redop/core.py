@@ -302,6 +302,11 @@ def normalize(e):
     expression is brought to a single cancelled p/q. Transcendental kernels
     stay opaque atoms beyond that merging; in particular there is no
     ln(exp(a)) -> a rewrite.
+
+    normalize is idempotent. Its values, and those of diff, substitute,
+    substitute_jets, DifferentialFunction.body and the VectorField
+    coefficients, are normal; only public functions that accept raw input,
+    such as is_zero, normalize them again.
     """
     e = sp.sympify(e)
     if e.has(*_BAD):

@@ -54,8 +54,8 @@ class SolutionFamily:
     essential: TriBool = field(init=False)
 
     def __post_init__(self):
-        self.f = normalize(sp.sympify(self.f))
-        self.Phi = normalize(sp.sympify(self.Phi))
+        self.f = normalize(self.f)
+        self.Phi = normalize(self.Phi)
         residual = normalize(substitute(self.Phi, {self.ctx.u: self.f}) - self.kappa)
         if residual != 0:
             raise ValueError(
@@ -70,7 +70,7 @@ class SolutionFamily:
 def zeta_from_family(family, xi):
     """Operator coefficient zeta = -(xi*Phi_1 + Phi_2)/Phi_u."""
     ctx = family.ctx
-    xi = normalize(sp.sympify(xi))
+    xi = normalize(xi)
     Phi_u = diff(family.Phi, ctx.u)
     if is_zero(Phi_u) is TriBool.PROVEN_ZERO:
         raise DegenerateInverse("Phi does not depend on u")
@@ -81,7 +81,7 @@ def zeta_from_family(family, xi):
 
 def verify_family_solves(L, family):
     """is_zero verdict of L with u = f substituted, kappa a free atom."""
-    body = substitute_jets(L.body, family.ctx, jet_values(L, family.f))
+    body = substitute_jets(L.body, jet_values(L, family.f))
     return is_zero(body)
 
 
@@ -104,7 +104,7 @@ class BijectionReport:
 def verify_bijection(L, family, xi):
     """Family-solves, invariance, and determining-equation verdicts for zeta."""
     ctx = family.ctx
-    xi = normalize(sp.sympify(xi))
+    xi = normalize(xi)
     solves = verify_family_solves(L, family)
     zeta = zeta_from_family(family, xi)
     char = normalize(
@@ -130,14 +130,14 @@ def adjoint_operator(zeta, F, coorder, ctx):
     Co-order 1: zeta* = (F - zeta_1)/zeta_u. Co-order 0: zeta* =
     zeta_11/F_u(Ftil(zeta_1)), with exp treated as its own inverse pair.
     """
-    zeta = normalize(sp.sympify(zeta))
+    zeta = normalize(zeta)
     zu = diff(zeta, ctx.u)
     z1 = diff(zeta, ctx.x1)
     zu_verdict = is_zero(zu)
     if coorder == 1:
         if zu_verdict is TriBool.PROVEN_ZERO:
             raise WrongCoorderBranch("zeta does not depend on u")
-        F_expr = F.base if isinstance(F, UnknownFunction) else normalize(sp.sympify(F))
+        F_expr = F.base if isinstance(F, UnknownFunction) else normalize(F)
         return normalize((F_expr - z1) / zu)
     if coorder == 0:
         if zu_verdict is not TriBool.PROVEN_ZERO:
@@ -148,7 +148,7 @@ def adjoint_operator(zeta, F, coorder, ctx):
                 raise WrongCoorderBranch("F has no declared inverse")
             denom = F.applied((1,), (F.inverse(z1),))
         else:
-            F_expr = normalize(sp.sympify(F))
+            F_expr = normalize(F)
             if F_expr == sp.exp(ctx.u):
                 denom = z1
             else:
@@ -166,8 +166,8 @@ def coorder0_solution(L, zeta, xi):
     free of u so the associated function is solvable for u itself.
     """
     ctx = L.ctx
-    zeta = normalize(sp.sympify(zeta))
-    xi = normalize(sp.sympify(xi))
+    zeta = normalize(zeta)
+    xi = normalize(xi)
     if is_zero(diff(zeta, ctx.u)) is not TriBool.PROVEN_ZERO:
         raise WrongCoorderBranch("zeta depends on u")
     Q = VectorField(ctx, xi, 1, zeta)
@@ -217,18 +217,19 @@ DEFAULT_KAPPAS = (
 )
 
 
-def backlund_verify(L, zeta, Phi, xi, kappas=None, samples=10, seed=0):
+def backlund_verify(L, zeta, Phi, xi, samples=10, seed=0):
     """Check the transformation identities, then sample the implicit surface.
 
-    For each kappa the surface Phi(x, u) = kappa is sampled at random base
-    points; u is recovered numerically and the residual of L evaluated with
-    the implicit-function prolongations. When the residual is structurally
-    zero the points are recorded with exact zeros.
+    For each kappa of DEFAULT_KAPPAS the surface Phi(x, u) = kappa is
+    sampled at random base points; u is recovered numerically and the
+    residual of L evaluated with the implicit-function prolongations. When
+    the residual is structurally zero the points are recorded with exact
+    zeros.
     """
     ctx = L.ctx
-    zeta = normalize(sp.sympify(zeta))
-    Phi = normalize(sp.sympify(Phi))
-    xi = normalize(sp.sympify(xi))
+    zeta = normalize(zeta)
+    Phi = normalize(Phi)
+    xi = normalize(xi)
     Phi_u = diff(Phi, ctx.u)
     if is_zero(Phi_u) is TriBool.PROVEN_ZERO:
         raise DegenerateInverse("Phi does not depend on u")
@@ -253,11 +254,9 @@ def backlund_verify(L, zeta, Phi, xi, kappas=None, samples=10, seed=0):
         identity_g = TriBool.SAMPLED_ZERO
     # jets of the u defined implicitly by Phi(x, u) = const: u_i = -Phi_i/Phi_u
     slopes = {i: normalize(-diff(Phi, ctx.var(i)) / Phi_u) for i in (1, 2)}
-    residual = substitute_jets(L.body, ctx, jet_values(L, ctx.u, slopes))
+    residual = substitute_jets(L.body, jet_values(L, ctx.u, slopes))
     structural = is_zero(residual)
     points = []
-    if kappas is None:
-        kappas = DEFAULT_KAPPAS
     rng = random.Random(seed)
     can_evaluate = not any(isinstance(s, FnDerivSymbol) for s in Phi.free_symbols)
     if can_evaluate:
@@ -265,7 +264,7 @@ def backlund_verify(L, zeta, Phi, xi, kappas=None, samples=10, seed=0):
         res_fn = None
         if structural is not TriBool.PROVEN_ZERO:
             res_fn = sp.lambdify((ctx.x1, ctx.x2, ctx.u), residual, "mpmath")
-        for kappa in kappas:
+        for kappa in DEFAULT_KAPPAS:
             kv = float(kappa)
             found = 0
             attempts = 0
@@ -299,5 +298,5 @@ def backlund_verify(L, zeta, Phi, xi, kappas=None, samples=10, seed=0):
         identity_g=identity_g,
         structural=structural,
         points=points,
-        samples_requested=samples * len(kappas),
+        samples_requested=samples * len(DEFAULT_KAPPAS),
     )

@@ -142,7 +142,11 @@ def chain_jets(body, ctx):
 
 
 class DifferentialFunction:
-    """An expression over a jet context, with normalization at construction."""
+    """An expression over a jet context, with normalization at construction.
+
+    A composite is normalized once: by this constructor, given the raw
+    composite, or by normalize, never both.
+    """
 
     def __init__(self, body, ctx):
         self.body = normalize(body)

@@ -54,8 +54,9 @@ def solve_for_leader(Lhat, leader):
 
     The kernel case covers bodies affine in a single node K(leader) with K
     either exp or a univariate unknown function carrying a declared inverse.
+    Lhat is a DifferentialFunction.
     """
-    body = Lhat.body if isinstance(Lhat, DifferentialFunction) else normalize(Lhat)
+    body = Lhat.body
     a = diff(body, leader)
     if a != 0 and not depends_on(a, leader):
         b = normalize(body - a * leader)
@@ -114,7 +115,7 @@ def _consequence_table(elim_hat, kept_axis, k, sol, max_order):
             for j in range(k, m)
             if _top_kept_jet(ctx, kept_axis, j) in bumped.free_symbols
         }
-        table[m] = substitute_jets(bumped, ctx, jetmap) if jetmap else normalize(bumped)
+        table[m] = substitute_jets(bumped, jetmap) if jetmap else bumped
     return table
 
 
@@ -127,12 +128,12 @@ def _restrict_to_solved(expr, elim_hat, kept_axis, k, sol):
     ]
     max_order = max([o for o in orders], default=0)
     if max_order < k:
-        return normalize(expr)
+        return expr
     table = _consequence_table(elim_hat, kept_axis, k, sol, max_order)
     jetmap = {
         _top_kept_jet(ctx, kept_axis, m): table[m] for m in range(k, max_order + 1)
     }
-    return substitute_jets(expr, ctx, jetmap)
+    return substitute_jets(expr, jetmap)
 
 
 def conditional_invariance_test(L, Q, axis=None):
@@ -186,15 +187,15 @@ def _classify(L):
     return "singular-general"
 
 
-def determining_singular(L, xi, zeta_name="zeta"):
+def determining_singular(L, xi):
     """The single determining equation for first-co-order reduced sets.
 
     With the restriction solved as u_{1,0} = G(x1,x2,u), the equation reads
     zeta_1 + zeta_u G - (xi_1 + xi_u G) G = xi G_1 + G_2 + zeta G_u.
     """
     ctx = L.ctx
-    xi = normalize(sp.sympify(xi))
-    analysis = analyze_reduced_set(L, xi, zeta_name)
+    xi = normalize(xi)
+    analysis = analyze_reduced_set(L, xi)
     if analysis.k != 1:
         raise SetNotFirstCoorder("reduced-set co-order is %d" % analysis.k)
     zeta = analysis.zeta
@@ -224,7 +225,7 @@ def determining_singular(L, xi, zeta_name="zeta"):
     )
 
 
-def de0_equation(L, zeta_name="zeta"):
+def de0_equation(L):
     """Direct determining equation for evolution bodies u_{1,0} = H(...).
 
     Built from the substituted right-hand side H~ obtained by the chain
@@ -237,20 +238,20 @@ def de0_equation(L, zeta_name="zeta"):
     u10 = ctx.jet(1, 0)
     a = diff(L.body, u10)
     H = normalize(-(L.body - a * u10) / a)
-    zeta = ctx.ensure_function(zeta_name, (ctx.x1, ctx.x2, ctx.u))
+    zeta = ctx.ensure_function("zeta", (ctx.x1, ctx.x2, ctx.u))
     z = zeta.base
     r = max((idx.a2 for idx in chain_jets(H, ctx).values()), default=0)
     Y = [z]
     for _ in range(r - 1):
         Y.append(normalize(diff(Y[-1], ctx.x2) + z * diff(Y[-1], ctx.u)))
     jetmap = {ctx.jet(0, j): Y[j - 1] for j in range(1, r + 1)}
-    Ht = substitute_jets(H, ctx, jetmap)
+    Ht = substitute_jets(H, jetmap)
     z1 = zeta.sym((1, 0, 0))
     zu = zeta.sym((0, 0, 1))
     return normalize(z1 + zu * Ht - diff(Ht, ctx.x2) - z * diff(Ht, ctx.u))
 
 
-def eq6_equation(L, zeta_name="zeta"):
+def eq6_equation(L):
     """Direct determining equation for wave bodies u_{1,1} = F(u)."""
     ctx = L.ctx
     if _classify(L) != "wave":
@@ -258,7 +259,7 @@ def eq6_equation(L, zeta_name="zeta"):
     u11 = ctx.jet(1, 1)
     c = diff(L.body, u11)
     F = normalize(-(L.body - c * u11) / c)
-    zeta = ctx.ensure_function(zeta_name, (ctx.x1, ctx.x2, ctx.u))
+    zeta = ctx.ensure_function("zeta", (ctx.x1, ctx.x2, ctx.u))
     z = zeta.base
     z1 = zeta.sym((1, 0, 0))
     zu = zeta.sym((0, 0, 1))
@@ -302,7 +303,7 @@ def determining_regular(L, Q, axis=None):
             raise NotAffineInLeader(str(exc), residual=ip_elim)
         residual = _restrict_to_solved(ip_elim, elim.hat, kept, k, sol)
     else:
-        residual = normalize(ip_elim)
+        residual = ip_elim
     split_vars = sorted(
         {
             s
@@ -338,7 +339,7 @@ def _phi_order(e, phi):
     )
 
 
-def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
+def reduce_with_ansatz(L, Q, f, omega):
     """Substitute u = f(x, phi(omega)) into L and factor the multiplier.
 
     Only coordinate invariants omega in {x1, x2} are supported; the ansatz
@@ -346,14 +347,14 @@ def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
     into f is taken at face value (it is verified through the Q[f] check).
     """
     ctx = L.ctx
-    omega = normalize(sp.sympify(omega))
+    omega = normalize(omega)
     if omega == ctx.x1:
         noninv = ctx.x2
     elif omega == ctx.x2:
         noninv = ctx.x1
     else:
         raise UnsupportedAnsatz("omega must be one of the independent variables")
-    phi = ctx.ensure_function(phi_name, (sp.Symbol("w"),))
+    phi = ctx.ensure_function("phi", (sp.Symbol("w"),))
     f = sp.sympify(f)
     applied_map = {
         s: phi.applied(s.order, (omega,))
@@ -361,7 +362,7 @@ def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
         if isinstance(s, FnDerivSymbol) and s.fn is phi
     }
     if not applied_map:
-        raise UnsupportedAnsatz("ansatz does not involve %s" % phi_name)
+        raise UnsupportedAnsatz("ansatz does not involve phi")
     f = normalize(f.xreplace(applied_map))
     if depends_on(f, ctx.u):
         raise UnsupportedAnsatz("ansatz body may not depend on u")
@@ -382,7 +383,7 @@ def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
     if is_zero(omega_invariance) is not TriBool.PROVEN_ZERO:
         raise UnsupportedAnsatz("omega is not an invariant of the field")
 
-    body = substitute_jets(L.body, ctx, jet_values(L, f))
+    body = substitute_jets(L.body, jet_values(L, f))
     if body == 0:
         return AnsatzReduction(
             multiplier=sp.S.One,
@@ -405,7 +406,7 @@ def reduce_with_ansatz(L, Q, f, omega, phi_name="phi"):
             return False
         if _phi_order(base, phi) > 0:
             raise ResidualNonInvariant(
-                "%s %s mixes %s with derivatives of %s" % (where, base, noninv, phi_name)
+                "%s %s mixes %s with derivatives of phi" % (where, base, noninv)
             )
         return True
 

@@ -36,8 +36,8 @@ from .jets import (
 )
 
 
-def substitute_jets(body, ctx, jetmap):
-    """Replace jet symbols everywhere, including unknown-function arguments.
+def _replace_jets(body, jetmap):
+    """body with jet symbols replaced everywhere, not normalized.
 
     A function symbol whose formal arguments intersect the map becomes the
     corresponding applied map at the rewritten arguments.
@@ -46,7 +46,12 @@ def substitute_jets(body, ctx, jetmap):
     for s in body.free_symbols:
         if isinstance(s, FnDerivSymbol) and any(a in jetmap for a in s.fn.args):
             m[s] = s.fn.applied(s.order, tuple(jetmap.get(a, a) for a in s.fn.args))
-    return normalize(body.xreplace(m))
+    return body.xreplace(m)
+
+
+def substitute_jets(body, jetmap):
+    """Replace jet symbols everywhere, including unknown-function arguments."""
+    return normalize(_replace_jets(body, jetmap))
 
 
 @dataclass
@@ -55,11 +60,6 @@ class EliminationResult:
 
     hat: DifferentialFunction
     axis: int
-    table: dict
-    w0: Expr
-    xi_hat: Expr
-    eta_hat: Expr
-    Q: VectorField
 
     @property
     def kept_axis(self):
@@ -74,40 +74,33 @@ class _Eliminator:
         self.axis = axis
         self.kept = 3 - axis
         xi = {1: Q.xi1, 2: Q.xi2}
-        self.xi_hat = normalize(xi[self.kept] / xi[axis])
-        self.eta_hat = normalize(Q.eta / xi[axis])
+        xi_hat = normalize(xi[self.kept] / xi[axis])
+        eta_hat = normalize(Q.eta / xi[axis])
         e_kept = MultiIndex(1, 0) if self.kept == 1 else MultiIndex(0, 1)
-        self.w0 = normalize(self.eta_hat - self.xi_hat * ctx.jet(e_kept))
-        self._w = [self.w0]
-        self._dw = {0: [self.w0]}
-
-    def _kept_jet(self, m):
-        return self.ctx.jet(MultiIndex(m, 0) if self.kept == 1 else MultiIndex(0, m))
-
-    def d_kept(self, e, times=1):
-        f = DifferentialFunction(e, self.ctx)
-        for _ in range(times):
-            f = total_derivative(f, self.kept)
-        return f.body
+        # w_j and its D_kept^m rows are DifferentialFunctions, each
+        # normalized once when it is built
+        self._w = [DifferentialFunction(eta_hat - xi_hat * ctx.jet(e_kept), ctx)]
+        self._dw = {}
 
     def _dw_chain(self, j, m):
         """D_kept^m of w_j, cached."""
         row = self._dw.setdefault(j, [self.w(j)])
         while len(row) <= m:
-            row.append(self.d_kept(row[-1]))
+            row.append(total_derivative(row[-1], self.kept))
         return row[m]
 
     def _ehat(self, g):
         """Restricted evolution operator: d_elim plus chain through kept jets."""
         ctx = self.ctx
+        body = g.body
         memo = {}
-        r = _d(g, ctx.var(self.axis), memo)
-        for s, idx in chain_jets(g, ctx).items():
+        r = _d(body, ctx.var(self.axis), memo)
+        for s, idx in chain_jets(body, ctx).items():
             m = idx.a1 if self.kept == 1 else idx.a2
-            dg = _d(g, s, memo)
+            dg = _d(body, s, memo)
             if dg != 0:
-                r = r + self._dw_chain(0, m) * dg
-        return normalize(r)
+                r = r + self._dw_chain(0, m).body * dg
+        return DifferentialFunction(r, ctx)
 
     def w(self, j):
         while len(self._w) <= j:
@@ -118,7 +111,7 @@ class _Eliminator:
         """Expression for u_idx with the eliminated-axis count >= 1."""
         a_elim = idx.a1 if self.axis == 1 else idx.a2
         a_kept = idx.a1 if self.kept == 1 else idx.a2
-        return self.d_kept(self.w(a_elim - 1), a_kept)
+        return self._dw_chain(a_elim - 1, a_kept).body
 
 
 def eliminate_on_Q(L, Q, axis=None):
@@ -143,24 +136,13 @@ def eliminate_on_Q(L, Q, axis=None):
             "cannot eliminate along axis %d: its coefficient is zero" % axis
         )
     elim = _Eliminator(ctx, Q, axis)
-    table = {}
     jetmap = {}
     for s, idx in chain_jets(L.body, ctx).items():
         a_elim = idx.a1 if axis == 1 else idx.a2
         if a_elim >= 1:
-            e = elim.rewrite(idx)
-            table[idx] = e
-            jetmap[s] = e
-    hat = DifferentialFunction(substitute_jets(L.body, ctx, jetmap), ctx)
-    return EliminationResult(
-        hat=hat,
-        axis=axis,
-        table=table,
-        w0=elim.w0,
-        xi_hat=elim.xi_hat,
-        eta_hat=elim.eta_hat,
-        Q=Q,
-    )
+            jetmap[s] = elim.rewrite(idx)
+    hat = DifferentialFunction(_replace_jets(L.body, jetmap), ctx)
+    return EliminationResult(hat=hat, axis=axis)
 
 
 def strong_coorder(L, Q, axis=None):
@@ -188,14 +170,15 @@ class CoorderReport:
 
 
 def _split_nonvanishing(e):
-    """(multiplier, residual) with multiplier provably nonvanishing.
+    """(multiplier, residual) of a normal e, multiplier provably nonvanishing.
 
     Pulls the denominator, the rational content and every provably nonzero
-    factor into the multiplier; what remains is the residual.
+    factor into the multiplier; what remains is the residual, returned
+    unnormalized.
     """
-    num, den = normalize(e).as_numer_denom()
+    num, den = e.as_numer_denom()
     multiplier, residual = split_factors(num, _provably_nonzero)
-    return normalize(multiplier / den), normalize(residual)
+    return normalize(multiplier / den), residual
 
 
 def _top_kept_jet(ctx, kept_axis, k):
@@ -222,11 +205,11 @@ def weak_coorder(L, Q, axis=None):
     if upper <= 0:
         # order cannot drop below 0 for a nonzero residual, so the bounds
         # already coincide; the rank verdict records u-dependence only
-        rank = is_zero(diff(residual_body, result.hat.ctx.u))
+        rank = is_zero(diff(residual.body, result.hat.ctx.u))
         lower = upper
     else:
         top = _top_kept_jet(result.hat.ctx, result.kept_axis, upper)
-        rank = is_zero(diff(residual_body, top))
+        rank = is_zero(diff(residual.body, top))
         lower = (
             upper
             if rank in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO)
@@ -243,15 +226,14 @@ def weak_coorder(L, Q, axis=None):
     )
 
 
-def reduced_field(ctx, xi, zeta_name="zeta"):
+def reduced_field(ctx, xi):
     """Q = xi*d_1 + d_2 + zeta(x1,x2,u)*d_u with a registered unknown zeta."""
-    zeta = ctx.ensure_function(zeta_name, (ctx.x1, ctx.x2, ctx.u))
+    zeta = ctx.ensure_function("zeta", (ctx.x1, ctx.x2, ctx.u))
     return VectorField(ctx, xi, 1, zeta.base), zeta
 
 
 def _poly_split(e, gens):
-    """Coefficient list of e viewed as a polynomial in the given jets."""
-    e = normalize(e)
+    """Coefficient list of a normal e viewed as a polynomial in the given jets."""
     gens = [g for g in gens if g in e.free_symbols]
     if not gens:
         return [e]
@@ -290,21 +272,21 @@ def _bare_symbol(e):
     return None
 
 
-def consistency_closure(equations, unknown, u, depth=2):
-    """Heuristic decision whether a ζ-system admits solutions.
+# rounds of u-differentiation consistency_closure explores
+CLOSURE_DEPTH = 2
+
+
+def consistency_closure(equations, unknown, u):
+    """Heuristic decision whether a normal ζ-system admits solutions.
 
     Differentiates the system with respect to u, propagates vanishing
     derivative symbols upward, and searches for a member free of the unknown
     that is nonzero. A True verdict means only that no contradiction was
-    found at the explored depth.
+    found within CLOSURE_DEPTH rounds.
     """
-    eqs = []
-    for e in equations:
-        e = normalize(e)
-        if e != 0:
-            eqs.append(e)
+    eqs = [e for e in equations if e != 0]
     null_orders = []
-    for round_no in range(depth + 1):
+    for round_no in range(CLOSURE_DEPTH + 1):
         changed = False
         reduced = []
         seen = set()
@@ -312,10 +294,9 @@ def consistency_closure(equations, unknown, u, depth=2):
             e = _reduce_by_null(e, unknown, null_orders)
             if e == 0:
                 continue
-            key = sp.srepr(e)
-            if key in seen:
+            if e in seen:
                 continue
-            seen.add(key)
+            seen.add(e)
             reduced.append(e)
         eqs = reduced
         for e in eqs:
@@ -328,7 +309,7 @@ def consistency_closure(equations, unknown, u, depth=2):
             if s is not None and s.fn is unknown and s.order not in null_orders:
                 null_orders.append(s.order)
                 changed = True
-        if round_no < depth:
+        if round_no < CLOSURE_DEPTH:
             new = []
             for e in eqs:
                 de = _reduce_by_null(diff(e, u), unknown, null_orders)
@@ -365,11 +346,11 @@ def field_power_on_u(ctx, xi, zeta, n):
     return a
 
 
-def analyze_reduced_set(L, xi, zeta_name="zeta"):
+def analyze_reduced_set(L, xi):
     """Ultra-singular and zero-co-order systems for Q = xi*d_1 + d_2 + ζd_u."""
     ctx = L.ctx
-    xi = normalize(sp.sympify(xi))
-    Q, zeta = reduced_field(ctx, xi, zeta_name)
+    xi = normalize(xi)
+    Q, zeta = reduced_field(ctx, xi)
     result = eliminate_on_Q(L, Q, axis=2)
     hat = result.hat
     k = ord(hat)
@@ -385,9 +366,8 @@ def analyze_reduced_set(L, xi, zeta_name="zeta"):
         for g in kept_jets:
             dg = diff(hat.body, g)
             for c in _poly_split(dg, kept_jets):
-                key = sp.srepr(c)
-                if c != 0 and key not in seen:
-                    seen.add(key)
+                if c != 0 and c not in seen:
+                    seen.add(c)
                     s_zero.append(c)
         ultra_ok = consistency_closure(s_ultra, zeta, ctx.u)
         zero_ok = consistency_closure(s_zero, zeta, ctx.u)
@@ -408,7 +388,7 @@ def analyze_reduced_set(L, xi, zeta_name="zeta"):
                     field_power_on_u(ctx, xi, zeta, idx.a2), ctx.u
                 )
         # evaluate leftover omega atoms back at their jet-space values
-        back = {w: _mixed_derivative(ctx, xi, idx) for idx, w in form.omegas.items()}
+        back = {w: form.values[idx] for idx, w in form.omegas.items()}
         regular_value = normalize(ineq.xreplace(back))
     elif k >= 1:
         regular_value = diff(hat.body, _top_kept_jet(ctx, result.kept_axis, k))
@@ -435,8 +415,11 @@ class OmegaSymbol(sp.Symbol):
 
 @dataclass
 class OmegaForm:
+    """L in adapted coordinates: omega atoms by index, and their jet values."""
+
     body: Expr
     omegas: dict
+    values: dict
 
 
 def _mixed_derivative(ctx, xi, idx):
@@ -460,8 +443,9 @@ def representation_check(L, xi, k):
     raises NotRepresentable with the offending atom name otherwise.
     """
     ctx = L.ctx
-    xi = normalize(sp.sympify(xi))
+    xi = normalize(xi)
     omegas = {}
+    values = {}
     inverse = {}
 
     def omega(idx):
@@ -476,7 +460,8 @@ def representation_check(L, xi, k):
         e = inverse.get(s)
         if e is not None:
             return e
-        rest = normalize(_mixed_derivative(ctx, xi, idx) - s)
+        values[idx] = _mixed_derivative(ctx, xi, idx)
+        rest = normalize(values[idx] - s)
         m = {}
         for a, aidx in chain_jets(rest, ctx).items():
             if aidx.a2 >= idx.a2:
@@ -484,12 +469,12 @@ def representation_check(L, xi, k):
                     "coordinate change is not triangular at %s" % s
                 )
             m[a] = invert(aidx)
-        e = normalize(omega(idx) - substitute_jets(rest, ctx, m))
+        e = normalize(omega(idx) - substitute_jets(rest, m))
         inverse[s] = e
         return e
 
     jetmap = {s: invert(idx) for s, idx in chain_jets(L.body, ctx).items()}
-    body = substitute_jets(L.body, ctx, jetmap)
+    body = substitute_jets(L.body, jetmap)
     present = [idx for idx, w in omegas.items() if w in body.free_symbols]
     for s in body.free_symbols:
         if isinstance(s, FnDerivSymbol):
@@ -507,7 +492,7 @@ def representation_check(L, xi, k):
         raise NotRepresentable(
             "no omega atom with first index %d present" % k
         )
-    return OmegaForm(body=body, omegas=omegas)
+    return OmegaForm(body=body, omegas=omegas, values=values)
 
 
 def bracket(Q1, Q2):

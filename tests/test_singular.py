@@ -175,6 +175,24 @@ class TestRepresentation:
         back = {w: _mixed_derivative(ctx, sp.S.Zero, idx) for idx, w in form.omegas.items()}
         assert normalize(form.body.xreplace(back) - L.body) == 0
 
+    def test_omega_values_recover_the_body_at_xi_zero(self):
+        ctx, L = heat()
+        form = representation_check(L, 0, 1)
+        assert set(form.values) == set(form.omegas)
+        back = {w: form.values[idx] for idx, w in form.omegas.items()}
+        assert normalize(form.body.xreplace(back) - L.body) == 0
+
+    def test_omega_values_recover_the_body_at_xi_u(self):
+        # transport u_t + u*u_x = 0 normalized on x: the xi = u set has
+        # co-order 0 below the order 1, so its analysis checks the form
+        ctx = JetContext("x", "t", "u")
+        L = DifferentialFunction(ctx.jet(0, 1) + ctx.u * ctx.jet(1, 0), ctx)
+        assert analyze_reduced_set(L, ctx.u).k == 0
+        form = representation_check(L, ctx.u, 0)
+        assert form.values[(0, 1)] == normalize(ctx.u * ctx.jet(1, 0) + ctx.jet(0, 1))
+        back = {w: form.values[idx] for idx, w in form.omegas.items()}
+        assert normalize(form.body.xreplace(back) - L.body) == 0
+
     def test_wrong_coorder_is_not_representable(self):
         ctx, L = heat()
         with pytest.raises(NotRepresentable):
