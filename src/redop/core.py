@@ -61,6 +61,8 @@ class FnDerivSymbol(sp.Symbol):
     The atom carries its owning function and derivative multi-index. As with
     sympy.Dummy, its identity includes the function's serial number, so atoms
     of two declarations never compare equal even when they print alike.
+    Atoms are immutable and their function identifies them, so a copy, deep
+    or shallow, is the atom itself. Pickling is not supported.
     """
 
     __slots__ = ("fn", "order")
@@ -70,6 +72,12 @@ class FnDerivSymbol(sp.Symbol):
         obj.fn = fn
         obj.order = order
         return obj
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def _hashable_content(self):
         return sp.Symbol._hashable_content(self) + (self.fn.serial, self.order)

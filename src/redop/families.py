@@ -8,6 +8,7 @@ equation, the invariance condition, and the equation itself.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -215,16 +216,60 @@ DEFAULT_KAPPAS = (
     sp.Integer(2),
     sp.Rational(5, 2),
 )
+# the float Newton search for a surface root stops at a step this small
+# relative to the iterate, or fails after this many steps
+NEWTON_RTOL = 1e-15
+NEWTON_MAX_STEPS = 50
+
+
+def _float_newton(phi, phi_u, a, b, kv, start):
+    """Float root u of phi(a, b, u) = kv by Newton's method, or None.
+
+    Converged at a step of at most NEWTON_RTOL relative to the iterate.
+    None when NEWTON_MAX_STEPS pass first, the iterate leaves the finite
+    reals, or an evaluation fails.
+    """
+    uu = start
+    try:
+        for _ in range(NEWTON_MAX_STEPS):
+            step = (phi(a, b, uu) - kv) / phi_u(a, b, uu)
+            uu -= step
+            if abs(step) <= NEWTON_RTOL * abs(uu) and math.isfinite(uu):
+                return uu
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError):
+        pass
+    return None
+
+
+def _findroot_on_surface(phi_fn, a, b, kv, starts):
+    """Real root of phi_fn(a, b, u) = kv by mpmath findroot, or None."""
+    for start in starts:
+        try:
+            cand = mpmath.findroot(lambda uu: phi_fn(a, b, uu) - kv, start)
+        except (ValueError, ZeroDivisionError, mpmath.libmp.NoConvergence):
+            continue
+        if abs(mpmath.im(cand)) < 1e-30 and abs(
+            phi_fn(a, b, mpmath.re(cand)) - kv
+        ) < 1e-20:
+            return mpmath.re(cand)
+    return None
 
 
 def backlund_verify(L, zeta, Phi, xi, samples=10, seed=0):
     """Check the transformation identities, then sample the implicit surface.
 
     For each kappa of DEFAULT_KAPPAS the surface Phi(x, u) = kappa is
-    sampled at random base points; u is recovered numerically and the
-    residual of L evaluated with the implicit-function prolongations. When
-    the residual is structurally zero the points are recorded with exact
-    zeros.
+    sampled at up to 20*samples random base points (a, b), two uniform
+    draws per attempt. The root u comes from a float Newton iteration with
+    the analytic Phi_u, started first from the last root accepted for this
+    kappa, then from kappa, 1, -1, 1/2, 2 and -1/2. The first start that
+    converges decides the attempt: its root counts only if the mpmath Phi
+    there is within 1e-20 of kappa, and a root failing that certificate is
+    a failed attempt. Only when no start converges does mpmath findroot
+    search from the same fixed starts, under the same certificate. The
+    residual of L, with the implicit-function prolongations, is evaluated
+    in mpmath at each accepted root; when it is structurally zero the points
+    are recorded with exact zeros.
     """
     ctx = L.ctx
     zeta = normalize(zeta)
@@ -264,8 +309,12 @@ def backlund_verify(L, zeta, Phi, xi, samples=10, seed=0):
         res_fn = None
         if structural is not TriBool.PROVEN_ZERO:
             res_fn = sp.lambdify((ctx.x1, ctx.x2, ctx.u), residual, "mpmath")
+        phi_float = sp.lambdify((ctx.x1, ctx.x2, ctx.u), Phi, "math")
+        phi_u_float = sp.lambdify((ctx.x1, ctx.x2, ctx.u), Phi_u, "math")
         for kappa in DEFAULT_KAPPAS:
             kv = float(kappa)
+            starts = (kv, 1.0, -1.0, 0.5, 2.0, -0.5)
+            warm = ()
             found = 0
             attempts = 0
             while found < samples and attempts < samples * 20:
@@ -273,20 +322,19 @@ def backlund_verify(L, zeta, Phi, xi, samples=10, seed=0):
                 a = rng.uniform(0.2, 1.5)
                 b = rng.uniform(0.2, 1.5)
                 root = None
-                for start in (kv, 1.0, -1.0, 0.5, 2.0, -0.5):
-                    try:
-                        cand = mpmath.findroot(
-                            lambda uu: phi_fn(a, b, uu) - kv, start
-                        )
-                    except (ValueError, ZeroDivisionError, mpmath.libmp.NoConvergence):
-                        continue
-                    if abs(mpmath.im(cand)) < 1e-30 and abs(
-                        phi_fn(a, b, mpmath.re(cand)) - kv
-                    ) < 1e-20:
-                        root = mpmath.re(cand)
+                for start in warm + starts:
+                    guess = _float_newton(phi_float, phi_u_float, a, b, kv, start)
+                    if guess is not None:
+                        # the first converged start decides the attempt: the
+                        # others reach the same float
+                        if abs(phi_fn(a, b, mpmath.mpf(guess)) - kv) < 1e-20:
+                            root = mpmath.mpf(guess)
                         break
+                else:
+                    root = _findroot_on_surface(phi_fn, a, b, kv, starts)
                 if root is None:
                     continue
+                warm = (float(root),)
                 if res_fn is None:
                     res = mpmath.mpf(0)
                 else:

@@ -276,7 +276,9 @@ def prolong(Q, r):
     if r < 0:
         raise ValueError("prolongation order must be non-negative")
     ctx = Q.ctx
-    ch = DifferentialFunction(characteristic(Q), ctx)
+    ch = DifferentialFunction(
+        Q.eta - Q.xi1 * ctx.jet(1, 0) - Q.xi2 * ctx.jet(0, 1), ctx
+    )
     out = {}
     d1 = ch
     for a in range(r + 1):

@@ -42,6 +42,7 @@ from .jets import (
 )
 from .singular import (
     _poly_split,
+    _replace_jets,
     _top_kept_jet,
     analyze_reduced_set,
     eliminate_on_Q,
@@ -104,18 +105,27 @@ def solve_for_leader(Lhat, leader):
 
 
 def _consequence_table(elim_hat, kept_axis, k, sol, max_order):
-    """Kept-axis derivative consequences of the solved leader relation."""
+    """Kept-axis derivative consequences of the solved leader relation.
+
+    Maps each order m from k to max_order to the value of the order-m
+    kept-axis jet on the relation: sol at k, and above it the body of a
+    DifferentialFunction built once over the raw replacement.
+    """
     ctx = elim_hat.ctx
     table = {k: sol}
+    if max_order == k:
+        return table
+    row = DifferentialFunction(sol, ctx)
     for m in range(k + 1, max_order + 1):
-        prev = table[m - 1]
-        bumped = total_derivative(DifferentialFunction(prev, ctx), kept_axis).body
+        row = total_derivative(row, kept_axis)
         jetmap = {
             _top_kept_jet(ctx, kept_axis, j): table[j]
             for j in range(k, m)
-            if _top_kept_jet(ctx, kept_axis, j) in bumped.free_symbols
+            if _top_kept_jet(ctx, kept_axis, j) in row.body.free_symbols
         }
-        table[m] = substitute_jets(bumped, jetmap) if jetmap else bumped
+        if jetmap:
+            row = DifferentialFunction(_replace_jets(row.body, jetmap), ctx)
+        table[m] = row.body
     return table
 
 

@@ -422,13 +422,18 @@ class OmegaForm:
     values: dict
 
 
+def _along_field(f, xi):
+    """(xi D_1 + D_2) f."""
+    return DifferentialFunction(
+        xi * total_derivative(f, 1).body + total_derivative(f, 2).body, f.ctx
+    )
+
+
 def _mixed_derivative(ctx, xi, idx):
     """omega value D_1^{a1} (xi D_1 + D_2)^{a2} u as a jet expression."""
     f = DifferentialFunction(ctx.u, ctx)
     for _ in range(idx.a2):
-        f = DifferentialFunction(
-            xi * total_derivative(f, 1).body + total_derivative(f, 2).body, ctx
-        )
+        f = _along_field(f, xi)
     for _ in range(idx.a1):
         f = total_derivative(f, 1)
     return f.body
@@ -447,6 +452,18 @@ def representation_check(L, xi, k):
     omegas = {}
     values = {}
     inverse = {}
+    # omega values as DifferentialFunctions, each one step from a shorter index
+    derived = {MultiIndex(0, 0): DifferentialFunction(ctx.u, ctx)}
+
+    def derive(idx):
+        f = derived.get(idx)
+        if f is None:
+            if idx.a1 > 0:
+                f = total_derivative(derive(MultiIndex(idx.a1 - 1, idx.a2)), 1)
+            else:
+                f = _along_field(derive(MultiIndex(0, idx.a2 - 1)), xi)
+            derived[idx] = f
+        return f
 
     def omega(idx):
         s = omegas.get(idx)
@@ -460,7 +477,7 @@ def representation_check(L, xi, k):
         e = inverse.get(s)
         if e is not None:
             return e
-        values[idx] = _mixed_derivative(ctx, xi, idx)
+        values[idx] = derive(idx).body
         rest = normalize(values[idx] - s)
         m = {}
         for a, aidx in chain_jets(rest, ctx).items():

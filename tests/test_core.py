@@ -1,5 +1,6 @@
 """Kernel behavior: differentiation, normalization, zero testing, unknown maps."""
 
+import copy
 import random
 
 import pytest
@@ -106,6 +107,14 @@ class TestUnknownFunction:
         F = UnknownFunction("F", (u,))
         with pytest.raises(ValueError):
             F.sym((1, 0))
+
+    def test_copies_keep_the_derivative_atom(self):
+        F = UnknownFunction("F", (u,))
+        e = F.sym((1,)) * 2
+        for c in (copy.copy(e), copy.deepcopy(e)):
+            assert c == e
+            assert c.free_symbols == {F.sym((1,))}
+        assert copy.deepcopy(F.sym((1,))) is F.sym((1,))
 
 
 class TestNormalize:

@@ -1,5 +1,6 @@
 """Solution families, operator recovery, adjoints, transformation checks."""
 
+import mpmath
 import pytest
 import sympy as sp
 
@@ -15,10 +16,11 @@ from redop import (
     verify_family_solves,
     zeta_from_family,
 )
+from redop import families
 from redop.errors import DegenerateInverse, WrongCoorderBranch
 from redop.families import instantiate_function
 
-from helpers import heat, liouville, wave_generic
+from helpers import corpus_problem, heat, liouville, wave_generic
 
 kappa = sp.Symbol("kappa")
 
@@ -181,6 +183,67 @@ class TestBacklundVerify:
         ctx, L = heat()
         with pytest.raises(DegenerateInverse):
             backlund_verify(L, ctx.u, ctx.x1 + ctx.x2, 0)
+
+
+CORPUS_FAMILIES = [
+    ("heat", "grow"),
+    ("heat", "quad"),
+    ("heat", "line"),
+    ("transport", "fan"),
+    ("wave_liouville", "main"),
+]
+
+
+class TestSurfaceRootSearch:
+    @pytest.mark.parametrize("stem,name", CORPUS_FAMILIES)
+    def test_corpus_points_pass_the_certificate(self, stem, name):
+        problem = corpus_problem(stem)
+        L = problem.equation
+        ctx = L.ctx
+        fam = problem.families[name]
+        zeta = zeta_from_family(fam, 0)
+        phi = sp.lambdify((ctx.x1, ctx.x2, ctx.u), fam.Phi, "mpmath")
+        for seed in (0, 1, 7):
+            rep = backlund_verify(L, zeta, fam.Phi, 0, samples=50, seed=seed)
+            assert len(rep.points) == 250, (stem, name, seed)
+            for (a, b, root, kv), _res in rep.points:
+                assert abs(phi(a, b, mpmath.mpf(root)) - kv) < 1e-20
+
+    def test_findroot_fallback_when_no_float_start_converges(self, monkeypatch):
+        calls = []
+        findroot = mpmath.findroot
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return findroot(*args, **kwargs)
+
+        monkeypatch.setattr(families, "_float_newton", lambda *args: None)
+        monkeypatch.setattr(mpmath, "findroot", counted)
+        ctx, L = heat()
+        t, x, u = ctx.x1, ctx.x2, ctx.u
+        rep = backlund_verify(L, u, u * sp.exp(-t - x), 0, samples=2)
+        assert len(rep.points) == 10
+        assert calls
+
+    def test_no_findroot_when_a_float_start_converges(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("findroot called")
+
+        monkeypatch.setattr(mpmath, "findroot", refuse)
+        ctx, L = heat()
+        t, x, u = ctx.x1, ctx.x2, ctx.u
+        rep = backlund_verify(L, u, u * sp.exp(-t - x), 0, samples=2)
+        assert len(rep.points) == 10
+
+    def test_nonzero_residual_is_evaluated_at_each_root(self):
+        ctx, L = heat()
+        x, u = ctx.x2, ctx.u
+        # u = x^2 + kappa gives u_t - u_xx = -2 on every surface
+        rep = backlund_verify(L, 0, u - x**2, 0)
+        assert rep.structural is not TriBool.PROVEN_ZERO
+        assert rep.surface is TriBool.PROBABLY_NONZERO
+        assert len(rep.points) == 50
+        assert all(abs(res - 2) < 1e-12 for _pt, res in rep.points)
 
 
 class TestInstantiate:

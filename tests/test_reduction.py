@@ -12,6 +12,7 @@ from redop import (
     de0_equation,
     determining_regular,
     determining_singular,
+    diff,
     eq6_equation,
     equations_equal,
     is_zero,
@@ -23,6 +24,7 @@ from redop import (
 )
 from redop.errors import LeaderNotSolvable, NotAffineInLeader, SetNotFirstCoorder, UnsupportedAnsatz
 from redop.families import instantiate_function
+from redop.reduction import _restrict_to_solved
 
 from helpers import heat, liouville, wave_generic, wave_zero
 
@@ -207,6 +209,22 @@ class TestSolveForLeader:
         hat = DifferentialFunction(a * ctx.jet(1, 0) - ctx.u, ctx)
         with pytest.raises(LeaderNotSolvable):
             solve_for_leader(hat, ctx.jet(1, 0))
+
+
+class TestRestrictToSolved:
+    def test_higher_consequences_substitute_the_lower_ones(self):
+        ctx, L = heat()
+        t, x, u = ctx.x1, ctx.x2, ctx.u
+        sol = u**2 + t * x  # u_t on the solved relation
+
+        def D_t(f):
+            return normalize(diff(f, t) + diff(f, u) * sol)
+
+        hat = DifferentialFunction(ctx.jet(1, 0) - sol, ctx)
+        expr = ctx.jet(3, 0) + x * ctx.jet(2, 0) + ctx.jet(1, 0)
+        got = _restrict_to_solved(expr, hat, 1, 1, sol)
+        want = D_t(D_t(sol)) + x * D_t(sol) + sol
+        assert normalize(got - want) == 0
 
 
 class TestReduceWithAnsatz:
