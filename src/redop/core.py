@@ -351,34 +351,39 @@ def _provably_nonzero(f):
     return False
 
 
-def split_factors(p, keep):
-    """(multiplier, residual) with p = multiplier*residual, both unnormalized.
+def _signed_primitive(p):
+    """(c, f) with p = c*f: c the rational content of a nonzero p, f a Poly
+    with positive leading coefficient, the sign rule of factor_list, or None
+    for a number p, which Poly rejects."""
+    if p.is_Number:
+        return p, None
+    c, f = sp.Poly(p).primitive()
+    if f.LC().is_negative:
+        return -c, -f
+    return c, f
 
-    The rational content and every irreducible factor power whose base
-    satisfies keep go to the multiplier, the other factors to the residual.
-    When p cannot be factored it is a single factor of itself.
+
+def split_nonvanishing(e):
+    """(multiplier, residual) of a normal e = multiplier*residual.
+
+    The multiplier, normalized and provably nonvanishing, is the numerator's
+    signed rational content times the least power over its terms of each
+    provably nonzero generator, over the denominator. _provably_nonzero keeps
+    single generators only, so factoring would find the same split. The
+    residual is returned unnormalized.
     """
-    try:
-        content, factors = sp.factor_list(p)
-    except Exception:
-        # opaque kernels can defeat the polynomial machinery in many ways;
-        # an unsplit p is always a correct answer
-        content, factors = sp.S.One, [(p, 1)]
-    multiplier = content
-    residual = sp.S.One
-    for base, k in factors:
-        if keep(base):
-            multiplier = multiplier * base**k
+    num, den = e.as_numer_denom()
+    multiplier, f = _signed_primitive(num)
+    if f is None:
+        return normalize(multiplier / den), sp.S.One
+    exponents, f = f.terms_gcd()
+    residual = f.as_expr()
+    for g, k in zip(f.gens, exponents):
+        if _provably_nonzero(g):
+            multiplier = multiplier * g**k
         else:
-            residual = residual * base**k
-    return multiplier, residual
-
-
-def _nonzero_by_factors(p):
-    if _provably_nonzero(p):
-        return True
-    multiplier, residual = split_factors(p, _provably_nonzero)
-    return residual == 1 and _provably_nonzero(multiplier)
+            residual = residual * g**k
+    return normalize(multiplier / den), residual
 
 
 def fingerprint(e):
@@ -431,10 +436,11 @@ def is_zero(e, samples=None, seed=None):
     """Three-way-plus-one zero test.
 
     PROVEN_ZERO only when the normal form is the zero quotient. PROVEN_NONZERO
-    for nonzero constants and for products of provably nonvanishing factors
-    (nonzero rationals, exp kernels, symbols covered by registered
-    assumptions). Everything else is sampled at random rational points:
-    any nonzero value gives PROBABLY_NONZERO, all-zero gives SAMPLED_ZERO.
+    for nonzero constants and for a numerator that is itself a product of
+    rational powers of provably nonvanishing atoms (nonzero numbers, exp
+    kernels, symbols covered by registered assumptions); no factorization is
+    tried. Everything else is sampled at random rational points: any nonzero
+    value gives PROBABLY_NONZERO, all-zero gives SAMPLED_ZERO.
     """
     n = normalize(e)
     if n == 0:
@@ -452,7 +458,7 @@ def is_zero(e, samples=None, seed=None):
             return TriBool.PROBABLY_NONZERO
         return TriBool.SAMPLED_ZERO
     p, _q = n.as_numer_denom()
-    if _nonzero_by_factors(p):
+    if _provably_nonzero(p):
         return TriBool.PROVEN_NONZERO
     samples = CONFIG["samples"] if samples is None else samples
     seed = CONFIG["seed"] if seed is None else seed
@@ -469,22 +475,15 @@ def is_zero(e, samples=None, seed=None):
 def primitive_equation(e):
     """Canonical polynomial form of an equation given as an expression.
 
-    Takes the numerator of the normal form, strips rational content and
-    fixes the overall sign, so that two equations differing by a nonzero
+    Takes the numerator of the normal form, strips rational content and makes
+    the leading coefficient positive, so that equations differing by a nonzero
     rational multiple (or a cleared nonvanishing denominator) compare equal.
     """
     p, _ = normalize(e).as_numer_denom()
-    p = sp.expand(p)
     if p == 0:
         return p
-    content, prim = p.as_content_primitive()
-    try:
-        lead = sp.Poly(prim).LC()
-    except Exception:
-        lead = prim.as_ordered_terms()[0].as_coeff_Mul()[0]
-    if lead.is_Number and lead < 0:
-        prim = -prim
-    return sp.expand(prim)
+    _content, f = _signed_primitive(p)
+    return sp.S.One if f is None else f.as_expr()
 
 
 def equations_equal(a, b):

@@ -22,7 +22,6 @@ from .core import (
     diff,
     is_zero,
     normalize,
-    split_factors,
     substitute,
 )
 from .errors import (
@@ -349,6 +348,29 @@ def _phi_order(e, phi):
     )
 
 
+def _split_factors(p, keep):
+    """(multiplier, residual) with p = multiplier*residual, both unnormalized.
+
+    The rational content and every irreducible factor power whose base
+    satisfies keep go to the multiplier, the other factors to the residual.
+    When p cannot be factored it is a single factor of itself.
+    """
+    try:
+        content, factors = sp.factor_list(p)
+    except Exception:
+        # opaque kernels can defeat the polynomial machinery in many ways;
+        # an unsplit p is always a correct answer
+        content, factors = sp.S.One, [(p, 1)]
+    multiplier = content
+    residual = sp.S.One
+    for base, k in factors:
+        if keep(base):
+            multiplier = multiplier * base**k
+        else:
+            residual = residual * base**k
+    return multiplier, residual
+
+
 def reduce_with_ansatz(L, Q, f, omega):
     """Substitute u = f(x, phi(omega)) into L and factor the multiplier.
 
@@ -423,8 +445,8 @@ def reduce_with_ansatz(L, Q, f, omega):
     # the multiplier takes the numerator factors with noninv in them and
     # the denominator factors with noninv in them or free of phi
     num, den = body.as_numer_denom()
-    num_mult, num_res = split_factors(num, lambda b: noninvariant(b, "factor"))
-    den_mult, den_res = split_factors(
+    num_mult, num_res = _split_factors(num, lambda b: noninvariant(b, "factor"))
+    den_mult, den_res = _split_factors(
         den, lambda b: noninvariant(b, "denominator factor") or _phi_order(b, phi) < 0
     )
     multiplier = normalize(num_mult / den_mult)

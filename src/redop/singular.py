@@ -19,11 +19,10 @@ from .core import (
     TriBool,
     UnknownFunction,
     _d,
-    _provably_nonzero,
     diff,
     is_zero,
     normalize,
-    split_factors,
+    split_nonvanishing,
 )
 from .errors import BothCoefficientsZero, NonPolynomialSplit, NotRepresentable
 from .jets import (
@@ -169,18 +168,6 @@ class CoorderReport:
         return self.weak_lower == self.weak_upper
 
 
-def _split_nonvanishing(e):
-    """(multiplier, residual) of a normal e, multiplier provably nonvanishing.
-
-    Pulls the denominator, the rational content and every provably nonzero
-    factor into the multiplier; what remains is the residual, returned
-    unnormalized.
-    """
-    num, den = e.as_numer_denom()
-    multiplier, residual = split_factors(num, _provably_nonzero)
-    return normalize(multiplier / den), residual
-
-
 def _top_kept_jet(ctx, kept_axis, k):
     return ctx.jet(MultiIndex(k, 0) if kept_axis == 1 else MultiIndex(0, k))
 
@@ -199,7 +186,7 @@ def weak_coorder(L, Q, axis=None):
             maximal_rank=TriBool.PROVEN_ZERO,
             elimination=result,
         )
-    multiplier, residual_body = _split_nonvanishing(result.hat.body)
+    multiplier, residual_body = split_nonvanishing(result.hat.body)
     residual = DifferentialFunction(residual_body, result.hat.ctx)
     upper = ord(residual)
     if upper <= 0:

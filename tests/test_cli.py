@@ -1,8 +1,10 @@
 """Exit codes, report formats, and flag handling of the console entry point."""
 
 import json
+import time
 
 import pytest
+import sympy.core.random as sympy_random
 
 from redop import CONFIG, parse_problem
 from redop.cli import main
@@ -138,3 +140,19 @@ class TestFlags:
         with pytest.raises(SystemExit) as ei:
             main(["frobnicate", prob("heat")])
         assert ei.value.code == 2
+
+
+def test_coorder_time_does_not_depend_on_sympys_rng(prob):
+    """Seed 1 of sympy's generator once sent a factorization of this
+    associated function into a Hensel lifting of over a minute."""
+    states = sympy_random.rng.getstate(), sympy_random._assumptions_rng.getstate()
+    sympy_random.seed(1)
+    try:
+        start = time.perf_counter()
+        code = main(["coorder", prob("heat"), "--field", "template", "--json"])
+        elapsed = time.perf_counter() - start
+    finally:
+        sympy_random.rng.setstate(states[0])
+        sympy_random._assumptions_rng.setstate(states[1])
+    assert code == 0
+    assert elapsed < 10

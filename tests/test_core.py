@@ -5,11 +5,12 @@ import random
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redop import TriBool, UnknownFunction, diff, equations_equal, is_zero, normalize, primitive_equation, substitute
-from redop.core import AppliedMapBase, fn_symbol_info
+from redop.core import AppliedMapBase, _provably_nonzero, fn_symbol_info, split_nonvanishing
+from redop.reduction import _split_factors
 from redop.errors import DivisionByZeroDetected, UnknownVariable, UnsupportedExpression
 
 from helpers import rand_expr
@@ -192,6 +193,50 @@ class TestPrimitiveEquation:
         b = -3 * (x - u)
         assert equations_equal(a, b)
         assert not equations_equal(x - u, x + u)
+
+    def test_constant_equation_is_one(self):
+        assert primitive_equation(5) == 1
+        assert primitive_equation(-5) == 1
+
+
+class TestSplitNonvanishing:
+    def test_constant_numerator_is_all_multiplier(self):
+        assert split_nonvanishing(normalize(-5 / (x + 1))) == (-5 / (x + 1), 1)
+        assert split_nonvanishing(sp.Rational(3, 7)) == (sp.Rational(3, 7), 1)
+
+    def test_nonreal_leading_coefficient_keeps_its_sign(self):
+        # a problem file may write sqrt(-1); only a negative number is negated
+        assert split_nonvanishing(normalize(-sp.I * x - 1)) == (1, -sp.I * x - 1)
+
+
+# F_u is declared nonvanishing, F_uu is not
+_F = UnknownFunction("F", (u,), nonzero=((1,),))
+_ATOMS = [t, x, u, sp.exp(u), sp.exp(x / 2), _F.sym((1,)), _F.sym((2,))]
+_NONVANISHING = [sp.exp(u), sp.exp(x / 2), _F.sym((1,))]
+_u_x, _u_t = sp.symbols("u_x u_t")
+
+
+def _random_normal(seed):
+    """A normal random expression times a random nonvanishing monomial."""
+    rng = random.Random(seed)
+    monomial = sp.Rational(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+    for atom in _NONVANISHING:
+        monomial *= atom ** rng.randint(0, 2)
+    return normalize(rand_expr(rng, _ATOMS, depth=3) * monomial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9).map(_random_normal))
+@example(-sp.sqrt(2) * _u_x * sp.exp(u / 2) - 2 * sp.exp(u))
+@example(2 * u * t - u * x**2 + 4 * _u_t * t**2)
+def test_split_by_least_exponent_matches_factorization(e):
+    num, den = e.as_numer_denom()
+    multiplier, residual = split_nonvanishing(e)
+    ref_multiplier, ref_residual = _split_factors(num, _provably_nonzero)
+    assert multiplier == normalize(ref_multiplier / den)
+    assert normalize(residual) == normalize(ref_residual)
+    # is_zero's certificate against the rule it replaced
+    assert _provably_nonzero(num) == (ref_residual == 1 and _provably_nonzero(ref_multiplier))
 
 
 @settings(max_examples=25, deadline=None)

@@ -65,3 +65,16 @@ def test_no_function_mutates_module_level_containers(path):
             if isinstance(target, ast.Name) and target.id in shared:
                 hits.add("%s (line %d)" % (target.id, node.lineno))
     assert not hits, "module-level state mutated: " + ", ".join(sorted(hits))
+
+
+def test_only_ansatz_reduction_factors():
+    """reduce_with_ansatz keeps whole multi-term factors and so needs
+    factor_list; every other split takes least exponents of single atoms."""
+    users = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "factor_list" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                 getattr(node, "name", None)):
+                users.append(path.name)
+                break
+    assert users == ["reduction.py"]

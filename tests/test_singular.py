@@ -15,6 +15,7 @@ from redop import (
     analyze_reduced_set,
     bracket,
     eliminate_on_Q,
+    is_zero,
     module_closed,
     normalize,
     ord,
@@ -26,7 +27,7 @@ from redop import (
 )
 from redop.errors import BothCoefficientsZero, NotRepresentable
 
-from helpers import first_order_t, heat, liouville, third_order_t, wave_generic, wave_zero
+from helpers import corpus_problem, first_order_t, heat, liouville, third_order_t, wave_generic, wave_zero
 
 
 class TestEliminate:
@@ -117,6 +118,45 @@ class TestWeakCoorder:
         ctx, L = liouville()
         rep = weak_coorder(L, VectorField(ctx, 0, 1, -2 / (ctx.x1 + ctx.x2)))
         assert rep.weak_lower <= rep.weak_upper <= rep.strong == 0
+
+
+class TestNoFactorization:
+    """The co-order split and the zero test never factor."""
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        calls = []
+        factor_list = sp.factor_list
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return factor_list(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "factor_list", counted)
+        return calls
+
+    def test_heat_template(self, factor_calls):
+        problem = corpus_problem("heat")
+        rep = weak_coorder(problem.equation, problem.fields["template"])
+        assert (rep.strong, rep.weak_lower, rep.weak_upper) == (2, 2, 2)
+        assert rep.multiplier == problem.ctx.functions["xi"].base ** -3
+        assert normalize(rep.multiplier * rep.residual.body - rep.elimination.hat.body) == 0
+        assert rep.maximal_rank is TriBool.PROBABLY_NONZERO
+        assert factor_calls == []
+
+    def test_ttt_d1(self, factor_calls):
+        problem = corpus_problem("ttt")
+        ctx = problem.ctx
+        rep = weak_coorder(problem.equation, problem.fields["d1"])
+        assert (rep.strong, rep.weak_lower, rep.weak_upper) == (2, 1, 1)
+        assert rep.multiplier == -sp.exp(ctx.jet(0, 2))
+        assert rep.residual.body == ctx.u + ctx.jet(0, 1)
+        assert rep.maximal_rank is TriBool.PROVEN_NONZERO
+        assert factor_calls == []
+
+    def test_is_zero_of_a_polynomial(self, factor_calls):
+        assert is_zero(sp.Symbol("x") + 1) is TriBool.PROBABLY_NONZERO
+        assert factor_calls == []
 
 
 class TestAnalyzeReducedSet:
