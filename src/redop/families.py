@@ -216,43 +216,47 @@ DEFAULT_KAPPAS = (
     sp.Integer(2),
     sp.Rational(5, 2),
 )
-# the float Newton search for a surface root stops at a step this small
-# relative to the iterate, or fails after this many steps
-NEWTON_RTOL = 1e-15
-NEWTON_MAX_STEPS = 50
+# the sign scan of the surface root search visits u = 2**k, then u = -2**k
+_SCAN = tuple(sign * 2.0**k for sign in (1, -1) for k in range(-20, 21))
 
 
-def _float_newton(phi, phi_u, a, b, kv, start):
-    """Float root u of phi(a, b, u) = kv by Newton's method, or None.
-
-    Converged at a step of at most NEWTON_RTOL relative to the iterate.
-    None when NEWTON_MAX_STEPS pass first, the iterate leaves the finite
-    reals, or an evaluation fails.
-    """
-    uu = start
+def _excess(phi, a, b, u, kv):
+    """phi(a, b, u) - kv as a finite real float, or None if evaluation fails."""
     try:
-        for _ in range(NEWTON_MAX_STEPS):
-            step = (phi(a, b, uu) - kv) / phi_u(a, b, uu)
-            uu -= step
-            if abs(step) <= NEWTON_RTOL * abs(uu) and math.isfinite(uu):
-                return uu
+        v = float(phi(a, b, u)) - kv
     except (ValueError, ZeroDivisionError, OverflowError, TypeError):
-        pass
-    return None
+        return None
+    return v if math.isfinite(v) else None
 
 
-def _findroot_on_surface(phi_fn, a, b, kv, starts):
-    """Real root of phi_fn(a, b, u) = kv by mpmath findroot, or None."""
-    for start in starts:
-        try:
-            cand = mpmath.findroot(lambda uu: phi_fn(a, b, uu) - kv, start)
-        except (ValueError, ZeroDivisionError, mpmath.libmp.NoConvergence):
+def _surface_root(phi, a, b, kv):
+    """Float root u of phi(a, b, u) = kv by bisecting a sign change, or None.
+
+    Scans u = 2**k, then u = -2**k, for k = -20..20, skipping points where
+    phi fails, and bisects the first cell whose ends share the sign of
+    u and straddle kv until they are adjacent floats. Returns the end nearer
+    to kv; None when no cell changes sign or phi fails during bisection.
+    """
+    prev = None
+    for u in _SCAN:
+        f = _excess(phi, a, b, u, kv)
+        if f is None:
             continue
-        if abs(mpmath.im(cand)) < 1e-30 and abs(
-            phi_fn(a, b, mpmath.re(cand)) - kv
-        ) < 1e-20:
-            return mpmath.re(cand)
-    return None
+        if prev and (prev[0] < 0) == (u < 0) and (prev[1] < 0) != (f < 0):
+            break
+        prev = (u, f)
+    else:
+        return None
+    (lo, flo), (hi, fhi) = prev, (u, f)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        fm = _excess(phi, a, b, mid, kv)
+        if fm is None:
+            return None
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 def backlund_verify(L, zeta, Phi, xi, samples=10, seed=0):
@@ -260,16 +264,16 @@ def backlund_verify(L, zeta, Phi, xi, samples=10, seed=0):
 
     For each kappa of DEFAULT_KAPPAS the surface Phi(x, u) = kappa is
     sampled at up to 20*samples random base points (a, b), two uniform
-    draws per attempt. The root u comes from a float Newton iteration with
-    the analytic Phi_u, started first from the last root accepted for this
-    kappa, then from kappa, 1, -1, 1/2, 2 and -1/2. The first start that
-    converges decides the attempt: its root counts only if the mpmath Phi
-    there is within 1e-20 of kappa, and a root failing that certificate is
-    a failed attempt. Only when no start converges does mpmath findroot
-    search from the same fixed starts, under the same certificate. The
-    residual of L, with the implicit-function prolongations, is evaluated
-    in mpmath at each accepted root; when it is structurally zero the points
-    are recorded with exact zeros.
+    draws per attempt. The root u comes from one float search: a sign scan
+    of Phi - kappa over u = 2**k, then u = -2**k (k = -20..20), and
+    bisection of the first cell that changes sign down to adjacent floats
+    (_surface_root). The root counts only if the mpmath Phi there is within
+    1e-20 of kappa; an attempt with no sign change, a failed evaluation
+    during bisection, or a root failing that certificate (such as a pole
+    the bisection closed in on) is a failed attempt. The residual of L, with
+    the implicit-function prolongations, is evaluated in mpmath at each
+    accepted root; when it is structurally zero the points are recorded with
+    exact zeros.
     """
     ctx = L.ctx
     zeta = normalize(zeta)
@@ -310,36 +314,24 @@ def backlund_verify(L, zeta, Phi, xi, samples=10, seed=0):
         if structural is not TriBool.PROVEN_ZERO:
             res_fn = sp.lambdify((ctx.x1, ctx.x2, ctx.u), residual, "mpmath")
         phi_float = sp.lambdify((ctx.x1, ctx.x2, ctx.u), Phi, "math")
-        phi_u_float = sp.lambdify((ctx.x1, ctx.x2, ctx.u), Phi_u, "math")
         for kappa in DEFAULT_KAPPAS:
             kv = float(kappa)
-            starts = (kv, 1.0, -1.0, 0.5, 2.0, -0.5)
-            warm = ()
             found = 0
             attempts = 0
             while found < samples and attempts < samples * 20:
                 attempts += 1
                 a = rng.uniform(0.2, 1.5)
                 b = rng.uniform(0.2, 1.5)
-                root = None
-                for start in warm + starts:
-                    guess = _float_newton(phi_float, phi_u_float, a, b, kv, start)
-                    if guess is not None:
-                        # the first converged start decides the attempt: the
-                        # others reach the same float
-                        if abs(phi_fn(a, b, mpmath.mpf(guess)) - kv) < 1e-20:
-                            root = mpmath.mpf(guess)
-                        break
-                else:
-                    root = _findroot_on_surface(phi_fn, a, b, kv, starts)
-                if root is None:
+                root = _surface_root(phi_float, a, b, kv)
+                if root is None or not abs(
+                    phi_fn(a, b, mpmath.mpf(root)) - kv
+                ) < 1e-20:
                     continue
-                warm = (float(root),)
                 if res_fn is None:
                     res = mpmath.mpf(0)
                 else:
-                    res = res_fn(a, b, root)
-                points.append(((a, b, float(root), kv), abs(res)))
+                    res = res_fn(a, b, mpmath.mpf(root))
+                points.append(((a, b, root, kv), abs(res)))
                 found += 1
     return BacklundReport(
         identity_q=identity_q,

@@ -145,27 +145,36 @@ def _restrict_to_solved(expr, elim_hat, kept_axis, k, sol):
     return substitute_jets(expr, jetmap)
 
 
-def conditional_invariance_test(L, Q, axis=None):
-    """Definition-level test: prolonged action restricted to L ∩ Q_(r)."""
+def _restricted_action(L, Q, ip, axis):
+    """Prolonged action ip on L ∩ Q_(r), eliminated along axis.
+
+    Both L and ip are eliminated on Q; when the strong co-order k of L is
+    not -1 its leader is solved and substituted, with its consequences,
+    into the eliminated ip. Raises NotAffineInLeader if the leader cannot
+    be solved for.
+    """
     ctx = L.ctx
-    ip = apply_prolonged(Q, L)
-    if ip == 0:
-        return TriBool.PROVEN_ZERO
     elim = eliminate_on_Q(L, Q, axis)
     ip_elim = eliminate_on_Q(
         DifferentialFunction(ip, ctx), Q, axis=elim.axis
     ).hat.body
     k = ord(elim.hat)
     if k == -1:
-        return is_zero(ip_elim)
+        return ip_elim
     kept = elim.kept_axis
-    leader = _top_kept_jet(ctx, kept, k)
     try:
-        sol = solve_for_leader(elim.hat, leader)
+        sol = solve_for_leader(elim.hat, _top_kept_jet(ctx, kept, k))
     except LeaderNotSolvable as exc:
         raise NotAffineInLeader(str(exc), residual=ip_elim)
-    restricted = _restrict_to_solved(ip_elim, elim.hat, kept, k, sol)
-    return is_zero(restricted)
+    return _restrict_to_solved(ip_elim, elim.hat, kept, k, sol)
+
+
+def conditional_invariance_test(L, Q, axis=None):
+    """Definition-level test: prolonged action restricted to L ∩ Q_(r)."""
+    ip = apply_prolonged(Q, L)
+    if ip == 0:
+        return TriBool.PROVEN_ZERO
+    return is_zero(_restricted_action(L, Q, ip, axis))
 
 
 @dataclass
@@ -299,20 +308,7 @@ def determining_regular(L, Q, axis=None):
             axis = 2
         else:
             axis = 1
-    elim = eliminate_on_Q(L, Q, axis)
-    ip = apply_prolonged(Q, L)
-    ip_elim = eliminate_on_Q(DifferentialFunction(ip, ctx), Q, axis=axis).hat.body
-    k = ord(elim.hat)
-    kept = elim.kept_axis
-    if k >= 0:
-        leader = _top_kept_jet(ctx, kept, k)
-        try:
-            sol = solve_for_leader(elim.hat, leader)
-        except LeaderNotSolvable as exc:
-            raise NotAffineInLeader(str(exc), residual=ip_elim)
-        residual = _restrict_to_solved(ip_elim, elim.hat, kept, k, sol)
-    else:
-        residual = ip_elim
+    residual = _restricted_action(L, Q, apply_prolonged(Q, L), axis)
     split_vars = sorted(
         {
             s

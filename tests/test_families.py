@@ -16,7 +16,6 @@ from redop import (
     verify_family_solves,
     zeta_from_family,
 )
-from redop import families
 from redop.errors import DegenerateInverse, WrongCoorderBranch
 from redop.families import instantiate_function
 
@@ -209,31 +208,27 @@ class TestSurfaceRootSearch:
             for (a, b, root, kv), _res in rep.points:
                 assert abs(phi(a, b, mpmath.mpf(root)) - kv) < 1e-20
 
-    def test_findroot_fallback_when_no_float_start_converges(self, monkeypatch):
-        calls = []
-        findroot = mpmath.findroot
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return findroot(*args, **kwargs)
-
-        monkeypatch.setattr(families, "_float_newton", lambda *args: None)
-        monkeypatch.setattr(mpmath, "findroot", counted)
-        ctx, L = heat()
-        t, x, u = ctx.x1, ctx.x2, ctx.u
-        rep = backlund_verify(L, u, u * sp.exp(-t - x), 0, samples=2)
-        assert len(rep.points) == 10
-        assert calls
-
-    def test_no_findroot_when_a_float_start_converges(self, monkeypatch):
+    @pytest.mark.parametrize("stem,name", CORPUS_FAMILIES)
+    def test_no_findroot_on_a_corpus_surface(self, stem, name, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("findroot called")
 
         monkeypatch.setattr(mpmath, "findroot", refuse)
+        problem = corpus_problem(stem)
+        L = problem.equation
+        fam = problem.families[name]
+        zeta = zeta_from_family(fam, 0)
+        for seed in (0, 1, 7):
+            rep = backlund_verify(L, zeta, fam.Phi, 0, samples=50, seed=seed)
+            assert len(rep.points) == 250, (stem, name, seed)
+
+    def test_roots_at_negative_u_where_positive_u_fails(self):
         ctx, L = heat()
-        t, x, u = ctx.x1, ctx.x2, ctx.u
-        rep = backlund_verify(L, u, u * sp.exp(-t - x), 0, samples=2)
-        assert len(rep.points) == 10
+        x, u = ctx.x2, ctx.u
+        # every root lies at u = -(x + kappa)**2, and sqrt(-u) raises for u > 0
+        rep = backlund_verify(L, 0, sp.sqrt(-u) - x, 0)
+        assert len(rep.points) == 50
+        assert all(root < 0 for (_a, _b, root, _kv), _res in rep.points)
 
     def test_nonzero_residual_is_evaluated_at_each_root(self):
         ctx, L = heat()
