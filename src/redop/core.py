@@ -4,9 +4,11 @@ Expressions are sympy objects restricted to a small language: rational
 constants, plain variables, jet variables, derivative symbols of unknown
 functions, sums, products, rational powers, and the kernels exp/ln/sqrt.
 Construction, differentiation, substitution, normalization and zero testing
-all live here; sympy supplies the canonical rational arithmetic while the
-chain rule through unknown functions is implemented by structural recursion
-so that no foreign node kinds (Derivative, Subs) ever appear.
+all live here. The canonical rational arithmetic is done in sympy's sparse
+polynomial rings (sympy.polys.rings): normalize converts numerator and
+denominator into one ring over the atoms and cancels them there. The chain
+rule through unknown functions is implemented by structural recursion so
+that no foreign node kinds (Derivative, Subs) ever appear.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import itertools
 import random
 
 import sympy as sp
+from sympy.polys.rings import sring
 
 from .errors import (
     DivisionByZeroDetected,
@@ -306,10 +309,16 @@ def substitute(e, bindings):
 def normalize(e):
     """Canonical quotient of polynomials over the atoms.
 
-    exp products are merged first (exp(a)*exp(b) -> exp(a+b)), then the whole
-    expression is brought to a single cancelled p/q. Transcendental kernels
-    stay opaque atoms beyond that merging; in particular there is no
-    ln(exp(a)) -> a rewrite.
+    An atom is returned as it is. Otherwise exp products are merged first
+    (exp(a)*exp(b) -> exp(a+b)), the expression is split into numerator and
+    denominator, both are converted into one sparse polynomial ring whose
+    generators are the atoms and the opaque kernels (sring), and the pair
+    is cancelled there (PolyElement.cancel: the gcd is divided out and the
+    denominator's leading coefficient made canonical) before being
+    converted back to p/q. With no generators at all the value is a number
+    and is only expanded. Transcendental kernels stay opaque generators
+    beyond the exp merging; in particular there is no ln(exp(a)) -> a
+    rewrite.
 
     normalize is idempotent. Its values, and those of diff, substitute,
     substitute_jets, DifferentialFunction.body and the VectorField
@@ -319,9 +328,17 @@ def normalize(e):
     e = sp.sympify(e)
     if e.has(*_BAD):
         raise DivisionByZeroDetected(sp.sstr(e))
+    if e.is_Atom:
+        return e
     if e.has(sp.exp):
         e = sp.powsimp(e, combine="exp")
-    e = sp.cancel(e)
+    p, q = e.as_numer_denom()
+    ring, (P, Q) = sring((p, q))
+    if not ring.ngens:
+        e = e.expand()
+    else:
+        P, Q = P.cancel(Q)
+        e = P.as_expr() / Q.as_expr()
     if e.has(*_BAD):
         raise DivisionByZeroDetected(sp.sstr(e))
     return e

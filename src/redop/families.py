@@ -229,13 +229,15 @@ def _excess(phi, a, b, u, kv):
     return v if math.isfinite(v) else None
 
 
-def _surface_root(phi, a, b, kv):
-    """Float root u of phi(a, b, u) = kv by bisecting a sign change, or None.
+def _surface_roots(phi, a, b, kv):
+    """Float roots u of phi(a, b, u) = kv, one per sign-change cell, in scan order.
 
     Scans u = 2**k, then u = -2**k, for k = -20..20, skipping points where
-    phi fails, and bisects the first cell whose ends share the sign of
-    u and straddle kv until they are adjacent floats. Returns the end nearer
-    to kv; None when no cell changes sign or phi fails during bisection.
+    phi fails. Each cell between consecutive evaluated points whose ends
+    share the sign of u and straddle kv is bisected until its ends are
+    adjacent floats, and the end nearer to kv is yielded; a cell where phi
+    fails during bisection yields nothing. A cell around a pole bisects to
+    the pole, so callers certify each root.
     """
     prev = None
     for u in _SCAN:
@@ -243,20 +245,18 @@ def _surface_root(phi, a, b, kv):
         if f is None:
             continue
         if prev and (prev[0] < 0) == (u < 0) and (prev[1] < 0) != (f < 0):
-            break
+            (lo, flo), (hi, fhi) = prev, (u, f)
+            while (mid := (lo + hi) / 2) not in (lo, hi):
+                fm = _excess(phi, a, b, mid, kv)
+                if fm is None:
+                    break
+                if (fm < 0) == (flo < 0):
+                    lo, flo = mid, fm
+                else:
+                    hi, fhi = mid, fm
+            else:
+                yield lo if abs(flo) <= abs(fhi) else hi
         prev = (u, f)
-    else:
-        return None
-    (lo, flo), (hi, fhi) = prev, (u, f)
-    while (mid := (lo + hi) / 2) not in (lo, hi):
-        fm = _excess(phi, a, b, mid, kv)
-        if fm is None:
-            return None
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return lo if abs(flo) <= abs(fhi) else hi
 
 
 def backlund_verify(L, zeta, Phi, xi, samples=10, seed=0):
@@ -264,13 +264,15 @@ def backlund_verify(L, zeta, Phi, xi, samples=10, seed=0):
 
     For each kappa of DEFAULT_KAPPAS the surface Phi(x, u) = kappa is
     sampled at up to 20*samples random base points (a, b), two uniform
-    draws per attempt. The root u comes from one float search: a sign scan
+    draws per attempt. The roots u come from one float search: a sign scan
     of Phi - kappa over u = 2**k, then u = -2**k (k = -20..20), and
-    bisection of the first cell that changes sign down to adjacent floats
-    (_surface_root). The root counts only if the mpmath Phi there is within
-    1e-20 of kappa; an attempt with no sign change, a failed evaluation
-    during bisection, or a root failing that certificate (such as a pole
-    the bisection closed in on) is a failed attempt. The residual of L, with
+    bisection of each cell that changes sign down to adjacent floats
+    (_surface_roots). The roots are tried cell by cell, in scan order, and
+    the first whose mpmath Phi is within 1e-20 of kappa is taken; a root
+    failing that certificate (such as a pole the bisection closed in on)
+    or a cell where the evaluation fails during bisection passes the turn
+    to the next cell, and an attempt where no cell gives a certified root
+    is a failed attempt. The residual of L, with
     the implicit-function prolongations, is evaluated in mpmath at each
     accepted root; when it is structurally zero the points are recorded with
     exact zeros.
@@ -322,10 +324,15 @@ def backlund_verify(L, zeta, Phi, xi, samples=10, seed=0):
                 attempts += 1
                 a = rng.uniform(0.2, 1.5)
                 b = rng.uniform(0.2, 1.5)
-                root = _surface_root(phi_float, a, b, kv)
-                if root is None or not abs(
-                    phi_fn(a, b, mpmath.mpf(root)) - kv
-                ) < 1e-20:
+                root = next(
+                    (
+                        r
+                        for r in _surface_roots(phi_float, a, b, kv)
+                        if abs(phi_fn(a, b, mpmath.mpf(r)) - kv) < 1e-20
+                    ),
+                    None,
+                )
+                if root is None:
                     continue
                 if res_fn is None:
                     res = mpmath.mpf(0)

@@ -230,6 +230,15 @@ class TestSurfaceRootSearch:
         assert len(rep.points) == 50
         assert all(root < 0 for (_a, _b, root, _kv), _res in rep.points)
 
+    def test_root_past_a_pole_is_found(self):
+        ctx, L = heat()
+        u = ctx.u
+        # the cell (1/2, 2) straddles the pole u = 1 and bisects into it; the
+        # roots u = 3 (kappa = 1/2) and u = 2 (kappa = 1) lie in later cells
+        rep = backlund_verify(L, 0, 1 / (u - 1), 0, samples=10)
+        assert len(rep.points) == 20
+        assert {kv for (_a, _b, _root, kv), _res in rep.points} == {0.5, 1.0}
+
     def test_nonzero_residual_is_evaluated_at_each_root(self):
         ctx, L = heat()
         x, u = ctx.x2, ctx.u

@@ -78,3 +78,18 @@ def test_only_ansatz_reduction_factors():
                 users.append(path.name)
                 break
     assert users == ["reduction.py"]
+
+
+def test_no_module_calls_sympy_cancel():
+    """normalize cancels in a polynomial ring (PolyElement.cancel); sympy's
+    cancel front end (factor_terms, signsimp) is never used."""
+    users = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "cancel" \
+                    and isinstance(node.value, ast.Name) and node.value.id in ("sp", "sympy"):
+                users.append("%s (line %d)" % (path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sympy") \
+                    and any(alias.name == "cancel" for alias in node.names):
+                users.append("%s (line %d)" % (path.name, node.lineno))
+    assert not users, "sympy.cancel referenced: " + ", ".join(users)
