@@ -6,9 +6,17 @@ functions, sums, products, rational powers, and the kernels exp/ln/sqrt.
 Construction, differentiation, substitution, normalization and zero testing
 all live here. The canonical rational arithmetic is done in sympy's sparse
 polynomial rings (sympy.polys.rings): normalize converts numerator and
-denominator into one ring over the atoms and cancels them there. The chain
-rule through unknown functions is implemented by structural recursion so
-that no foreign node kinds (Derivative, Subs) ever appear.
+denominator into one ring over the atoms and cancels them there. It builds
+them by one walk of the expression tree: each leaf (a symbol, exp of a
+single term, pi, E, a rational power of a symbol or a positive integer, an
+unknown-function node or ln) becomes a generator power as sring would pick
+it, and sums, products and integer powers are done in the ring. Inputs whose
+normal form depends on how sympy rewrites them (two exp factors in one
+product, exp of a sum, I, floats, other powers and kernels, generator powers
+that sympy merges into another generator) are declined by the walk and
+converted by the general route of powsimp, as_numer_denom and sring. The
+chain rule through unknown functions is implemented by structural recursion
+so that no foreign node kinds (Derivative, Subs) ever appear.
 """
 
 from __future__ import annotations
@@ -18,7 +26,11 @@ import itertools
 import random
 
 import sympy as sp
-from sympy.polys.rings import sring
+from sympy.core.exprtools import decompose_power
+from sympy.polys.domains import ZZ
+from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyRing, sring
 
 from .errors import (
     DivisionByZeroDetected,
@@ -306,17 +318,205 @@ def substitute(e, bindings):
     return normalize(sp.sympify(e).xreplace(m))
 
 
+def _opaque_kernel(e):
+    """An unknown-function node or ln that as_numer_denom and expand keep."""
+    return isinstance(e, (AppliedMapBase, sp.log)) and not e.has(sp.exp) and e.expand() == e
+
+
+def _monomial_factor(f):
+    """A factor of an exp argument that expand leaves as it is."""
+    return (
+        f.is_Symbol
+        or f.is_Rational
+        or (f.is_Pow and f.base.is_Symbol and f.exp.is_Rational)
+        or _opaque_kernel(f)
+    )
+
+
+def _collect_leaves(e, leaves):
+    """Record leaves[node] = decompose_power(node) for every leaf of e.
+
+    False when e holds a node whose normal form depends on how sympy
+    rewrites it: a product of two exp factors (powsimp merges them), exp
+    of a sum (as_numer_denom and expand split it and pick each part's
+    sign), a rational power of anything but a symbol or a positive
+    integer, I, floats, and kernels that expand would change.
+    """
+    if e.is_Rational or e in leaves:
+        return True
+    if e.is_Add or e.is_Mul:
+        if e.is_Mul and sum(isinstance(a, sp.exp) or a is sp.E for a in e.args) > 1:
+            return False
+        return all(_collect_leaves(a, leaves) for a in e.args)
+    if e.is_Pow and e.exp.is_Integer:
+        return _collect_leaves(e.base, leaves)
+    if e.is_Symbol or e is sp.pi or e is sp.E:
+        ok = True
+    elif e.is_Pow:
+        ok = e.exp.is_Rational and (e.base.is_Symbol or e.base.is_Integer and e.base > 0)
+    elif isinstance(e, sp.exp):
+        a = e.exp
+        ok = all(_monomial_factor(f) for f in a.args) if a.is_Mul else _monomial_factor(a)
+    else:
+        ok = _opaque_kernel(e)
+    if ok:
+        leaves[e] = decompose_power(e)
+    return ok
+
+
+def _fraction(e, leaves, ring, gen_of, memo):
+    """(N, dens) with e = N / prod(f**k for f, k in dens.items()), by ring
+    arithmetic over the leaves.
+
+    The denominator is kept as a product of factors so that a sum takes
+    the least common multiple of its terms' factors: the terms of a
+    derivative of P/Q lie over Q and Q**2, and a product of their
+    denominators would grow as Q**(number of terms).
+    """
+    r = memo.get(e)
+    if r is not None:
+        return r
+    if e.is_Rational:
+        r = ring(e.p), ({ring(e.q): 1} if e.q != 1 else {})
+    elif e in leaves:
+        g, k = leaves[e]
+        g = gen_of[g]
+        r = (g**k, {}) if k > 0 else (ring.one, {g: -k})
+    elif e.is_Add:
+        terms = [_fraction(a, leaves, ring, gen_of, memo) for a in e.args]
+        dens = {}
+        for _n, d in terms:
+            for f, k in d.items():
+                if k > dens.get(f, 0):
+                    dens[f] = k
+        N = ring.zero
+        for n, d in terms:
+            for f, k in dens.items():
+                if k > d.get(f, 0):
+                    n = n * f ** (k - d.get(f, 0))
+            N = N + n
+        r = N, dens
+    elif e.is_Mul:
+        N, dens = ring.one, {}
+        for a in e.args:
+            n, d = _fraction(a, leaves, ring, gen_of, memo)
+            N = N * n
+            for f, k in d.items():
+                dens[f] = dens.get(f, 0) + k
+        r = N, dens
+    else:
+        n, d = _fraction(e.base, leaves, ring, gen_of, memo)
+        k = int(e.exp)
+        if k > 0:
+            r = n**k, {f: j * k for f, j in d.items()}
+        else:
+            r = _expand_product(ring, d) ** -k, {n: -k}
+    memo[e] = r
+    return r
+
+
+def _expand_product(ring, dens):
+    """prod(f**k for f, k in dens.items()) as one polynomial."""
+    p = ring.one
+    for f, k in dens.items():
+        p = p * f**k
+    return p
+
+
+def _merge_class(g):
+    """(class, q, integral) of a generator g = b**(c*a) with c = 1/q.
+
+    sympy multiplies two generators of one class into a single power, and
+    turns g**k into a power of another generator when q > 1 divides k, or
+    for a radical of an integer (integral) as soon as k >= q. All radicals
+    of integers are one class: sqrt(2)*sqrt(3) is sqrt(6).
+    """
+    b, a = g.as_base_exp()
+    c, a = a.as_coeff_Mul(rational=True)
+    integral = b.is_Integer
+    return (None if integral else b, a), c.q, integral
+
+
+def _merges(ring, polys):
+    """True when a monomial of polys is a product that sympy rewrites into
+    other generators, so that sring would see another polynomial."""
+    classes = {}
+    for i, g in enumerate(ring.symbols):
+        key, q, integral = _merge_class(g)
+        classes.setdefault(key, []).append((i, q, integral))
+    risky = [m for m in classes.values() if len(m) > 1 or m[0][1] > 1]
+    if not risky:
+        return False
+    for p in polys:
+        for monom in p.itermonoms():
+            for members in risky:
+                present = [(monom[i], q, integral) for i, q, integral in members if monom[i]]
+                if len(present) > 1:
+                    return True
+                if present:
+                    k, q, integral = present[0]
+                    if q > 1 and (k >= q if integral else k % q == 0):
+                        return True
+    return False
+
+
+def _sort_ring_gens(gens):
+    """gens in sring's order: _sort_gens ranks their printed names. A
+    symbol's name is read instead of printed."""
+    name = {
+        g: g.name if g.is_Symbol and not isinstance(g, (sp.Dummy, sp.Wild)) else str(g)
+        for g in gens
+    }
+    rank = {s: i for i, s in enumerate(_sort_gens(sorted(set(name.values()))))}
+    return sorted(gens, key=lambda g: rank[name[g]])
+
+
+def _ring_fraction(e):
+    """(ring, N, D) with e = N/D over ZZ, from one walk of e, or None.
+
+    The generators are those sring would find after powsimp and
+    as_numer_denom, in sring's order: each leaf's generator and exponent
+    come from decompose_power and a negative exponent goes to D. Sums,
+    products and integer powers are then done in the ring. None when e
+    has no generator, when _collect_leaves declines a node, or when a
+    monomial of N or D is a product that sympy would rewrite into other
+    generators (exp(x/2)**2 is exp(x), u*sqrt(u) is u**(3/2)).
+    """
+    leaves = {}
+    if not _collect_leaves(e, leaves):
+        return None
+    gens = {g for g, _k in leaves.values()}
+    if not gens:
+        return None
+    ring = PolyRing(_sort_ring_gens(gens), ZZ, lex)
+    N, dens = _fraction(e, leaves, ring, dict(zip(ring.symbols, ring.gens)), {})
+    D = _expand_product(ring, dens)
+    if not D or _merges(ring, (N, D)):
+        return None
+    return ring, N, D
+
+
 def normalize(e):
     """Canonical quotient of polynomials over the atoms.
 
-    An atom is returned as it is. Otherwise exp products are merged first
-    (exp(a)*exp(b) -> exp(a+b)), the expression is split into numerator and
-    denominator, both are converted into one sparse polynomial ring whose
-    generators are the atoms and the opaque kernels (sring), and the pair
-    is cancelled there (PolyElement.cancel: the gcd is divided out and the
-    denominator's leading coefficient made canonical) before being
-    converted back to p/q. With no generators at all the value is a number
-    and is only expanded. Transcendental kernels stay opaque generators
+    An atom is returned as it is. Otherwise numerator and denominator are
+    built in one sparse polynomial ring over ZZ whose generators are the
+    atoms and the opaque kernels, and cancelled there (PolyElement.cancel:
+    the gcd is divided out and the denominator's leading coefficient made
+    canonical) before being converted back to p/q.
+
+    The ring is found by one walk of e (_ring_fraction): sums, products
+    and integer powers are done in the ring over the leaves, with the
+    generators sring would pick, and a sum is put over the least common
+    multiple of its terms' denominator factors. The walk declines the inputs whose normal
+    form depends on how sympy rewrites them: products of two exp factors,
+    exp of a sum, rational powers of composite bases, I, floats, kernels
+    that expand changes, and monomials that sympy would merge into another
+    generator (exp(x/2)**2, u*sqrt(u)). Those take the general route: exp
+    products are merged first (exp(a)*exp(b) -> exp(a+b)), the expression
+    is split by as_numer_denom and both parts are expanded into a ring by
+    sring. With no generators at all the value is a number and is only
+    expanded. Either way transcendental kernels stay opaque generators
     beyond the exp merging; in particular there is no ln(exp(a)) -> a
     rewrite.
 
@@ -330,15 +530,18 @@ def normalize(e):
         raise DivisionByZeroDetected(sp.sstr(e))
     if e.is_Atom:
         return e
-    if e.has(sp.exp):
-        e = sp.powsimp(e, combine="exp")
-    p, q = e.as_numer_denom()
-    ring, (P, Q) = sring((p, q))
+    walked = _ring_fraction(e)
+    if walked is not None:
+        ring, P, Q = walked
+    else:
+        if e.has(sp.exp):
+            e = sp.powsimp(e, combine="exp")
+        ring, (P, Q) = sring(e.as_numer_denom())
     if not ring.ngens:
         e = e.expand()
     else:
         P, Q = P.cancel(Q)
-        e = P.as_expr() / Q.as_expr()
+        e = P.as_expr() if Q == ring.one else P.as_expr() / Q.as_expr()
     if e.has(*_BAD):
         raise DivisionByZeroDetected(sp.sstr(e))
     return e

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import sympy as sp
+from sympy.core import random as sympy_random
 
 from .core import (
     AppliedMapBase,
@@ -20,6 +21,7 @@ from .core import (
     _d,
     depends_on,
     diff,
+    fingerprint,
     is_zero,
     normalize,
     substitute,
@@ -350,13 +352,21 @@ def _split_factors(p, keep):
     The rational content and every irreducible factor power whose base
     satisfies keep go to the multiplier, the other factors to the residual.
     When p cannot be factored it is a single factor of itself.
+
+    factor_list draws evaluation points from sympy's global generator. It
+    is seeded from p for the call and restored afterwards, so the cost of
+    the split depends on p alone and no other draw of that generator moves.
     """
+    state = sympy_random.rng.getstate()
+    sympy_random.rng.seed(fingerprint(p))
     try:
         content, factors = sp.factor_list(p)
     except Exception:
         # opaque kernels can defeat the polynomial machinery in many ways;
         # an unsplit p is always a correct answer
         content, factors = sp.S.One, [(p, 1)]
+    finally:
+        sympy_random.rng.setstate(state)
     multiplier = content
     residual = sp.S.One
     for base, k in factors:

@@ -7,9 +7,10 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.rings import sring
 
 from redop import JetContext, TriBool, UnknownFunction, diff, equations_equal, is_zero, normalize, primitive_equation, substitute
-from redop.core import AppliedMapBase, _provably_nonzero, fn_symbol_info, split_nonvanishing
+from redop.core import AppliedMapBase, _provably_nonzero, _ring_fraction, fn_symbol_info, split_nonvanishing
 from redop.reduction import _split_factors
 from redop.errors import DivisionByZeroDetected, UnknownVariable, UnsupportedExpression
 
@@ -301,3 +302,86 @@ def test_ring_cancellation_denotes_the_old_value(e):
     # under exp of a composite argument the two forms may pick the sign of
     # an exp generator differently (both examples do), so only values agree
     assert _old_kernel(normalize(e) - _old_kernel(e)) == 0
+
+
+def _sring_route(e):
+    """normalize's general route: exp merging, as_numer_denom, sring, cancel."""
+    if e.has(sp.exp):
+        e = sp.powsimp(e, combine="exp")
+    ring, (P, Q) = sring(e.as_numer_denom())
+    if not ring.ngens:
+        return e.expand()
+    P, Q = P.cancel(Q)
+    return P.as_expr() / Q.as_expr()
+
+
+def _walked(e):
+    """The cancelled quotient of the one-walk ring, or None where it declines."""
+    walked = _ring_fraction(e)
+    if walked is None:
+        return None
+    _ring, P, Q = walked
+    P, Q = P.cancel(Q)
+    return P.as_expr() / Q.as_expr()
+
+
+# one input of each class the walk declines: exp powers that sympy merges
+# into another generator, a radical squared, a product of two exp factors
+# after the division, exp of a sum, a kernel that expand rewrites, and
+# products of a radical with its base, of two integer radicals, of an
+# integer radical's cube (2*sqrt(2)) and of E with exp
+_DECLINED = [
+    (sp.exp(x / 2) + 1) * (sp.exp(x / 2) - 1) / (sp.exp(x) - 1),
+    (sp.sqrt(u) + 1) * (sp.sqrt(u) - 1) / (u - 1),
+    sp.exp(u) / (sp.exp(4 - 2 * u) + 1),
+    t * sp.exp(u - x),
+    x * _F(t * (x + 1)),
+    (u + 1) * (sp.sqrt(u) + 1),
+    (sp.sqrt(2) + 1) * (sp.sqrt(3) + 1),
+    ((sp.sqrt(2) * t + sp.sqrt(2)) ** 3 + sp.sqrt(2) * x * (t + 1) ** 3) / ((x + 2) * (t + 1) ** 3),
+    sp.E * sp.exp(x) + 1,
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.integers(0, 10**9).map(lambda seed: _random_quotient(_ATOMS, seed, False)),
+    st.integers(0, 10**9).map(lambda seed: _random_quotient(_ATOMS, seed, True)),
+    st.integers(0, 10**9).map(lambda seed: _random_quotient(_WIDE_ATOMS, seed, True)),
+))
+@example(_DECLINED[0])
+@example(_DECLINED[1])
+@example(_DECLINED[2])
+@example(_DECLINED[3])
+@example(_DECLINED[4])
+@example(_DECLINED[7])
+@example((sp.exp(x / 2) + 1) ** 2 / (sp.exp(x) * u + sp.exp(-x / 2)))
+@example((t * _Fu + sp.sqrt(u)) ** 3 / (_F(t + x) * sp.log(x) - sp.sqrt(2) * u))
+def test_walk_and_sring_route_agree(e):
+    expected = _sring_route(e)
+    walked = _walked(e)
+    assert walked is None or walked == expected
+    assert normalize(e) == expected
+
+
+def test_the_walk_puts_a_sum_over_the_least_common_denominator():
+    # the terms of a derivative of P/Q lie over Q and Q**2; a product of
+    # the terms' denominators would be Q**18 here
+    Q = x**2 + u + 1
+    e = sum(t**i / Q + x**i / Q**2 for i in range(1, 7)) + u / (x**2 + 1)
+    ring, _N, D = _ring_fraction(e)
+    assert D == ring(Q) ** 2 * ring(x**2 + 1)
+    assert normalize(e) == _sring_route(e)
+
+
+def test_the_walk_takes_polynomial_bodies_and_declines_rewritten_inputs():
+    ctx = JetContext("t", "x", "u")
+    v, v_t, v_x, v_xx = ctx.u, ctx.jet(1, 0), ctx.jet(0, 1), ctx.jet(0, 2)
+    body = v_t - v_xx * sp.exp(v) - _Fu * v_x**2 / (v + 1) + sp.sqrt(t) * _F(t + x) / 3
+    walked = _ring_fraction(body)
+    assert walked is not None
+    ring, _N, D = walked
+    assert set(ring.symbols) == {v_t, v_x, v_xx, v, sp.exp(v), _Fu, sp.sqrt(t), _F(t + x)}
+    assert D == 3 * ring(v + 1)
+    for e in _DECLINED:
+        assert _ring_fraction(e) is None, e

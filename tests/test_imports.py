@@ -93,3 +93,17 @@ def test_no_module_calls_sympy_cancel():
                     and any(alias.name == "cancel" for alias in node.names):
                 users.append("%s (line %d)" % (path.name, node.lineno))
     assert not users, "sympy.cancel referenced: " + ", ".join(users)
+
+
+def test_only_core_converts_into_rings():
+    """normalize is the one kernel: the exp merging and the ring conversion
+    of its general route are referenced in core.py alone."""
+    users = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            if names & {"powsimp", "sring"}:
+                users.add(path.name)
+    assert users == {"core.py"}

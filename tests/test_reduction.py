@@ -2,6 +2,7 @@
 
 import pytest
 import sympy as sp
+from sympy.core import random as sympy_random
 
 from redop import (
     DifferentialFunction,
@@ -24,7 +25,7 @@ from redop import (
 )
 from redop.errors import LeaderNotSolvable, NotAffineInLeader, SetNotFirstCoorder, UnsupportedAnsatz
 from redop.families import instantiate_function
-from redop.reduction import _restrict_to_solved
+from redop.reduction import _restrict_to_solved, _split_factors
 
 from helpers import heat, liouville, wave_generic, wave_zero
 
@@ -225,6 +226,33 @@ class TestRestrictToSolved:
         got = _restrict_to_solved(expr, hat, 1, 1, sol)
         want = D_t(D_t(sol)) + x * D_t(sol) + sol
         assert normalize(got - want) == 0
+
+
+class TestSplitFactors:
+    def test_sympys_generator_is_seeded_from_the_input_and_restored(self, monkeypatch):
+        # multivariate factorization draws evaluation points from sympy's
+        # global generator; the split must neither depend on nor move it
+        a, b, c, d = sp.symbols("a b c d")
+        factors = (a * b + c + 1, b * c - d**2 + 2, a + b * d - 3)
+        p = sp.expand(factors[0] * factors[1] * factors[2])
+        rng = sympy_random.rng
+        on_entry = []
+        factor_list = sp.factor_list
+
+        def spy(q):
+            on_entry.append(rng.getstate())
+            return factor_list(q)
+
+        monkeypatch.setattr(sp, "factor_list", spy)
+        for prior in (1, 2):
+            sympy_random.seed(prior)
+            before = rng.getstate()
+            multiplier, residual = _split_factors(p, lambda f: f == factors[1])
+            assert rng.getstate() == before
+            assert normalize(multiplier - factors[1]) == 0
+            assert normalize(residual - factors[0] * factors[2]) == 0
+        assert len(on_entry) == 2
+        assert on_entry[0] == on_entry[1]
 
 
 class TestReduceWithAnsatz:
