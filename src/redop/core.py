@@ -671,15 +671,15 @@ def is_zero(e, samples=None, seed=None):
             return TriBool.PROVEN_ZERO
         if z is False:
             return TriBool.PROVEN_NONZERO
+    p, _q = n.as_numer_denom()
+    if _provably_nonzero(p):
+        return TriBool.PROVEN_NONZERO
     if not n.free_symbols and not n.atoms(AppliedMapBase):
         # constant the assumptions system cannot settle; decide numerically
         approx = sp.N(n, 40)
         if approx.is_number and abs(approx) > sp.Float(10) ** -30:
             return TriBool.PROBABLY_NONZERO
         return TriBool.SAMPLED_ZERO
-    p, _q = n.as_numer_denom()
-    if _provably_nonzero(p):
-        return TriBool.PROVEN_NONZERO
     samples = CONFIG["samples"] if samples is None else samples
     seed = CONFIG["seed"] if seed is None else seed
     values = _sample_points(n, samples, seed)

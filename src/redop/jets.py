@@ -198,6 +198,29 @@ def total_derivative(L, axis):
     return DifferentialFunction(raw, ctx)
 
 
+class JetTable:
+    """Memoized iterated derivatives: value(a, b) = outer^a inner^b root.
+
+    The entry at (a, b) with a > 0 is outer of (a-1, b), and (0, b) is inner
+    of (0, b-1); each is derived once, when it is first asked for.
+    """
+
+    def __init__(self, root, outer, inner):
+        self.outer = outer
+        self.inner = inner
+        self._values = {(0, 0): root}
+
+    def value(self, a, b):
+        v = self._values.get((a, b))
+        if v is None:
+            if a > 0:
+                v = self.outer(self.value(a - 1, b))
+            else:
+                v = self.inner(self.value(0, b - 1))
+            self._values[(a, b)] = v
+        return v
+
+
 def jet_values(L, value, slopes=None):
     """Values of the jets L depends on when u is given by value.
 
@@ -207,22 +230,15 @@ def jet_values(L, value, slopes=None):
     derivatives and need no slopes.
     """
     ctx = L.ctx
-    cache = {MultiIndex(0, 0): value}
 
-    def J(idx):
-        e = cache.get(idx)
-        if e is None:
-            if idx.a1 > 0:
-                axis, p = 1, J(MultiIndex(idx.a1 - 1, idx.a2))
-            else:
-                axis, p = 2, J(MultiIndex(idx.a1, idx.a2 - 1))
-            e = diff(p, ctx.var(axis))
-            if depends_on(p, ctx.u):
-                e = normalize(e + diff(p, ctx.u) * slopes[axis])
-            cache[idx] = e
+    def D(p, axis):
+        e = diff(p, ctx.var(axis))
+        if depends_on(p, ctx.u):
+            e = normalize(e + diff(p, ctx.u) * slopes[axis])
         return e
 
-    return {s: J(idx) for s, idx in chain_jets(L.body, ctx).items()}
+    table = JetTable(value, lambda p: D(p, 1), lambda p: D(p, 2))
+    return {s: table.value(*idx) for s, idx in chain_jets(L.body, ctx).items()}
 
 
 class VectorField:
@@ -267,6 +283,28 @@ def characteristic(Q):
     return normalize(Q.eta - Q.xi1 * ctx.jet(1, 0) - Q.xi2 * ctx.jet(0, 1))
 
 
+def _prolonged_coefficients(Q):
+    """eta(a, b) = D_1^a D_2^b Q[u] + xi1*u_{a+1,b} + xi2*u_{a,b+1}.
+
+    D_2^b D_1^a Q[u], with D_1 applied first, is read from one JetTable, so
+    only the coefficients asked for are derived.
+    """
+    ctx = Q.ctx
+    ch = Q.eta - Q.xi1 * ctx.jet(1, 0) - Q.xi2 * ctx.jet(0, 1)
+    table = JetTable(
+        DifferentialFunction(ch, ctx),
+        lambda f: total_derivative(f, 2),
+        lambda f: total_derivative(f, 1),
+    )
+
+    def eta(a, b):
+        return normalize(
+            table.value(b, a).body + Q.xi1 * ctx.jet(a + 1, b) + Q.xi2 * ctx.jet(a, b + 1)
+        )
+
+    return eta
+
+
 def prolong(Q, r):
     """Prolongation coefficients eta^{a,b} for all a+b <= r.
 
@@ -275,38 +313,22 @@ def prolong(Q, r):
     """
     if r < 0:
         raise ValueError("prolongation order must be non-negative")
-    ctx = Q.ctx
-    ch = DifferentialFunction(
-        Q.eta - Q.xi1 * ctx.jet(1, 0) - Q.xi2 * ctx.jet(0, 1), ctx
-    )
-    out = {}
-    d1 = ch
-    for a in range(r + 1):
-        term = d1
-        for b in range(r + 1 - a):
-            out[MultiIndex(a, b)] = normalize(
-                term.body + Q.xi1 * ctx.jet(a + 1, b) + Q.xi2 * ctx.jet(a, b + 1)
-            )
-            if b < r - a:
-                term = total_derivative(term, 2)
-        if a < r:
-            d1 = total_derivative(d1, 1)
-    return out
+    eta = _prolonged_coefficients(Q)
+    return {MultiIndex(a, b): eta(a, b) for a in range(r + 1) for b in range(r + 1 - a)}
 
 
 def apply_prolonged(Q, L):
     """Action of the prolonged field Q_(r) on L, with r = ord L."""
-    r = ord(L)
-    if r == -1:
+    if ord(L) == -1:
         raise OrderUndefined("prolonged action on an identically zero function")
     ctx = L.ctx
-    coeffs = prolong(Q, r)
+    eta = _prolonged_coefficients(Q)
     memo = {}
     raw = Q.xi1 * _d(L.body, ctx.x1, memo) + Q.xi2 * _d(L.body, ctx.x2, memo)
     for s, idx in chain_jets(L.body, ctx).items():
         ds = _d(L.body, s, memo)
         if ds != 0:
-            raw = raw + coeffs[idx] * ds
+            raw = raw + eta(*idx) * ds
     return normalize(raw)
 
 

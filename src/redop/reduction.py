@@ -45,8 +45,9 @@ from .singular import (
     _poly_split,
     _replace_jets,
     _top_kept_jet,
-    analyze_reduced_set,
     eliminate_on_Q,
+    reduced_field,
+    representation_check,
     substitute_jets,
 )
 
@@ -150,16 +151,14 @@ def _restrict_to_solved(expr, elim_hat, kept_axis, k, sol):
 def _restricted_action(L, Q, ip, axis):
     """Prolonged action ip on L ∩ Q_(r), eliminated along axis.
 
-    Both L and ip are eliminated on Q; when the strong co-order k of L is
-    not -1 its leader is solved and substituted, with its consequences,
-    into the eliminated ip. Raises NotAffineInLeader if the leader cannot
-    be solved for.
+    Both L and ip are eliminated on Q, by the same Elimination; when the
+    strong co-order k of L is not -1 its leader is solved and substituted,
+    with its consequences, into the eliminated ip. Raises NotAffineInLeader
+    if the leader cannot be solved for.
     """
     ctx = L.ctx
     elim = eliminate_on_Q(L, Q, axis)
-    ip_elim = eliminate_on_Q(
-        DifferentialFunction(ip, ctx), Q, axis=elim.axis
-    ).hat.body
+    ip_elim = elim.apply(ip).body
     k = ord(elim.hat)
     if k == -1:
         return ip_elim
@@ -215,13 +214,17 @@ def determining_singular(L, xi):
     """
     ctx = L.ctx
     xi = normalize(xi)
-    analysis = analyze_reduced_set(L, xi)
-    if analysis.k != 1:
-        raise SetNotFirstCoorder("reduced-set co-order is %d" % analysis.k)
-    zeta = analysis.zeta
+    Q, zeta = reduced_field(ctx, xi)
+    hat = eliminate_on_Q(L, Q, axis=2).hat
+    k = ord(hat)
+    if 0 <= k < ord(L):
+        # the set must take the co-order-k shape in adapted coordinates
+        representation_check(L, xi, k)
+    if k != 1:
+        raise SetNotFirstCoorder("reduced-set co-order is %d" % k)
     leader = ctx.jet(1, 0)
-    coeff = diff(analysis.hat.body, leader)
-    G = solve_for_leader(analysis.hat, leader)
+    coeff = diff(hat.body, leader)
+    G = solve_for_leader(hat, leader)
     assumptions = []
     if is_zero(coeff) is not TriBool.PROVEN_NONZERO:
         assumptions.append(coeff)

@@ -27,6 +27,7 @@ from .core import (
 from .errors import BothCoefficientsZero, NonPolynomialSplit, NotRepresentable
 from .jets import (
     DifferentialFunction,
+    JetTable,
     MultiIndex,
     VectorField,
     chain_jets,
@@ -53,40 +54,35 @@ def substitute_jets(body, jetmap):
     return normalize(_replace_jets(body, jetmap))
 
 
-@dataclass
-class EliminationResult:
-    """Outcome of removing one axis's derivatives on the field's manifold."""
+class Elimination:
+    """One axis's derivatives removed on the manifold of a field Q.
 
-    hat: DifferentialFunction
-    axis: int
+    On the manifold, u_axis = w_0 = (eta - xi_kept*u_kept)/xi_axis, and the
+    jet with j+1 derivatives along the eliminated axis and m along the kept
+    one equals D_kept^m w_j, where w_{j+1} is w_j under the restricted
+    evolution operator. These values are the entries (m, j) of one JetTable.
+    hat is L rewritten; apply rewrites any further body on the same manifold.
+    """
 
-    @property
-    def kept_axis(self):
-        return 3 - self.axis
-
-
-class _Eliminator:
-    """Rewrite machinery for one (L, Q, axis) choice, with cached w-chains."""
-
-    def __init__(self, ctx, Q, axis):
+    def __init__(self, L, Q, axis):
+        ctx = L.ctx
         self.ctx = ctx
         self.axis = axis
-        self.kept = 3 - axis
+        self.kept_axis = 3 - axis
         xi = {1: Q.xi1, 2: Q.xi2}
-        xi_hat = normalize(xi[self.kept] / xi[axis])
+        xi_hat = normalize(xi[self.kept_axis] / xi[axis])
         eta_hat = normalize(Q.eta / xi[axis])
-        e_kept = MultiIndex(1, 0) if self.kept == 1 else MultiIndex(0, 1)
-        # w_j and its D_kept^m rows are DifferentialFunctions, each
-        # normalized once when it is built
-        self._w = [DifferentialFunction(eta_hat - xi_hat * ctx.jet(e_kept), ctx)]
-        self._dw = {}
+        e_kept = MultiIndex(1, 0) if self.kept_axis == 1 else MultiIndex(0, 1)
+        self._table = JetTable(
+            DifferentialFunction(eta_hat - xi_hat * ctx.jet(e_kept), ctx),
+            lambda f: total_derivative(f, self.kept_axis),
+            self._ehat,
+        )
+        self.hat = self.apply(L.body)
 
-    def _dw_chain(self, j, m):
-        """D_kept^m of w_j, cached."""
-        row = self._dw.setdefault(j, [self.w(j)])
-        while len(row) <= m:
-            row.append(total_derivative(row[-1], self.kept))
-        return row[m]
+    def _counts(self, idx):
+        """(eliminated-axis count, kept-axis count) of a multi-index."""
+        return (idx.a1, idx.a2) if self.axis == 1 else (idx.a2, idx.a1)
 
     def _ehat(self, g):
         """Restricted evolution operator: d_elim plus chain through kept jets."""
@@ -95,22 +91,19 @@ class _Eliminator:
         memo = {}
         r = _d(body, ctx.var(self.axis), memo)
         for s, idx in chain_jets(body, ctx).items():
-            m = idx.a1 if self.kept == 1 else idx.a2
             dg = _d(body, s, memo)
             if dg != 0:
-                r = r + self._dw_chain(0, m).body * dg
+                r = r + self._table.value(self._counts(idx)[1], 0).body * dg
         return DifferentialFunction(r, ctx)
 
-    def w(self, j):
-        while len(self._w) <= j:
-            self._w.append(self._ehat(self._w[-1]))
-        return self._w[j]
-
-    def rewrite(self, idx):
-        """Expression for u_idx with the eliminated-axis count >= 1."""
-        a_elim = idx.a1 if self.axis == 1 else idx.a2
-        a_kept = idx.a1 if self.kept == 1 else idx.a2
-        return self._dw_chain(a_elim - 1, a_kept).body
+    def apply(self, body):
+        """body with every jet along the eliminated axis rewritten."""
+        jetmap = {}
+        for s, idx in chain_jets(body, self.ctx).items():
+            a_elim, a_kept = self._counts(idx)
+            if a_elim >= 1:
+                jetmap[s] = self._table.value(a_kept, a_elim - 1).body
+        return DifferentialFunction(_replace_jets(body, jetmap), self.ctx)
 
 
 def eliminate_on_Q(L, Q, axis=None):
@@ -119,7 +112,6 @@ def eliminate_on_Q(L, Q, axis=None):
     The axis defaults to 2 whenever xi2 is not provably zero, else to 1;
     forcing an axis with a provably zero coefficient is rejected.
     """
-    ctx = L.ctx
     z1 = is_zero(Q.xi1)
     z2 = is_zero(Q.xi2)
     if z1 is TriBool.PROVEN_ZERO and z2 is TriBool.PROVEN_ZERO:
@@ -134,14 +126,7 @@ def eliminate_on_Q(L, Q, axis=None):
         raise BothCoefficientsZero(
             "cannot eliminate along axis %d: its coefficient is zero" % axis
         )
-    elim = _Eliminator(ctx, Q, axis)
-    jetmap = {}
-    for s, idx in chain_jets(L.body, ctx).items():
-        a_elim = idx.a1 if axis == 1 else idx.a2
-        if a_elim >= 1:
-            jetmap[s] = elim.rewrite(idx)
-    hat = DifferentialFunction(_replace_jets(L.body, jetmap), ctx)
-    return EliminationResult(hat=hat, axis=axis)
+    return Elimination(L, Q, axis)
 
 
 def strong_coorder(L, Q, axis=None):
@@ -157,7 +142,7 @@ class CoorderReport:
     multiplier: Expr
     residual: DifferentialFunction
     maximal_rank: TriBool
-    elimination: EliminationResult
+    elimination: Elimination
 
     def __post_init__(self):
         if not (self.weak_lower <= self.weak_upper <= self.strong):
@@ -322,15 +307,6 @@ class SetAnalysis:
     regular_value: Expr
     hat: DifferentialFunction
     zeta: UnknownFunction
-    xi: Expr
-
-
-def field_power_on_u(ctx, xi, zeta, n):
-    """n-fold action of xi*d_1 + d_2 + zeta*d_u on u as an (x,u)-function."""
-    a = ctx.u
-    for _ in range(n):
-        a = normalize(xi * diff(a, ctx.x1) + diff(a, ctx.x2) + zeta.base * diff(a, ctx.u))
-    return a
 
 
 def analyze_reduced_set(L, xi):
@@ -365,15 +341,15 @@ def analyze_reduced_set(L, xi):
         zero_ok = None
     if 0 <= k < r:
         form = representation_check(L, xi, k)
+        # Q^n u as an (x,u)-function, the field acting without prolongation
+        powers = JetTable(ctx.u, None, Q.apply_to)
         ineq = sp.S.Zero
         for idx, w in form.omegas.items():
             if idx.a1 != k:
                 continue
             coeff = diff(form.body, w)
             if coeff != 0:
-                ineq = ineq + coeff * diff(
-                    field_power_on_u(ctx, xi, zeta, idx.a2), ctx.u
-                )
+                ineq = ineq + coeff * diff(powers.value(0, idx.a2), ctx.u)
         # evaluate leftover omega atoms back at their jet-space values
         back = {w: form.values[idx] for idx, w in form.omegas.items()}
         regular_value = normalize(ineq.xreplace(back))
@@ -390,7 +366,6 @@ def analyze_reduced_set(L, xi):
         regular_value=regular_value,
         hat=hat,
         zeta=zeta,
-        xi=xi,
     )
 
 
@@ -409,21 +384,24 @@ class OmegaForm:
     values: dict
 
 
-def _along_field(f, xi):
-    """(xi D_1 + D_2) f."""
-    return DifferentialFunction(
-        xi * total_derivative(f, 1).body + total_derivative(f, 2).body, f.ctx
+def _omega_table(ctx, xi):
+    """value(a1, a2) = D_1^{a1} (xi D_1 + D_2)^{a2} u, as DifferentialFunctions."""
+
+    def along_field(f):
+        return DifferentialFunction(
+            xi * total_derivative(f, 1).body + total_derivative(f, 2).body, ctx
+        )
+
+    return JetTable(
+        DifferentialFunction(ctx.u, ctx),
+        lambda f: total_derivative(f, 1),
+        along_field,
     )
 
 
 def _mixed_derivative(ctx, xi, idx):
     """omega value D_1^{a1} (xi D_1 + D_2)^{a2} u as a jet expression."""
-    f = DifferentialFunction(ctx.u, ctx)
-    for _ in range(idx.a2):
-        f = _along_field(f, xi)
-    for _ in range(idx.a1):
-        f = total_derivative(f, 1)
-    return f.body
+    return _omega_table(ctx, xi).value(*idx).body
 
 
 def representation_check(L, xi, k):
@@ -439,18 +417,7 @@ def representation_check(L, xi, k):
     omegas = {}
     values = {}
     inverse = {}
-    # omega values as DifferentialFunctions, each one step from a shorter index
-    derived = {MultiIndex(0, 0): DifferentialFunction(ctx.u, ctx)}
-
-    def derive(idx):
-        f = derived.get(idx)
-        if f is None:
-            if idx.a1 > 0:
-                f = total_derivative(derive(MultiIndex(idx.a1 - 1, idx.a2)), 1)
-            else:
-                f = _along_field(derive(MultiIndex(0, idx.a2 - 1)), xi)
-            derived[idx] = f
-        return f
+    table = _omega_table(ctx, xi)
 
     def omega(idx):
         s = omegas.get(idx)
@@ -464,7 +431,7 @@ def representation_check(L, xi, k):
         e = inverse.get(s)
         if e is not None:
             return e
-        values[idx] = derive(idx).body
+        values[idx] = table.value(*idx).body
         rest = normalize(values[idx] - s)
         m = {}
         for a, aidx in chain_jets(rest, ctx).items():

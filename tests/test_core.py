@@ -166,6 +166,13 @@ class TestIsZero:
     def test_nonzero_constant(self):
         assert is_zero(sp.Rational(3, 7)) is TriBool.PROVEN_NONZERO
 
+    @pytest.mark.parametrize(
+        "c", [sp.pi, sp.E, sp.exp(2), sp.sqrt(2)], ids=["pi", "E", "exp2", "sqrt2"]
+    )
+    def test_provably_nonzero_constant_is_proven(self, c):
+        # a product of nonvanishing atoms is a proof, not a numeric estimate
+        assert is_zero(c) is TriBool.PROVEN_NONZERO
+
     def test_irrational_constant_decided_numerically(self):
         assert is_zero(sp.pi - 3) is TriBool.PROBABLY_NONZERO
 

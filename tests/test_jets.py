@@ -165,6 +165,23 @@ class TestProlongation:
         with pytest.raises(OrderUndefined):
             apply_prolonged(Q, DifferentialFunction(0, ctx))
 
+    def test_prolonged_action_derives_only_the_coefficients_it_needs(self, monkeypatch):
+        # heat depends on u_t and u_xx: eta^(1,0) needs D_t Q[u] and
+        # eta^(0,2) needs D_x^2 Q[u]; the full order-2 table would take 5
+        import redop.jets
+
+        ctx, L = heat()
+        calls = []
+        original = redop.jets.total_derivative
+
+        def spy(f, axis):
+            calls.append(axis)
+            return original(f, axis)
+
+        monkeypatch.setattr(redop.jets, "total_derivative", spy)
+        apply_prolonged(VectorField(ctx, 0, 1, ctx.u), L)
+        assert sorted(calls) == [1, 2, 2]
+
 
 class TestTranspose:
     def test_involution_and_index_swap(self):

@@ -54,6 +54,17 @@ class TestEvolutionDetermining:
         assert len(ds.equations) == 1
         assert equations_equal(ds.equations[0], heat_reference_equation(ds.zeta))
 
+    def test_the_equation_needs_no_sub_branch_analysis(self, monkeypatch):
+        import redop.singular
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("consistency_closure was called")
+
+        monkeypatch.setattr(redop.singular, "consistency_closure", refuse)
+        ctx, L = heat()
+        ds = determining_singular(L, 0)
+        assert equations_equal(ds.equations[0], heat_reference_equation(ds.zeta))
+
     def test_leading_derivative_for_heat(self):
         ctx, L = heat()
         ds = determining_singular(L, 0)
@@ -171,6 +182,22 @@ class TestConditionalInvariance:
         bad = VectorField(ctx, 0, 1, ctx.x1)
         verdict = conditional_invariance_test(L, bad)
         assert verdict in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO)
+
+    def test_the_prolonged_action_is_eliminated_with_the_bodys_elimination(self, monkeypatch):
+        import redop.reduction
+
+        ctx, L = heat()
+        calls = []
+        original = redop.reduction.eliminate_on_Q
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(redop.reduction, "eliminate_on_Q", spy)
+        verdict = conditional_invariance_test(L, VectorField(ctx, 0, 1, ctx.u))
+        assert verdict is TriBool.PROVEN_ZERO
+        assert len(calls) == 1
 
     def test_nonaffine_leader_refuses_instead_of_guessing(self):
         ctx = JetContext("t", "x", "u")
