@@ -10,11 +10,18 @@ denominator into one ring over the atoms and cancels them there. It builds
 them by one walk of the expression tree: each leaf (a symbol, exp of a
 single term, pi, E, a rational power of a symbol or a positive integer, an
 unknown-function node or ln) becomes a generator power as sring would pick
-it, and sums, products and integer powers are done in the ring. Inputs whose
-normal form depends on how sympy rewrites them (two exp factors in one
-product, exp of a sum, I, floats, other powers and kernels, generator powers
-that sympy merges into another generator) are declined by the walk and
-converted by the general route of powsimp, as_numer_denom and sring. The
+it, and sums, products and integer powers are done in the ring. An input
+that is already a sum of rational multiples of distinct monomials in its
+leaves, or one such multiple with negative exponents too, is normal and is
+returned as it is, without building the ring. Inputs whose normal form
+depends on how sympy rewrites them (two exp factors in one product, exp of
+a sum, I, floats, other powers and kernels, generator powers that sympy
+merges into another generator) are declined by the walk and converted by
+the general route of powsimp, as_numer_denom and sring. The generators are
+ordered as sring orders their printed names, read from their names and
+kinds rather than printed. ring_form gives the ring, numerator and
+denominator of a normal value, so that callers read degrees and
+coefficients from the ring instead of re-deriving them from the tree. The
 chain rule through unknown functions is implemented by structural recursion
 so that no foreign node kinds (Derivative, Subs) ever appear.
 """
@@ -29,7 +36,7 @@ import sympy as sp
 from sympy.core.exprtools import decompose_power
 from sympy.polys.domains import ZZ
 from sympy.polys.orderings import lex
-from sympy.polys.polyutils import _sort_gens
+from sympy.polys.polyutils import _gens_order, _max_order, _re_gen
 from sympy.polys.rings import PolyRing, sring
 
 from .errors import (
@@ -437,38 +444,96 @@ def _merge_class(g):
     return (None if integral else b, a), c.q, integral
 
 
-def _merges(ring, polys):
-    """True when a monomial of polys is a product that sympy rewrites into
-    other generators, so that sring would see another polynomial."""
+def _merges(gens, monoms):
+    """True when one of the monomials (exponent tuples over gens) is a
+    product that sympy rewrites into other generators, so that sring would
+    see another polynomial."""
     classes = {}
-    for i, g in enumerate(ring.symbols):
+    for i, g in enumerate(gens):
         key, q, integral = _merge_class(g)
         classes.setdefault(key, []).append((i, q, integral))
     risky = [m for m in classes.values() if len(m) > 1 or m[0][1] > 1]
     if not risky:
         return False
-    for p in polys:
-        for monom in p.itermonoms():
-            for members in risky:
-                present = [(monom[i], q, integral) for i, q, integral in members if monom[i]]
-                if len(present) > 1:
+    for monom in monoms:
+        for members in risky:
+            present = [(monom[i], q, integral) for i, q, integral in members if monom[i]]
+            if len(present) > 1:
+                return True
+            if present:
+                k, q, integral = present[0]
+                if q > 1 and (k >= q if integral else k % q == 0):
                     return True
-                if present:
-                    k, q, integral = present[0]
-                    if q > 1 and (k >= q if integral else k % q == 0):
-                        return True
     return False
 
 
+def _head(g):
+    """g's printed name up to and including its first parenthesis, or the
+    whole name when it has none, read from g's kind where it can be."""
+    if isinstance(g, (sp.exp, sp.log, AppliedMapBase)):
+        return type(g).__name__ + "("
+    if g is sp.pi:
+        return "pi"
+    if g is sp.E:
+        return "E"
+    if g.is_Pow and g.exp.is_Rational and g.exp > 0 and not g.exp.is_Integer:
+        b = g.base
+        if g.exp is sp.S.Half:
+            return "sqrt("
+        if b.is_Integer and b > 0:
+            return "%d**(" % b.p
+        if _named(b) and "(" not in b.name:
+            return b.name + "**("
+    name = str(g)
+    i = name.find("(")
+    return name if i < 0 else name[: i + 1]
+
+
+def _named(g):
+    """A symbol that prints as its name."""
+    return g.is_Symbol and not isinstance(g, (sp.Dummy, sp.Wild))
+
+
 def _sort_ring_gens(gens):
-    """gens in sring's order: _sort_gens ranks their printed names. A
-    symbol's name is read instead of printed."""
-    name = {
-        g: g.name if g.is_Symbol and not isinstance(g, (sp.Dummy, sp.Wild)) else str(g)
-        for g in gens
-    }
-    rank = {s: i for i, s in enumerate(_sort_gens(sorted(set(name.values()))))}
-    return sorted(gens, key=lambda g: rank[name[g]])
+    """gens in sring's order: _sort_gens ranks their printed names.
+
+    A symbol's name is read instead of printed. Any other generator is
+    ranked by its head (_head): when no name holds a parenthesis, a head
+    that ends in one is a prefix of the printed name that no name and no
+    other head extends, so it sorts against them as the whole printed name
+    does. Only generators that share a head are printed.
+    """
+    name, heads = {}, {}
+    for g in gens:
+        if _named(g):
+            name[g] = g.name
+        else:
+            heads.setdefault(_head(g), []).append(g)
+    plain = not any("(" in s for s in name.values())
+    for h, group in heads.items():
+        for g in group:
+            name[g] = h if plain and len(group) == 1 else str(g)
+    return sorted(gens, key=lambda g: _gen_key(name[g]))
+
+
+def _gen_key(name):
+    """_sort_gens's rank of a printed name, ties broken by the name."""
+    base, index = _re_gen.match(name).groups()
+    return _gens_order.get(base, _max_order), base, int(index) if index else 0, name
+
+
+def _walk(e, leaves):
+    """_ring_fraction's (ring, N, D) for an e whose leaves _collect_leaves
+    has recorded in leaves."""
+    gens = {g for g, _k in leaves.values()}
+    if not gens:
+        return None
+    ring = PolyRing(_sort_ring_gens(gens), ZZ, lex)
+    N, dens = _fraction(e, leaves, ring, dict(zip(ring.symbols, ring.gens)), {})
+    D = _expand_product(ring, dens)
+    if not D or _merges(ring.symbols, itertools.chain(N.itermonoms(), D.itermonoms())):
+        return None
+    return ring, N, D
 
 
 def _ring_fraction(e):
@@ -483,17 +548,79 @@ def _ring_fraction(e):
     generators (exp(x/2)**2 is exp(x), u*sqrt(u) is u**(3/2)).
     """
     leaves = {}
-    if not _collect_leaves(e, leaves):
-        return None
-    gens = {g for g, _k in leaves.values()}
-    if not gens:
-        return None
-    ring = PolyRing(_sort_ring_gens(gens), ZZ, lex)
-    N, dens = _fraction(e, leaves, ring, dict(zip(ring.symbols, ring.gens)), {})
-    D = _expand_product(ring, dens)
-    if not D or _merges(ring, (N, D)):
-        return None
-    return ring, N, D
+    return _walk(e, leaves) if _collect_leaves(e, leaves) else None
+
+
+def _kept(e, leaves):
+    """True when e is the normal form that the walk, cancel and as_expr
+    would rebuild, read from the leaves that _collect_leaves recorded for
+    e (so that every number in e is rational) without building the ring.
+
+    That holds for a sum of rational multiples of distinct monomials with
+    nonnegative exponents in the generators (its denominator is a number,
+    which sympy distributes back over the terms) and for a single rational
+    multiple of a monomial with integer exponents (its numerator and
+    denominator share no generator), unless sympy would rewrite a
+    monomial of the numerator or the denominator into other generators.
+    """
+    index = {}
+    for g, _k in leaves.values():
+        index.setdefault(g, len(index))
+    terms = sp.Add.make_args(e)
+    monoms = set()
+    for term in terms:
+        _c, rest = term.as_coeff_Mul()
+        monom = [0] * len(index)
+        for f in () if rest is sp.S.One else sp.Mul.make_args(rest):
+            k = 1
+            if f not in leaves:
+                if not (f.is_Pow and f.exp.is_Integer and f.base in leaves):
+                    return False
+                f, k = f.base, int(f.exp)
+            g, j = leaves[f]
+            if j * k < 0 and len(terms) > 1:
+                return False
+            monom[index[g]] += j * k
+        monom = tuple(monom)
+        if monom in monoms:
+            return False
+        monoms.add(monom)
+    if len(terms) == 1:
+        monoms = [tuple(max(k, 0) for k in monom), tuple(max(-k, 0) for k in monom)]
+    return bool(index) and not _merges(list(index), monoms)
+
+
+def _cancelled(e, leaves, merge_exp=True):
+    """(ring, P, Q) with e = P/Q, P and Q coprime and Q's leading
+    coefficient positive: the walk's ring when leaves holds e's leaves,
+    else sring's over e.as_numer_denom(), after merging exp products when
+    merge_exp is set. A ring with no generators is returned uncancelled."""
+    walked = None if leaves is None else _walk(e, leaves)
+    if walked is not None:
+        ring, P, Q = walked
+        if Q == ring.one:
+            return ring, P, Q
+    else:
+        if merge_exp and e.has(sp.exp):
+            e = sp.powsimp(e, combine="exp")
+        ring, (P, Q) = sring(e.as_numer_denom())
+        if not ring.ngens:
+            return ring, P, Q
+    return (ring,) + P.cancel(Q)
+
+
+def ring_form(e):
+    """(ring, P, Q) with e = P/Q for a normal e: P and Q coprime
+    polynomials in the atoms and opaque kernels, over ZZ or the domain
+    sring picks, Q with a positive leading coefficient (a canonical unit
+    of the domain). The ring is the walk's; where the walk declines,
+    it is sring's over e.as_numer_denom(), whose split a caller that reads
+    e's numerator expects, since e is already normal. Callers read degrees,
+    coefficients and monomials from it instead of re-deriving them from
+    the expression tree. A number has a ring with no generators."""
+    e = sp.sympify(e)
+    leaves = {}
+    return _cancelled(e, leaves if _collect_leaves(e, leaves) else None, merge_exp=False)
 
 
 def normalize(e):
@@ -508,17 +635,22 @@ def normalize(e):
     The ring is found by one walk of e (_ring_fraction): sums, products
     and integer powers are done in the ring over the leaves, with the
     generators sring would pick, and a sum is put over the least common
-    multiple of its terms' denominator factors. The walk declines the inputs whose normal
-    form depends on how sympy rewrites them: products of two exp factors,
-    exp of a sum, rational powers of composite bases, I, floats, kernels
-    that expand changes, and monomials that sympy would merge into another
-    generator (exp(x/2)**2, u*sqrt(u)). Those take the general route: exp
+    multiple of its terms' denominator factors. An e that is already
+    normal is returned as it is, without building the ring (_kept): a sum
+    of rational multiples of distinct monomials in the leaves' generators,
+    or a single such multiple with negative exponents too, which the
+    walk, cancel and as_expr would rebuild as it is.
+    The walk declines the inputs whose normal form depends on how sympy
+    rewrites them: products of two exp factors, exp of a sum, rational
+    powers of composite bases, I, floats, kernels that expand changes, and
+    monomials that sympy would merge into another generator
+    (exp(x/2)**2, u*sqrt(u)). Those take the general route: exp
     products are merged first (exp(a)*exp(b) -> exp(a+b)), the expression
     is split by as_numer_denom and both parts are expanded into a ring by
     sring. With no generators at all the value is a number and is only
     expanded. Either way transcendental kernels stay opaque generators
     beyond the exp merging; in particular there is no ln(exp(a)) -> a
-    rewrite.
+    rewrite. ring_form exposes the cancelled pair of a normal value.
 
     normalize is idempotent. Its values, and those of diff, substitute,
     substitute_jets, DifferentialFunction.body and the VectorField
@@ -530,17 +662,15 @@ def normalize(e):
         raise DivisionByZeroDetected(sp.sstr(e))
     if e.is_Atom:
         return e
-    walked = _ring_fraction(e)
-    if walked is not None:
-        ring, P, Q = walked
-    else:
-        if e.has(sp.exp):
-            e = sp.powsimp(e, combine="exp")
-        ring, (P, Q) = sring(e.as_numer_denom())
+    leaves = {}
+    if not _collect_leaves(e, leaves):
+        leaves = None
+    elif _kept(e, leaves):
+        return e
+    ring, P, Q = _cancelled(e, leaves)
     if not ring.ngens:
-        e = e.expand()
+        e = (sp.powsimp(e, combine="exp") if e.has(sp.exp) else e).expand()
     else:
-        P, Q = P.cancel(Q)
         e = P.as_expr() if Q == ring.one else P.as_expr() / Q.as_expr()
     if e.has(*_BAD):
         raise DivisionByZeroDetected(sp.sstr(e))
@@ -612,7 +742,9 @@ def fingerprint(e):
 
 
 def _sample_points(n, samples, seed):
-    """Evaluate n at random rational points; yields exact-or-high-precision values."""
+    """Evaluate n at random rational points, yielding exact-or-high-precision
+    values one at a time, so that a caller that stops early draws no
+    further point. EvaluationExhausted when no valid point is found."""
     opaque = {}
     for node in n.atoms(AppliedMapBase):
         opaque[node] = sp.Dummy(node.func.__name__)
@@ -624,8 +756,8 @@ def _sample_points(n, samples, seed):
     )
     rng = random.Random("%s:%s" % (seed, fingerprint(n)))
     budget = samples + RETRIES * max(1, len(atoms))
-    got = []
-    while len(got) < samples and budget > 0:
+    found = 0
+    while found < samples and budget > 0:
         budget -= 1
         point = {}
         for a in atoms:
@@ -637,19 +769,20 @@ def _sample_points(n, samples, seed):
         if val.has(*_BAD):
             continue
         if val.is_Rational:
-            got.append(val)
+            found += 1
+            yield val
             continue
         approx = sp.N(val, 40)
         if approx.has(*_BAD) or not approx.is_number:
             continue
         if approx.is_real is False and abs(sp.im(approx)) > sp.Float(10) ** -30:
             continue
-        got.append(sp.re(approx))
-    if not got:
+        found += 1
+        yield sp.re(approx)
+    if not found:
         raise EvaluationExhausted(
             "no valid sample point found for %s" % sp.sstr(n)
         )
-    return got
 
 
 def is_zero(e, samples=None, seed=None):
@@ -682,8 +815,7 @@ def is_zero(e, samples=None, seed=None):
         return TriBool.SAMPLED_ZERO
     samples = CONFIG["samples"] if samples is None else samples
     seed = CONFIG["seed"] if seed is None else seed
-    values = _sample_points(n, samples, seed)
-    for v in values:
+    for v in _sample_points(n, samples, seed):
         if v.is_Rational:
             if v != 0:
                 return TriBool.PROBABLY_NONZERO

@@ -37,6 +37,8 @@ BUILTINS = {"exp", "ln", "sqrt"}
 RESERVED = KEYWORDS | BUILTINS | {"phi"}
 
 _PUNCT = set(";:,()[]+-*/^=")
+# a number is a run of ASCII digits; str.isdigit also accepts "²" and "３"
+_DIGITS = set("0123456789")
 
 
 @dataclass
@@ -67,9 +69,9 @@ def _tokenize(text):
                 i += 1
             continue
         start_col = col
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j < n and text[j] == ".":
                 raise ParseError("decimal literals are not supported, use fractions", line, start_col)

@@ -6,7 +6,7 @@ import time
 
 import sympy as sp
 
-from .core import CONFIG, FnDerivSymbol, TriBool, is_zero, normalize, primitive_equation
+from .core import CONFIG, FnDerivSymbol, TriBool, is_zero, normalize, primitive_equation, ring_form
 from .errors import NotAffineInLeader
 from .families import backlund_verify, verify_bijection
 from .jets import ord, transpose
@@ -138,19 +138,25 @@ def _cmd_coorder(problem, options):
 
 
 def _solved_display(eq, zeta):
-    """The equation solved for its highest zeta derivative of constant coefficient."""
-    num, den = eq.as_numer_denom()
-    terms = sp.Add.make_args(sp.expand(num))
+    """The equation solved for its highest zeta derivative of constant coefficient.
+
+    A candidate s is a derivative of zeta in which the numerator P of eq's
+    ring form has degree 1, that the denominator Q does not hold and that
+    sits inside no other generator; its coefficient in eq is the constant
+    c when the coefficient of s in P is c times Q.
+    """
+    ring, P, Q = ring_form(eq)
+    dp, dq = P.degrees(), Q.degrees()
+    used = [g for g, kp, kq in zip(ring.symbols, dp, dq) if kp or kq]
     candidates = []
-    for s in eq.free_symbols:
-        if not isinstance(s, FnDerivSymbol) or s.fn is not zeta or not any(s.order) or den.has(s):
+    for i, s in enumerate(ring.symbols):
+        if not isinstance(s, FnDerivSymbol) or s.fn is not zeta or not any(s.order):
             continue
-        # eq is linear in s exactly when no term divided by s still has s
-        quotients = [t / s for t in terms if t.has(s)]
-        if any(q.has(s) for q in quotients):
+        if dp[i] != 1 or dq[i] or any(g != s and s in g.free_symbols for g in used):
             continue
-        c = normalize(sp.Add(*quotients) / den)
-        if isinstance(c, sp.Number) and c != 0:
+        C = P.coeff_wrt(i, 1)
+        c = ring.domain.to_sympy(C.LC) / ring.domain.to_sympy(Q.LC)
+        if isinstance(c, sp.Number) and C * Q.LC == Q * C.LC:
             candidates.append((s.order[0], sum(s.order), s, c))
     if not candidates:
         return "%s = 0" % render(primitive_equation(eq))

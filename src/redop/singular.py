@@ -22,6 +22,7 @@ from .core import (
     diff,
     is_zero,
     normalize,
+    ring_form,
     split_nonvanishing,
 )
 from .errors import BothCoefficientsZero, NonPolynomialSplit, NotRepresentable
@@ -205,16 +206,28 @@ def reduced_field(ctx, xi):
 
 
 def _poly_split(e, gens):
-    """Coefficient list of a normal e viewed as a polynomial in the given jets."""
+    """Coefficient list of a normal e viewed as a polynomial in the given jets.
+
+    The coefficients are read from the numerator P of e's ring form: P's
+    terms grouped by their exponents in the jets, the groups in the order
+    of Poly(P, *gens).coeffs(), highest first. NonPolynomialSplit when a
+    jet sits inside another generator of P (exp(u_x), F(u_x), sqrt(u_x)).
+    """
     gens = [g for g in gens if g in e.free_symbols]
     if not gens:
         return [e]
-    num, _den = e.as_numer_denom()
-    try:
-        p = sp.Poly(num, *gens)
-    except Exception as exc:
-        raise NonPolynomialSplit(str(exc))
-    return [normalize(c) for c in p.coeffs()]
+    ring, P, _Q = ring_form(e)
+    for g, k in zip(ring.symbols, P.degrees()):
+        if k and g not in gens and not g.free_symbols.isdisjoint(gens):
+            raise NonPolynomialSplit("%s contains an element of the set of generators" % g)
+    at = [ring.symbols.index(g) for g in gens if g in ring.symbols]
+    groups = {}
+    for monom, c in P.iterterms():
+        rest = list(monom)
+        for i in at:
+            rest[i] = 0
+        groups.setdefault(tuple(monom[i] for i in at), {})[tuple(rest)] = c
+    return [ring.from_dict(groups[k]).as_expr() for k in sorted(groups, reverse=True)]
 
 
 def _null_covers(null_orders, order):

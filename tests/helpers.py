@@ -4,7 +4,7 @@ from importlib import resources
 
 import sympy as sp
 
-from redop import DifferentialFunction, JetContext, parse_problem
+from redop import DifferentialFunction, JetContext, diff, normalize, parse_problem
 
 
 def heat():
@@ -57,6 +57,25 @@ def corpus_problem(stem):
 def corpus_stems():
     root = resources.files("redop") / "corpus"
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".prob"))
+
+
+def corpus_values():
+    """Normal non-atom values read from the corpus: each equation body and
+    its first partial derivatives, and the coefficients of every field,
+    family and ansatz."""
+    values = []
+    for stem in corpus_stems():
+        p = corpus_problem(stem)
+        body = p.equation.body
+        values.append(body)
+        values.extend(diff(body, s) for s in sorted(body.free_symbols, key=str))
+        for Q in p.fields.values():
+            values += [Q.xi1, Q.xi2, Q.eta]
+        for fam in p.families.values():
+            values += [fam.f, fam.Phi]
+        for a in p.ansatzes.values():
+            values += [a.f, a.omega]
+    return [v for v in map(normalize, values) if not v.is_Atom]
 
 
 def rand_expr(rng, atoms, depth=3, allow_exp=True):

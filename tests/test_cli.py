@@ -1,17 +1,24 @@
 """Exit codes, report formats, and flag handling of the console entry point."""
 
 import json
+import random
 import time
 
 import pytest
+import sympy as sp
 import sympy.core.random as sympy_random
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from redop import CONFIG, parse_problem
+from redop import CONFIG, UnknownFunction, normalize, parse_problem
 from redop.cli import main
-from redop.report import AnalysisReport, emit_report, parse_report
-from redop.runner import run
+from redop.core import FnDerivSymbol, primitive_equation
+from redop.errors import SetNotFirstCoorder
+from redop.reduction import determining_singular
+from redop.report import AnalysisReport, emit_report, parse_report, render
+from redop.runner import _solved_display, run
 
-from helpers import corpus_text
+from helpers import corpus_problem, corpus_stems, corpus_text, rand_expr
 
 
 @pytest.fixture
@@ -66,6 +73,17 @@ class TestExitCodes:
         bad.write_text("vars t x;\ndep u;\n%s\n" % statement)
         assert main(["analyze", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\uff13"])
+    def test_non_ascii_digit_is_a_parse_error(self, tmp_path, capsys, digit):
+        # str.isdigit accepts both: int() raised on the superscript two,
+        # and the fullwidth three was read as 3
+        bad = tmp_path / "digit.prob"
+        bad.write_text("vars t x;\ndep u;\neq: u_t = u_xx + %s*u;\n" % digit, encoding="utf-8")
+        assert main(["detsys", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 3, col 18: unexpected character %r\n" % digit
+        assert "Traceback" not in err
 
     def test_undecidable_is_three(self, prob, capsys):
         assert main(["analyze", prob("ttt")]) == 3
@@ -156,3 +174,76 @@ def test_coorder_time_does_not_depend_on_sympys_rng(prob):
         sympy_random._assumptions_rng.setstate(states[1])
     assert code == 0
     assert elapsed < 10
+
+
+# _solved_display reads candidates from the ring form; the scan of the
+# expanded numerator's terms it replaced is kept here as the oracle
+
+def _solved_display_by_terms(eq, zeta):
+    num, den = eq.as_numer_denom()
+    terms = sp.Add.make_args(sp.expand(num))
+    candidates = []
+    for s in eq.free_symbols:
+        if not isinstance(s, FnDerivSymbol) or s.fn is not zeta or not any(s.order) or den.has(s):
+            continue
+        quotients = [t / s for t in terms if t.has(s)]
+        if any(q.has(s) for q in quotients):
+            continue
+        c = normalize(sp.Add(*quotients) / den)
+        if isinstance(c, sp.Number) and c != 0:
+            candidates.append((s.order[0], sum(s.order), s, c))
+    if not candidates:
+        return "%s = 0" % render(primitive_equation(eq))
+    _, _, s, c = max(candidates, key=lambda q: (q[0], q[1], q[2].name))
+    rhs = normalize(s - eq / c)
+    return "%s = %s" % (s.name, render(rhs))
+
+
+_t, _x, _u = sp.symbols("t x u")
+_ZETA = UnknownFunction("zeta", (_t, _x, _u))
+
+
+def _z(*order):
+    return _ZETA.sym(order)
+
+
+_Z_ATOMS = [_x, _u, sp.exp(_u), _z(0, 0, 0), _z(1, 0, 0), _z(0, 1, 0), _z(0, 0, 1), _z(0, 0, 2), _z(0, 1, 1), _z(2, 0, 0)]
+# derivatives inside exp, a radical and an applied map are no candidates
+_Z_WIDE = _Z_ATOMS + [sp.exp(_z(0, 0, 1)), sp.sqrt(_z(0, 1, 0)), _ZETA.applied((0, 0, 1), (_t, _x, _u**2)), sp.exp(-_x / 2)]
+
+
+def _determining_equation(seed):
+    rng = random.Random(seed)
+    atoms = _Z_WIDE if seed % 2 else _Z_ATOMS
+    e = rand_expr(rng, atoms, depth=3, allow_exp=False)
+    # a linear top derivative, so that some equations can be solved
+    e = e + rng.randint(-2, 3) * rng.choice([_z(1, 0, 0), _z(0, 0, 2), _z(2, 0, 0)])
+    if rng.random() < 0.4:
+        d = rand_expr(rng, atoms, depth=1, allow_exp=False)
+        if normalize(d) != 0:
+            e = e / d
+    return normalize(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9).map(_determining_equation))
+@example(normalize(_z(0, 0, 2) + sp.exp(_z(0, 0, 2)) + _x))
+@example(normalize((2 * _z(1, 0, 0) + _u) / (_z(0, 1, 0) + 1)))
+def test_solved_display_from_the_ring_equals_the_term_scan(eq):
+    if eq != 0:
+        assert _solved_display(eq, _ZETA) == _solved_display_by_terms(eq, _ZETA)
+
+
+def test_solved_display_from_the_ring_equals_the_term_scan_on_the_corpus():
+    shown = 0
+    for stem in corpus_stems():
+        problem = corpus_problem(stem)
+        for xi in (0, problem.ctx.u):
+            try:
+                ds = determining_singular(problem.equation, xi)
+            except SetNotFirstCoorder:
+                continue
+            eq = ds.equations[0]
+            assert _solved_display(eq, ds.zeta) == _solved_display_by_terms(eq, ds.zeta)
+            shown += 1
+    assert shown == 11

@@ -2,19 +2,31 @@
 
 import copy
 import random
+from types import SimpleNamespace
 
 import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.core._print_helpers import Printable
+from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import sring
 
 from redop import JetContext, TriBool, UnknownFunction, diff, equations_equal, is_zero, normalize, primitive_equation, substitute
-from redop.core import AppliedMapBase, _provably_nonzero, _ring_fraction, fn_symbol_info, split_nonvanishing
+from redop import core
+from redop.core import (
+    AppliedMapBase,
+    _collect_leaves,
+    _provably_nonzero,
+    _ring_fraction,
+    _sort_ring_gens,
+    fn_symbol_info,
+    split_nonvanishing,
+)
 from redop.reduction import _split_factors
-from redop.errors import DivisionByZeroDetected, UnknownVariable, UnsupportedExpression
+from redop.errors import DivisionByZeroDetected, EvaluationExhausted, UnknownVariable, UnsupportedExpression
 
-from helpers import rand_expr
+from helpers import corpus_values, rand_expr
 
 t, x, u, y = sp.symbols("t x u y")
 
@@ -392,3 +404,146 @@ def test_the_walk_takes_polynomial_bodies_and_declines_rewritten_inputs():
     assert D == 3 * ring(v + 1)
     for e in _DECLINED:
         assert _ring_fraction(e) is None, e
+
+
+# normalize keeps an input that is already normal, and _sort_ring_gens
+# ranks generators without printing them; the code each replaced is kept
+# here as the oracle
+
+_CORPUS = []
+
+
+def _corpus_value(i):
+    if not _CORPUS:
+        _CORPUS.extend(corpus_values())
+    return _CORPUS[i % len(_CORPUS)]
+
+
+def _rebuilt(e):
+    """normalize as it was: a walked value is always rebuilt from the
+    cancelled ring pair."""
+    walked = _ring_fraction(e)
+    if walked is None:
+        return normalize(e)
+    ring, P, Q = walked
+    P, Q = P.cancel(Q)
+    return P.as_expr() if Q == ring.one else P.as_expr() / Q.as_expr()
+
+
+def _printed_order(gens):
+    """_sort_ring_gens as it was: _sort_gens ranks every printed name."""
+    name = {
+        g: g.name if g.is_Symbol and not isinstance(g, (sp.Dummy, sp.Wild)) else str(g)
+        for g in gens
+    }
+    rank = {s: i for i, s in enumerate(_sort_gens(sorted(set(name.values()))))}
+    return sorted(gens, key=lambda g: rank[name[g]])
+
+
+def _corpus_combination(i, j, op):
+    a, b = _corpus_value(i), _corpus_value(j)
+    return [a, a + b, a * b, a - b * t, a / b][op]
+
+
+_NORMAL_INPUTS = st.one_of(
+    st.integers(0, 10**9).map(lambda seed: _random_quotient(_ATOMS, seed, False)),
+    st.integers(0, 10**9).map(lambda seed: _random_quotient(_WIDE_ATOMS, seed, True)),
+    st.builds(_corpus_combination, st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_NORMAL_INPUTS)
+@example((t * u + sp.exp(x / 2)) ** 2)
+@example(sp.sqrt(2) * x + 3 * _Fu**2 * sp.pi - sp.log(x))
+@example(u / 2 - sp.Rational(3, 4) * t * sp.exp(u) + sp.Rational(1, 6))
+@example(-3 * u * sp.sqrt(x) * sp.exp(-u) / (2 * t**2 * _Fu))
+@example(sp.sqrt(2) / (sp.sqrt(3) * x))
+def test_a_kept_input_equals_its_rebuild(e):
+    # the raw input, its normal form (kept when polynomial), and a sum
+    n = normalize(e)
+    for v in (e, n, n + t * u):
+        got, want = normalize(v), _rebuilt(v)
+        assert got == want and sp.srepr(got) == sp.srepr(want), v
+        leaves = {}
+        if _collect_leaves(v, leaves):
+            gens = list({g for g, _k in leaves.values()})
+            assert _sort_ring_gens(gens) == _printed_order(gens)
+
+
+def test_a_normal_value_is_returned_as_it_is():
+    for e in (
+        (t * u + sp.exp(x / 2)) ** 2 - _Fu * sp.sqrt(u) + 3,
+        (u - t) ** 2 / 6,
+        -2 * u * _Fu / (3 * x**2 * sp.exp(u)),
+    ):
+        n = normalize(e)
+        assert normalize(n) is n
+    # two terms on one monomial, a negative exponent in a sum, a sum over
+    # a polynomial, and a monomial that sympy merges (sqrt(2)*sqrt(3) is
+    # sqrt(6)) are rebuilt
+    for e in (
+        sp.Add(u, u, evaluate=False),
+        u + 1 / x,
+        u / (x + 1),
+        sp.Mul(sp.sqrt(2), sp.sqrt(3), x, evaluate=False),
+    ):
+        leaves = {}
+        assert _collect_leaves(e, leaves) and not core._kept(e, leaves)
+
+
+_G = UnknownFunction("exp", (u,))
+_GEN_POOL = [
+    t, x, u, y, _Fu, _F.sym((2,)), sp.Symbol("x1"), sp.Symbol("x10"), sp.Symbol("x01"),
+    sp.Symbol("kappa"), sp.Symbol("exp"), sp.Symbol("expo"), sp.Symbol("sqrt"),
+    sp.Symbol("F"), sp.Symbol("pi"), sp.Symbol("E"), sp.Symbol("u**"), sp.Symbol("f(x)"),
+    sp.Symbol("_d"), sp.Dummy("d"),
+    sp.exp(u), sp.exp(x / 2), sp.exp(t * u), sp.sqrt(u), sp.sqrt(2), sp.sqrt(sp.pi),
+    sp.Integer(2) ** sp.Rational(1, 3), u ** sp.Rational(1, 3), u ** sp.Rational(2, 3),
+    sp.Symbol("_d") ** sp.Rational(1, 3), sp.Dummy("d") ** sp.Rational(1, 3),
+    _F(t + x), _F(t), _G(t), sp.log(x), sp.log(2 * x), sp.pi, sp.E,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_GEN_POOL), unique=True, max_size=10))
+def test_heads_order_generators_as_their_printed_names(gens):
+    assert _sort_ring_gens(gens) == _printed_order(gens)
+
+
+def test_generators_are_printed_only_when_they_share_a_head(monkeypatch):
+    printed = []
+    real = Printable.__str__
+
+    def counting(self):
+        printed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Printable, "__str__", counting)
+    gens = [t, x, u, _Fu, sp.exp(u), _F(t + x), sp.sqrt(u), sp.log(x), sp.pi, sp.E, u ** sp.Rational(1, 3), 2 ** sp.Rational(1, 3)]
+    _sort_ring_gens(gens)
+    assert printed == []
+    _sort_ring_gens([u, sp.exp(u), sp.exp(x / 2), _F(t + x), sp.sqrt(u), sp.sqrt(2)])
+    assert set(printed) == {sp.exp(u), sp.exp(x / 2), sp.sqrt(u), sp.sqrt(2)}
+
+
+def test_is_zero_stops_at_the_first_nonzero_value(monkeypatch):
+    draws = []
+
+    class Counting(random.Random):
+        def randint(self, a, b):
+            draws.append((a, b))
+            return super().randint(a, b)
+
+    monkeypatch.setattr(core, "random", SimpleNamespace(Random=Counting))
+    # one point of (t, u, x) draws a numerator and a denominator per atom
+    assert is_zero(t**2 * u - x, samples=5) is TriBool.PROBABLY_NONZERO
+    assert len(draws) == 6
+    draws.clear()
+    assert is_zero(t * (1 - x) + t * x - t, samples=5) is TriBool.PROVEN_ZERO
+    assert draws == []
+
+
+def test_a_value_with_no_valid_sample_point_still_raises():
+    with pytest.raises(EvaluationExhausted):
+        is_zero(sp.sqrt(-(u**2) - 1) + u)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redop import (
@@ -25,9 +25,20 @@ from redop import (
     transpose,
     weak_coorder,
 )
-from redop.errors import BothCoefficientsZero, NotRepresentable
+from redop.errors import BothCoefficientsZero, NonPolynomialSplit, NotRepresentable
+from redop.singular import _poly_split
 
-from helpers import corpus_problem, first_order_t, heat, liouville, third_order_t, wave_generic, wave_zero
+from helpers import (
+    corpus_problem,
+    corpus_values,
+    first_order_t,
+    heat,
+    liouville,
+    rand_expr,
+    third_order_t,
+    wave_generic,
+    wave_zero,
+)
 
 
 class TestEliminate:
@@ -273,3 +284,86 @@ def test_strong_coorder_rescaling_invariance_on_random_fields(seed):
     lam = sp.exp(rng.choice([ctx.x1, ctx.x2, ctx.u]))
     scaled = VectorField(ctx, lam * Q.xi1, lam * Q.xi2, lam * Q.eta)
     assert strong_coorder(L, scaled) == strong_coorder(L, Q)
+
+
+# _poly_split reads the coefficients from the ring form; the sp.Poly split
+# it replaced is kept here as the oracle
+
+def _poly_split_by_poly(e, gens):
+    gens = [g for g in gens if g in e.free_symbols]
+    if not gens:
+        return [e]
+    num, _den = e.as_numer_denom()
+    try:
+        p = sp.Poly(num, *gens)
+    except Exception as exc:
+        raise NonPolynomialSplit(str(exc))
+    return [normalize(c) for c in p.coeffs()]
+
+
+_SCTX = JetContext("t", "x", "u")
+_SF = _SCTX.add_function("F", (_SCTX.u,), nonzero=((1,),))
+_st, _sx, _su = _SCTX.x1, _SCTX.x2, _SCTX.u
+_sux, _suxx, _sut = _SCTX.jet(0, 1), _SCTX.jet(0, 2), _SCTX.jet(1, 0)
+_SPLIT_ATOMS = [_st, _sx, _su, _sux, _suxx, _sut, sp.exp(_su), sp.exp(_sx / 2), _SF.sym((1,)), sp.sqrt(_su)]
+# jets inside exp, an unknown function and a radical, which admit no split
+_SPLIT_WIDE = _SPLIT_ATOMS + [sp.exp(_sux), sp.sqrt(_suxx), _SF(_st + _sux), sp.exp(-_sx / 2), sp.log(_sx)]
+_SPLIT_GENS = [[_sux], [_sux, _suxx], [_suxx, _sux], [_sut, _sux, _suxx], [_su, _sux]]
+
+
+def _split_input(seed, wide):
+    rng = random.Random(seed)
+    atoms = _SPLIT_WIDE if wide else _SPLIT_ATOMS
+    e = rand_expr(rng, atoms, depth=3, allow_exp=False)
+    if rng.random() < 0.5:
+        e = e / (1 + rand_expr(rng, atoms, depth=2, allow_exp=False) ** 2)
+    return normalize(e)
+
+
+def _corpus_split(i):
+    values = corpus_values()
+    v = values[i % len(values)]
+    return v, sorted(v.free_symbols, key=str)[: 1 + i % 3]
+
+
+def _assert_same_split(e, gens):
+    try:
+        want = _poly_split_by_poly(e, gens)
+    except NonPolynomialSplit:
+        with pytest.raises(NonPolynomialSplit):
+            _poly_split(e, gens)
+        return
+    got = _poly_split(e, gens)
+    assert got == want
+    assert [sp.srepr(c) for c in got] == [sp.srepr(c) for c in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(_split_input, st.integers(0, 10**9), st.booleans()),
+    st.sampled_from(_SPLIT_GENS),
+)
+@example(normalize(_sux * sp.exp(_sux) + _suxx), [_sux, _suxx])
+@example(normalize(_SF(_st + _sux) * _suxx**2 - _sut), [_sux, _suxx])
+@example(normalize((sp.sqrt(_sux) + _suxx) / (_su + 1)), [_suxx, _sux])
+@example(normalize(_sux * _suxx / (sp.exp(_sux) + 1)), [_sux, _suxx])
+def test_split_from_the_ring_equals_the_poly_split(e, gens):
+    _assert_same_split(e, gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6).map(_corpus_split))
+def test_split_from_the_ring_equals_the_poly_split_on_corpus_values(case):
+    _assert_same_split(*case)
+
+
+def test_a_jet_inside_another_generator_admits_no_split():
+    for e in (
+        _sux * sp.exp(_sux) + 1,
+        _SF(_st + _sux) * _suxx,
+        sp.sqrt(_sux) + _suxx**2,
+    ):
+        with pytest.raises(NonPolynomialSplit):
+            _poly_split(normalize(e), [_sux, _suxx])
+    # in the denominator only, a jet inside exp does not stop the split
+    assert _poly_split(normalize((_sux**2 + _st) / (sp.exp(_sux) + 1)), [_sux]) == [1, _st]
