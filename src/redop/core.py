@@ -20,10 +20,12 @@ merges into another generator) are declined by the walk and converted by
 the general route of powsimp, as_numer_denom and sring. The generators are
 ordered as sring orders their printed names, read from their names and
 kinds rather than printed. ring_form gives the ring, numerator and
-denominator of a normal value, so that callers read degrees and
-coefficients from the ring instead of re-deriving them from the tree. The
-chain rule through unknown functions is implemented by structural recursion
-so that no foreign node kinds (Derivative, Subs) ever appear.
+denominator of a normal value, so that callers read degrees, coefficients
+and the numerator's content, least-exponent monomial and primitive rest
+(split_nonvanishing, primitive_equation, is_zero) from the ring instead of
+the tree. The chain rule through unknown functions is implemented by
+structural recursion so that no foreign node kinds (Derivative, Subs) ever
+appear.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import random
 import sympy as sp
 from sympy.core.exprtools import decompose_power
 from sympy.polys.domains import ZZ
+from sympy.polys.monomials import monomial_div, monomial_min
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _gens_order, _max_order, _re_gen
 from sympy.polys.rings import PolyRing, sring
@@ -590,19 +593,17 @@ def _kept(e, leaves):
     return bool(index) and not _merges(list(index), monoms)
 
 
-def _cancelled(e, leaves, merge_exp=True):
+def _cancelled(e, leaves):
     """(ring, P, Q) with e = P/Q, P and Q coprime and Q's leading
     coefficient positive: the walk's ring when leaves holds e's leaves,
-    else sring's over e.as_numer_denom(), after merging exp products when
-    merge_exp is set. A ring with no generators is returned uncancelled."""
+    else sring's over e.as_numer_denom(). A ring with no generators is
+    returned uncancelled."""
     walked = None if leaves is None else _walk(e, leaves)
     if walked is not None:
         ring, P, Q = walked
         if Q == ring.one:
             return ring, P, Q
     else:
-        if merge_exp and e.has(sp.exp):
-            e = sp.powsimp(e, combine="exp")
         ring, (P, Q) = sring(e.as_numer_denom())
         if not ring.ngens:
             return ring, P, Q
@@ -620,7 +621,7 @@ def ring_form(e):
     the expression tree. A number has a ring with no generators."""
     e = sp.sympify(e)
     leaves = {}
-    return _cancelled(e, leaves if _collect_leaves(e, leaves) else None, merge_exp=False)
+    return _cancelled(e, leaves if _collect_leaves(e, leaves) else None)
 
 
 def normalize(e):
@@ -665,11 +666,13 @@ def normalize(e):
     leaves = {}
     if not _collect_leaves(e, leaves):
         leaves = None
+        if e.has(sp.exp):
+            e = sp.powsimp(e, combine="exp")
     elif _kept(e, leaves):
         return e
     ring, P, Q = _cancelled(e, leaves)
     if not ring.ngens:
-        e = (sp.powsimp(e, combine="exp") if e.has(sp.exp) else e).expand()
+        e = e.expand()
     else:
         e = P.as_expr() if Q == ring.one else P.as_expr() / Q.as_expr()
     if e.has(*_BAD):
@@ -685,55 +688,52 @@ def depends_on(e, v):
 
 
 def _provably_nonzero(f):
-    if f.is_Number:
-        return f.is_zero is False
-    if isinstance(f, sp.NumberSymbol):
-        return True
-    if isinstance(f, sp.exp):
-        return True
+    """Whether the number or ring generator f vanishes nowhere: a nonzero
+    number, pi, E, exp, a derivative declared nonvanishing, or a rational
+    power of one of these."""
+    if isinstance(f, sp.Pow):
+        return f.exp.is_Rational and _provably_nonzero(f.base)
     if isinstance(f, FnDerivSymbol):
         return f.order in f.fn.nonzero
-    if isinstance(f, sp.Pow):
-        b, p = f.args
-        return p.is_Rational and _provably_nonzero(b)
-    if isinstance(f, sp.Mul):
-        return all(_provably_nonzero(a) for a in f.args)
-    return False
+    return (f.is_Number and f.is_zero is False) or isinstance(f, (sp.NumberSymbol, sp.exp))
 
 
-def _signed_primitive(p):
-    """(c, f) with p = c*f: c the rational content of a nonzero p, f a Poly
-    with positive leading coefficient, the sign rule of factor_list, or None
-    for a number p, which Poly rejects."""
-    if p.is_Number:
-        return p, None
-    c, f = sp.Poly(p).primitive()
-    if f.LC().is_negative:
-        return -c, -f
-    return c, f
+def _numerator_parts(e):
+    """(c, m, f, Q) with a normal nonzero e = c*m*f/Q, from its ring form
+    (ring, P, Q): c is P's content, negated when P's leading coefficient is
+    a negative number (factor_list's sign rule), or P itself for a number
+    P; m is the least-exponent monomial of P's terms, over ring.symbols;
+    f is the primitive rest, a ring element with no monomial factor."""
+    ring, P, Q = ring_form(e)
+    if P.is_ground:
+        return ring.domain.to_sympy(P.LC), ring.zero_monom, ring.one, Q
+    c = P.content()
+    if ring.domain.to_sympy(P.LC).is_negative:
+        c = -c
+    P = P.quo_ground(c)
+    m = monomial_min(*P.itermonoms())
+    f = ring.from_dict({monomial_div(monom, m): a for monom, a in P.iterterms()})
+    return ring.domain.to_sympy(c), m, f, Q
 
 
 def split_nonvanishing(e):
     """(multiplier, residual) of a normal e = multiplier*residual.
 
-    The multiplier, normalized and provably nonvanishing, is the numerator's
-    signed rational content times the least power over its terms of each
-    provably nonzero generator, over the denominator. _provably_nonzero keeps
-    single generators only, so factoring would find the same split. The
-    residual is returned unnormalized.
+    Both are read from e's ring form. The multiplier, normalized and
+    provably nonvanishing, is the numerator's signed rational content times
+    the least power over its terms of each provably nonzero generator, over
+    the denominator. _provably_nonzero keeps single generators only, so
+    factoring would find the same split. The residual, the primitive rest
+    times the other least powers, is returned unnormalized.
     """
-    num, den = e.as_numer_denom()
-    multiplier, f = _signed_primitive(num)
-    if f is None:
-        return normalize(multiplier / den), sp.S.One
-    exponents, f = f.terms_gcd()
+    multiplier, m, f, Q = _numerator_parts(e)
     residual = f.as_expr()
-    for g, k in zip(f.gens, exponents):
+    for g, k in zip(f.ring.symbols, m):
         if _provably_nonzero(g):
             multiplier = multiplier * g**k
         else:
             residual = residual * g**k
-    return normalize(multiplier / den), residual
+    return normalize(multiplier / Q.as_expr()), residual
 
 
 def fingerprint(e):
@@ -789,10 +789,11 @@ def is_zero(e, samples=None, seed=None):
     """Three-way-plus-one zero test.
 
     PROVEN_ZERO only when the normal form is the zero quotient. PROVEN_NONZERO
-    for nonzero constants and for a numerator that is itself a product of
-    rational powers of provably nonvanishing atoms (nonzero numbers, exp
-    kernels, symbols covered by registered assumptions); no factorization is
-    tried. Everything else is sampled at random rational points: any nonzero
+    for nonzero constants and for a numerator, read from the ring form,
+    that is a single term: a nonzero rational times powers of provably
+    nonvanishing generators (pi, E, exp kernels, rational powers of nonzero
+    numbers, symbols covered by registered assumptions); no factorization
+    is tried. Everything else is sampled at random rational points: any nonzero
     value gives PROBABLY_NONZERO, all-zero gives SAMPLED_ZERO.
     """
     n = normalize(e)
@@ -804,8 +805,10 @@ def is_zero(e, samples=None, seed=None):
             return TriBool.PROVEN_ZERO
         if z is False:
             return TriBool.PROVEN_NONZERO
-    p, _q = n.as_numer_denom()
-    if _provably_nonzero(p):
+    c, m, f, _Q = _numerator_parts(n)
+    if f == 1 and _provably_nonzero(c) and all(
+        _provably_nonzero(g) for g, k in zip(f.ring.symbols, m) if k
+    ):
         return TriBool.PROVEN_NONZERO
     if not n.free_symbols and not n.atoms(AppliedMapBase):
         # constant the assumptions system cannot settle; decide numerically
@@ -827,15 +830,16 @@ def is_zero(e, samples=None, seed=None):
 def primitive_equation(e):
     """Canonical polynomial form of an equation given as an expression.
 
-    Takes the numerator of the normal form, strips rational content and makes
-    the leading coefficient positive, so that equations differing by a nonzero
-    rational multiple (or a cleared nonvanishing denominator) compare equal.
+    Takes the numerator of the normal form's ring form, strips rational
+    content and makes the leading coefficient positive, so that equations
+    differing by a nonzero rational multiple (or a cleared nonvanishing
+    denominator) compare equal.
     """
-    p, _ = normalize(e).as_numer_denom()
-    if p == 0:
-        return p
-    _content, f = _signed_primitive(p)
-    return sp.S.One if f is None else f.as_expr()
+    n = normalize(e)
+    if n == 0:
+        return sp.S.Zero
+    _c, m, f, _Q = _numerator_parts(n)
+    return f.mul_monom(m).as_expr()
 
 
 def equations_equal(a, b):

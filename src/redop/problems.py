@@ -20,6 +20,7 @@ phi is reserved for the unknown function of ansatz statements.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import sympy as sp
@@ -75,6 +76,11 @@ def _tokenize(text):
                 j += 1
             if j < n and text[j] == ".":
                 raise ParseError("decimal literals are not supported, use fractions", line, start_col)
+            # int() refuses longer digit strings; the limit is process-wide
+            # state and is only read here
+            limit = sys.get_int_max_str_digits()
+            if limit and j - i > limit:
+                raise ParseError("integer literal has more than %d digits" % limit, line, start_col)
             tokens.append(Token("num", int(text[i:j]), line, start_col))
             col += j - i
             i = j
@@ -564,8 +570,19 @@ class _Parser:
 
 
 def parse_problem(text):
-    """Parse problem-file text into a fully resolved ProblemFile."""
-    return _Parser(text).parse()
+    """Parse problem-file text into a fully resolved ProblemFile.
+
+    Expressions are parsed, built and normalized by recursion, so an
+    expression nested deeper than the interpreter's recursion limit allows
+    (hundreds of parentheses or unary signs) is a ParseError at the token
+    the parser had reached.
+    """
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        t = parser.tokens[min(parser.pos, len(parser.tokens) - 1)]
+        raise ParseError("expression nested too deeply", t.line, t.col) from None
 
 
 def render_problem(problem):

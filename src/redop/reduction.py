@@ -24,6 +24,7 @@ from .core import (
     fingerprint,
     is_zero,
     normalize,
+    ring_form,
     substitute,
 )
 from .errors import (
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .jets import (
     DifferentialFunction,
+    JetTable,
     apply_prolonged,
     chain_jets,
     jet_values,
@@ -106,45 +108,37 @@ def solve_for_leader(Lhat, leader):
     return normalize(fn.inverse(rhs))
 
 
-def _consequence_table(elim_hat, kept_axis, k, sol, max_order):
-    """Kept-axis derivative consequences of the solved leader relation.
+def _consequences(ctx, kept_axis, k, sol):
+    """JetTable whose entry (0, j) is the order-(k + j) kept-axis jet on the
+    solved relation leader = sol, as a DifferentialFunction: sol, then the
+    total derivative of the entry below with the leader replaced by sol.
+    Each entry holds only kept-axis jets below the leader, so a total
+    derivative brings in the leader and no higher jet."""
+    leader = _top_kept_jet(ctx, kept_axis, k)
 
-    Maps each order m from k to max_order to the value of the order-m
-    kept-axis jet on the relation: sol at k, and above it the body of a
-    DifferentialFunction built once over the raw replacement.
-    """
-    ctx = elim_hat.ctx
-    table = {k: sol}
-    if max_order == k:
-        return table
-    row = DifferentialFunction(sol, ctx)
-    for m in range(k + 1, max_order + 1):
+    def step(row):
         row = total_derivative(row, kept_axis)
-        jetmap = {
-            _top_kept_jet(ctx, kept_axis, j): table[j]
-            for j in range(k, m)
-            if _top_kept_jet(ctx, kept_axis, j) in row.body.free_symbols
-        }
-        if jetmap:
-            row = DifferentialFunction(_replace_jets(row.body, jetmap), ctx)
-        table[m] = row.body
-    return table
+        if leader in row.body.free_symbols:
+            row = DifferentialFunction(_replace_jets(row.body, {leader: sol}), ctx)
+        return row
+
+    return JetTable(DifferentialFunction(sol, ctx), None, step)
 
 
 def _restrict_to_solved(expr, elim_hat, kept_axis, k, sol):
     """Substitute the leader relation and its consequences into expr."""
     ctx = elim_hat.ctx
-    orders = [
-        (idx.a1 if kept_axis == 1 else idx.a2)
-        for idx in chain_jets(expr, ctx).values()
-    ]
-    max_order = max([o for o in orders], default=0)
+    max_order = max(
+        (idx.a1 if kept_axis == 1 else idx.a2 for idx in chain_jets(expr, ctx).values()),
+        default=0,
+    )
     if max_order < k:
         return expr
-    table = _consequence_table(elim_hat, kept_axis, k, sol, max_order)
-    jetmap = {
-        _top_kept_jet(ctx, kept_axis, m): table[m] for m in range(k, max_order + 1)
-    }
+    jetmap = {_top_kept_jet(ctx, kept_axis, k): sol}
+    if max_order > k:
+        table = _consequences(ctx, kept_axis, k, sol)
+        for m in range(k + 1, max_order + 1):
+            jetmap[_top_kept_jet(ctx, kept_axis, m)] = table.value(0, m - k).body
     return substitute_jets(expr, jetmap)
 
 
@@ -453,7 +447,7 @@ def reduce_with_ansatz(L, Q, f, omega):
 
     # the multiplier takes the numerator factors with noninv in them and
     # the denominator factors with noninv in them or free of phi
-    num, den = body.as_numer_denom()
+    num, den = (p.as_expr() for p in ring_form(body)[1:])
     num_mult, num_res = _split_factors(num, lambda b: noninvariant(b, "factor"))
     den_mult, den_res = _split_factors(
         den, lambda b: noninvariant(b, "denominator factor") or _phi_order(b, phi) < 0

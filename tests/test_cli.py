@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -83,6 +84,33 @@ class TestExitCodes:
         assert main(["detsys", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err == "error: line 3, col 18: unexpected character %r\n" % digit
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() has no digit limit")
+    def test_overlong_integer_literal_is_a_parse_error(self, tmp_path, capsys):
+        # int() raised ValueError on more digits than the interpreter allows
+        limit = sys.get_int_max_str_digits()
+        text = "vars t x;\ndep u;\neq: u_t = u_xx + %s*u;\n"
+        parse_problem(text % ("1" * limit))
+        bad = tmp_path / "long.prob"
+        bad.write_text(text % ("1" * (limit + 1)))
+        assert main(["detsys", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 3, col 18: integer literal has more than %d digits\n" % limit
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rhs", [
+        "(" * 600 + "u_xx" + ")" * 600,
+        "u_xx + " + "-" * 3000 + "u",
+    ], ids=["parentheses", "unary-minus"])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys, rhs):
+        # both ended in a RecursionError traceback with exit 1
+        bad = tmp_path / "deep.prob"
+        bad.write_text("vars t x;\ndep u;\neq: u_t = %s;\n" % rhs)
+        assert main(["detsys", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3, col ")
+        assert err.endswith(": expression nested too deeply\n")
         assert "Traceback" not in err
 
     def test_undecidable_is_three(self, prob, capsys):

@@ -547,3 +547,125 @@ def test_is_zero_stops_at_the_first_nonzero_value(monkeypatch):
 def test_a_value_with_no_valid_sample_point_still_raises():
     with pytest.raises(EvaluationExhausted):
         is_zero(sp.sqrt(-(u**2) - 1) + u)
+
+
+# split_nonvanishing, primitive_equation and is_zero's proof of "nonzero"
+# read the numerator from the ring form; the as_numer_denom and sp.Poly
+# code they replaced is kept here as the oracle
+
+
+def _old_provably_nonzero(f):
+    """The former rule, which also took products of nonvanishing factors."""
+    if isinstance(f, sp.Mul):
+        return all(_old_provably_nonzero(a) for a in f.args)
+    return _provably_nonzero(f)
+
+
+def _old_signed_primitive(p):
+    if p.is_Number:
+        return p, None
+    c, f = sp.Poly(p).primitive()
+    if f.LC().is_negative:
+        return -c, -f
+    return c, f
+
+
+def _old_split_nonvanishing(e):
+    num, den = e.as_numer_denom()
+    multiplier, f = _old_signed_primitive(num)
+    if f is None:
+        return normalize(multiplier / den), sp.S.One
+    exponents, f = f.terms_gcd()
+    residual = f.as_expr()
+    for g, k in zip(f.gens, exponents):
+        if _provably_nonzero(g):
+            multiplier = multiplier * g**k
+        else:
+            residual = residual * g**k
+    return normalize(multiplier / den), residual
+
+
+def _old_primitive_equation(e):
+    p, _ = normalize(e).as_numer_denom()
+    if p == 0:
+        return p
+    _content, f = _old_signed_primitive(p)
+    return sp.S.One if f is None else f.as_expr()
+
+
+def _old_is_zero(e):
+    """is_zero with the former proof of "nonzero" on the numerator's tree."""
+    n = normalize(e)
+    if n == 0:
+        return TriBool.PROVEN_ZERO
+    if n.is_Number:
+        z = n.is_zero
+        if z is True:
+            return TriBool.PROVEN_ZERO
+        if z is False:
+            return TriBool.PROVEN_NONZERO
+    if _old_provably_nonzero(n.as_numer_denom()[0]):
+        return TriBool.PROVEN_NONZERO
+    if not n.free_symbols and not n.atoms(AppliedMapBase):
+        approx = sp.N(n, 40)
+        if approx.is_number and abs(approx) > sp.Float(10) ** -30:
+            return TriBool.PROBABLY_NONZERO
+        return TriBool.SAMPLED_ZERO
+    for v in core._sample_points(n, core.CONFIG["samples"], core.CONFIG["seed"]):
+        if v.is_Rational:
+            if v != 0:
+                return TriBool.PROBABLY_NONZERO
+        elif abs(v) > sp.Float(10) ** -30:
+            return TriBool.PROBABLY_NONZERO
+    return TriBool.SAMPLED_ZERO
+
+
+def _verdict(is_zero_fn, e):
+    try:
+        return is_zero_fn(e)
+    except EvaluationExhausted:
+        return EvaluationExhausted
+
+
+def _same(got, want):
+    assert got == want
+    assert sp.srepr(got) == sp.srepr(want)
+
+
+_NUMERATOR_INPUTS = st.one_of(
+    st.integers(0, 10**9).map(_random_normal),
+    st.integers(0, 10**9).map(lambda seed: normalize(_random_quotient(_ATOMS, seed, False))),
+    st.integers(0, 10**9).map(lambda seed: normalize(_random_quotient(_WIDE_ATOMS, seed, True))),
+    st.integers(0, 10**6).map(_corpus_value),
+)
+_SCALES = st.sampled_from([1, -1, sp.Rational(-3, 2), 6, _Fu, -2 * sp.exp(u) / 5, sp.sqrt(2), sp.pi * _Fu**2 / u])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_NUMERATOR_INPUTS, _SCALES)
+@example(_random_normal(8376967), 1)
+@example(normalize(-sp.sqrt(2) * _u_x * sp.exp(u / 2) - 2 * sp.exp(u)), 1)
+@example(normalize(2 * u * t - u * x**2 + 4 * _u_t * t**2), -1)
+@example(normalize(-sp.I * x - 1), 1)
+@example(sp.exp(u) * sp.exp(x / 2) / (t + 1), 3)
+@example(sp.sqrt(2) * sp.exp(x / 2) * sp.pi, -1)
+@example(sp.Rational(3, 7) / (t * u), _Fu)
+@example(normalize(_random_quotient(_WIDE_ATOMS, 34753, True)), 1)
+def test_numerator_reads_from_the_ring_equal_the_tree_reads(e, scale):
+    e = normalize(e * scale)
+    _same(primitive_equation(e), _old_primitive_equation(e))
+    assert _verdict(is_zero, e) is _verdict(_old_is_zero, e)
+    if e == 0:
+        return
+    multiplier, residual = split_nonvanishing(e)
+    want_multiplier, want_residual = _old_split_nonvanishing(e)
+    _same(residual, want_residual)
+    if _collect_leaves(e, {}):
+        _same(multiplier, want_multiplier)
+    else:
+        # two exp factors in one product (seed 34753 of the wide quotients):
+        # the old multiplier was normalized over as_numer_denom's factored
+        # denominator, the new one over the ring's expanded one, and the
+        # form normalize gives such a quotient depends on its input's form,
+        # since exp(a) and exp(-a) are independent generators
+        assert _old_kernel(multiplier - want_multiplier) == 0

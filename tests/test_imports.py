@@ -107,3 +107,24 @@ def test_only_core_converts_into_rings():
             if names & {"powsimp", "sring"}:
                 users.add(path.name)
     assert users == {"core.py"}
+
+
+def test_numerators_are_read_from_the_ring_form():
+    """split_nonvanishing, primitive_equation, is_zero and the ansatz
+    reduction read numerators from core.ring_form: as_numer_denom is called
+    in core._cancelled's general route alone, and sympy.Poly nowhere."""
+    users = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "core.py":
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_cancelled":
+                    allowed.update(id(n) for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            if "Poly" in names or ("as_numer_denom" in names and id(node) not in allowed):
+                users.append("%s (line %d)" % (path.name, node.lineno))
+    assert not users, "numerator read outside the ring form: " + ", ".join(users)

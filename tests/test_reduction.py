@@ -1,7 +1,11 @@
 """Determining equations, invariance testing, ansatz reduction."""
 
+import random
+
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.core import random as sympy_random
 
 from redop import (
@@ -23,11 +27,19 @@ from redop import (
     solve_for_leader,
     transpose,
 )
-from redop.errors import LeaderNotSolvable, NotAffineInLeader, SetNotFirstCoorder, UnsupportedAnsatz
+from redop.errors import (
+    BothCoefficientsZero,
+    LeaderNotSolvable,
+    NotAffineInLeader,
+    SetNotFirstCoorder,
+    UnsupportedAnsatz,
+)
 from redop.families import instantiate_function
-from redop.reduction import _restrict_to_solved, _split_factors
+from redop.jets import chain_jets, ord, total_derivative
+from redop.reduction import _consequences, _restrict_to_solved, _split_factors
+from redop.singular import _replace_jets, _top_kept_jet, eliminate_on_Q, reduced_field
 
-from helpers import heat, liouville, wave_generic, wave_zero
+from helpers import corpus_problem, corpus_stems, heat, liouville, rand_expr, wave_generic, wave_zero
 
 
 def heat_reference_equation(zeta):
@@ -345,3 +357,85 @@ class TestAtomsBelongToTheirDeclaration:
             DifferentialFunction(other.jet(1, 0) - other.jet(0, 2) - other.u, other), 0
         )
         assert is_zero(instantiate_function(eq, zeta, ctx.u)) is TriBool.PROVEN_ZERO
+
+
+# _restrict_to_solved reads the leader's consequences from a JetTable; the
+# chain it replaced is kept here as the oracle
+
+
+def _old_consequence_table(elim_hat, kept_axis, k, sol, max_order):
+    ctx = elim_hat.ctx
+    table = {k: sol}
+    if max_order == k:
+        return table
+    row = DifferentialFunction(sol, ctx)
+    for m in range(k + 1, max_order + 1):
+        row = total_derivative(row, kept_axis)
+        jetmap = {
+            _top_kept_jet(ctx, kept_axis, j): table[j]
+            for j in range(k, m)
+            if _top_kept_jet(ctx, kept_axis, j) in row.body.free_symbols
+        }
+        if jetmap:
+            row = DifferentialFunction(_replace_jets(row.body, jetmap), ctx)
+        table[m] = row.body
+    return table
+
+
+def _assert_same_consequences(L, Q, axis, above):
+    """The table of L's solved leader on Q equals the old chain, and every
+    entry holds only kept-axis jets below the leader; False when there is
+    no solvable leader."""
+    try:
+        elim = eliminate_on_Q(L, Q, axis)
+    except BothCoefficientsZero:
+        return False
+    k = ord(elim.hat)
+    if k == -1:
+        return False
+    kept = elim.kept_axis
+    try:
+        sol = solve_for_leader(elim.hat, _top_kept_jet(L.ctx, kept, k))
+    except LeaderNotSolvable:
+        return False
+    want = _old_consequence_table(elim.hat, kept, k, sol, k + above)
+    table = _consequences(L.ctx, kept, k, sol)
+    for m in range(k, k + above + 1):
+        got = table.value(0, m - k).body
+        assert got == want[m] and sp.srepr(got) == sp.srepr(want[m])
+        for idx in chain_jets(got, L.ctx).values():
+            along = idx.a1 if kept == 1 else idx.a2
+            assert along < k and along == idx.order(), (got, idx)
+    return True
+
+
+def test_consequences_equal_the_old_chain_on_the_corpus():
+    # the corpus's own prolonged actions stop at the leader's order, so one
+    # consequence above it is asked for here
+    solved = 0
+    for stem in corpus_stems():
+        p = corpus_problem(stem)
+        L, ctx = p.equation, p.equation.ctx
+        fields = list(p.fields.values()) + [reduced_field(ctx, xi)[0] for xi in (0, ctx.u)]
+        for Q in fields:
+            for axis in (1, 2):
+                solved += _assert_same_consequences(L, Q, axis, 1)
+    assert solved >= 10
+
+
+def _evolution_case(seed):
+    """u_t = H(t, x, u, u_x, u_xx) with a random H and a random field."""
+    rng = random.Random(seed)
+    ctx = JetContext("t", "x", "u")
+    atoms = [ctx.x1, ctx.x2, ctx.u, ctx.jet(0, 1), ctx.jet(0, 2)]
+    L = DifferentialFunction(ctx.jet(1, 0) - rand_expr(rng, atoms, depth=2, allow_exp=False), ctx)
+    coords = [ctx.x1, ctx.x2, ctx.u, sp.Integer(1)]
+    xi1, xi2 = rng.choice([(0, 1), (1, 0), (1, 1), (ctx.u, 1), (1, ctx.x2)])
+    eta = rng.choice(coords) * rng.choice(coords) + rng.randint(0, 2)
+    return L, VectorField(ctx, xi1, xi2, eta), rng.choice([1, 2])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9).map(_evolution_case))
+def test_consequences_equal_the_old_chain_on_random_evolution_bodies(case):
+    _assert_same_consequences(*case, 2)
