@@ -21,11 +21,10 @@ the general route of powsimp, as_numer_denom and sring. The generators are
 ordered as sring orders their printed names, read from their names and
 kinds rather than printed. ring_form gives the ring, numerator and
 denominator of a normal value, so that callers read degrees, coefficients
-and the numerator's content, least-exponent monomial and primitive rest
-(split_nonvanishing, primitive_equation, is_zero) from the ring instead of
-the tree. The chain rule through unknown functions is implemented by
-structural recursion so that no foreign node kinds (Derivative, Subs) ever
-appear.
+and the numerator's content and primitive rest (split_nonvanishing,
+primitive_equation, is_zero) from the ring instead of the tree. The chain
+rule through unknown functions is implemented by structural recursion so
+that no foreign node kinds (Derivative, Subs) ever appear.
 """
 
 from __future__ import annotations
@@ -698,22 +697,18 @@ def _provably_nonzero(f):
     return (f.is_Number and f.is_zero is False) or isinstance(f, (sp.NumberSymbol, sp.exp))
 
 
-def _numerator_parts(e):
-    """(c, m, f, Q) with a normal nonzero e = c*m*f/Q, from its ring form
-    (ring, P, Q): c is P's content, negated when P's leading coefficient is
-    a negative number (factor_list's sign rule), or P itself for a number
-    P; m is the least-exponent monomial of P's terms, over ring.symbols;
-    f is the primitive rest, a ring element with no monomial factor."""
+def _primitive_numerator(e):
+    """(c, P, Q) with a normal nonzero e = c*P/Q, from its ring form: c is
+    the numerator's content, negated when its leading coefficient is a
+    negative number (factor_list's sign rule), or the numerator itself when
+    that is a number; P is the primitive rest, a ring element."""
     ring, P, Q = ring_form(e)
     if P.is_ground:
-        return ring.domain.to_sympy(P.LC), ring.zero_monom, ring.one, Q
+        return ring.domain.to_sympy(P.LC), ring.one, Q
     c = P.content()
     if ring.domain.to_sympy(P.LC).is_negative:
         c = -c
-    P = P.quo_ground(c)
-    m = monomial_min(*P.itermonoms())
-    f = ring.from_dict({monomial_div(monom, m): a for monom, a in P.iterterms()})
-    return ring.domain.to_sympy(c), m, f, Q
+    return ring.domain.to_sympy(c), P.quo_ground(c), Q
 
 
 def split_nonvanishing(e):
@@ -726,9 +721,10 @@ def split_nonvanishing(e):
     factoring would find the same split. The residual, the primitive rest
     times the other least powers, is returned unnormalized.
     """
-    multiplier, m, f, Q = _numerator_parts(e)
-    residual = f.as_expr()
-    for g, k in zip(f.ring.symbols, m):
+    multiplier, P, Q = _primitive_numerator(e)
+    m = monomial_min(*P.itermonoms())
+    residual = P.ring.from_dict({monomial_div(k, m): a for k, a in P.iterterms()}).as_expr()
+    for g, k in zip(P.ring.symbols, m):
         if _provably_nonzero(g):
             multiplier = multiplier * g**k
         else:
@@ -789,12 +785,13 @@ def is_zero(e, samples=None, seed=None):
     """Three-way-plus-one zero test.
 
     PROVEN_ZERO only when the normal form is the zero quotient. PROVEN_NONZERO
-    for nonzero constants and for a numerator, read from the ring form,
-    that is a single term: a nonzero rational times powers of provably
-    nonvanishing generators (pi, E, exp kernels, rational powers of nonzero
-    numbers, symbols covered by registered assumptions); no factorization
-    is tried. Everything else is sampled at random rational points: any nonzero
-    value gives PROBABLY_NONZERO, all-zero gives SAMPLED_ZERO.
+    for nonzero constants and for a value with no sum as a factor whose
+    numerator, read from the ring form, is a single term: a nonzero
+    rational times powers of provably nonvanishing generators (pi, E, exp
+    kernels, rational powers of nonzero numbers, symbols covered by
+    registered assumptions); no factorization is tried. Everything else is
+    sampled at random rational points: any nonzero value gives
+    PROBABLY_NONZERO, all-zero gives SAMPLED_ZERO.
     """
     n = normalize(e)
     if n == 0:
@@ -805,11 +802,14 @@ def is_zero(e, samples=None, seed=None):
             return TriBool.PROVEN_ZERO
         if z is False:
             return TriBool.PROVEN_NONZERO
-    c, m, f, _Q = _numerator_parts(n)
-    if f == 1 and _provably_nonzero(c) and all(
-        _provably_nonzero(g) for g, k in zip(f.ring.symbols, m) if k
-    ):
-        return TriBool.PROVEN_NONZERO
+    if not any(isinstance(a, sp.Add) for a in sp.Mul.make_args(n)):
+        # a normal value with a sum as a factor (or a sum) is the quotient
+        # of a numerator of several terms
+        c, P, _Q = _primitive_numerator(n)
+        if len(P) == 1 and _provably_nonzero(c) and all(
+            _provably_nonzero(g) for g, k in zip(P.ring.symbols, P.LM) if k
+        ):
+            return TriBool.PROVEN_NONZERO
     if not n.free_symbols and not n.atoms(AppliedMapBase):
         # constant the assumptions system cannot settle; decide numerically
         approx = sp.N(n, 40)
@@ -838,8 +838,7 @@ def primitive_equation(e):
     n = normalize(e)
     if n == 0:
         return sp.S.Zero
-    _c, m, f, _Q = _numerator_parts(n)
-    return f.mul_monom(m).as_expr()
+    return _primitive_numerator(n)[1].as_expr()
 
 
 def equations_equal(a, b):

@@ -77,8 +77,8 @@ def _tokenize(text):
             if j < n and text[j] == ".":
                 raise ParseError("decimal literals are not supported, use fractions", line, start_col)
             # int() refuses longer digit strings; the limit is process-wide
-            # state and is only read here
-            limit = sys.get_int_max_str_digits()
+            # state and is only read here (Python before 3.10.7 has none)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
             if limit and j - i > limit:
                 raise ParseError("integer literal has more than %d digits" % limit, line, start_col)
             tokens.append(Token("num", int(text[i:j]), line, start_col))

@@ -263,8 +263,12 @@ def test_split_by_least_exponent_matches_factorization(e):
     ref_multiplier, ref_residual = _split_factors(num, _provably_nonzero)
     assert multiplier == normalize(ref_multiplier / den)
     assert normalize(residual) == normalize(ref_residual)
-    # is_zero's certificate against the rule it replaced
-    assert _provably_nonzero(num) == (ref_residual == 1 and _provably_nonzero(ref_multiplier))
+    # is_zero's certificate against factorization: "nonzero" is proven
+    # exactly when every factor of the numerator is provably nonzero
+    proven = _verdict(is_zero, e) is TriBool.PROVEN_NONZERO
+    assert proven == (
+        ref_residual == 1 and all(_provably_nonzero(a) for a in sp.Mul.make_args(ref_multiplier))
+    )
 
 
 @settings(max_examples=25, deadline=None)
