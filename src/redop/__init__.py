@@ -9,7 +9,7 @@ families.
 """
 
 from .core import (
-    CONFIG,
+    Session,
     TriBool,
     UnknownFunction,
     diff,

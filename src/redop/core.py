@@ -24,7 +24,9 @@ denominator of a normal value, so that callers read degrees, coefficients
 and the numerator's content and primitive rest (split_nonvanishing,
 primitive_equation, is_zero) from the ring instead of the tree. The chain
 rule through unknown functions is implemented by structural recursion so
-that no foreign node kinds (Derivative, Subs) ever appear.
+that no foreign node kinds (Derivative, Subs) ever appear. The sampling
+settings of a run travel in an immutable Session passed as a parameter;
+the module holds no mutable state.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import enum
 import itertools
 import random
+from dataclasses import dataclass
 
 import sympy as sp
 from sympy.core.exprtools import decompose_power
@@ -53,13 +56,21 @@ Expr = sp.Expr
 
 _BAD = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
-# Runtime knobs for probabilistic zero testing. The CLI may override
-# them; library callers can pass them per call instead.
-CONFIG = {"samples": 5, "seed": 0}
+# sample points per zero test when the session sets no count
+ZERO_TEST_SAMPLES = 5
 # extra sample draws allowed per atom, and the bound on numerators and
 # denominators of sampled rational coordinates
 RETRIES = 50
 COEFF_BOUND = 1000
+
+
+@dataclass(frozen=True)
+class Session:
+    """--samples and --seed of one run. samples None leaves each sampled test
+    its own count: ZERO_TEST_SAMPLES, or families.SURFACE_SAMPLES per kappa."""
+
+    samples: int | None = None
+    seed: int = 0
 
 
 class TriBool(enum.Enum):
@@ -781,7 +792,7 @@ def _sample_points(n, samples, seed):
         )
 
 
-def is_zero(e, samples=None, seed=None):
+def is_zero(e, session=Session()):
     """Three-way-plus-one zero test.
 
     PROVEN_ZERO only when the normal form is the zero quotient. PROVEN_NONZERO
@@ -790,8 +801,10 @@ def is_zero(e, samples=None, seed=None):
     rational times powers of provably nonvanishing generators (pi, E, exp
     kernels, rational powers of nonzero numbers, symbols covered by
     registered assumptions); no factorization is tried. Everything else is
-    sampled at random rational points: any nonzero value gives
-    PROBABLY_NONZERO, all-zero gives SAMPLED_ZERO.
+    sampled at the session's count of random rational points (default
+    ZERO_TEST_SAMPLES), drawn from a generator keyed by its seed and the
+    value: any nonzero value gives PROBABLY_NONZERO, all-zero gives
+    SAMPLED_ZERO.
     """
     n = normalize(e)
     if n == 0:
@@ -816,9 +829,8 @@ def is_zero(e, samples=None, seed=None):
         if approx.is_number and abs(approx) > sp.Float(10) ** -30:
             return TriBool.PROBABLY_NONZERO
         return TriBool.SAMPLED_ZERO
-    samples = CONFIG["samples"] if samples is None else samples
-    seed = CONFIG["seed"] if seed is None else seed
-    for v in _sample_points(n, samples, seed):
+    samples = ZERO_TEST_SAMPLES if session.samples is None else session.samples
+    for v in _sample_points(n, samples, session.seed):
         if v.is_Rational:
             if v != 0:
                 return TriBool.PROBABLY_NONZERO

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 import sympy as sp
@@ -18,6 +18,7 @@ import sympy as sp
 from .core import (
     Expr,
     FnDerivSymbol,
+    Session,
     TriBool,
     UnknownFunction,
     diff,
@@ -44,15 +45,19 @@ def instantiate_function(e, fn, value):
     return normalize(e.xreplace(m)) if m else normalize(e)
 
 
+# surface points per kappa when the session sets no sample count
+SURFACE_SAMPLES = 10
+
+
 @dataclass
 class SolutionFamily:
-    """u = f(x1, x2, kappa) together with its declared inverse kappa = Phi."""
+    """u = f(x1, x2, kappa) together with its declared inverse kappa = Phi;
+    a parameter with df/dkappa normalizing to 0 is rejected."""
 
     ctx: object
     f: Expr
     Phi: Expr
     kappa: sp.Symbol
-    essential: TriBool = field(init=False)
 
     def __post_init__(self):
         self.f = normalize(self.f)
@@ -62,28 +67,26 @@ class SolutionFamily:
             raise ValueError(
                 "inverse check failed: Phi(x, f) - kappa = %s" % residual
             )
-        dk = is_zero(diff(self.f, self.kappa))
-        if dk is TriBool.PROVEN_ZERO:
+        if normalize(diff(self.f, self.kappa)) == 0:
             raise ValueError("the family parameter is not essential")
-        self.essential = dk
 
 
-def zeta_from_family(family, xi):
+def zeta_from_family(family, xi, session=Session()):
     """Operator coefficient zeta = -(xi*Phi_1 + Phi_2)/Phi_u."""
     ctx = family.ctx
     xi = normalize(xi)
     Phi_u = diff(family.Phi, ctx.u)
-    if is_zero(Phi_u) is TriBool.PROVEN_ZERO:
+    if is_zero(Phi_u, session) is TriBool.PROVEN_ZERO:
         raise DegenerateInverse("Phi does not depend on u")
     return normalize(
         -(xi * diff(family.Phi, ctx.x1) + diff(family.Phi, ctx.x2)) / Phi_u
     )
 
 
-def verify_family_solves(L, family):
+def verify_family_solves(L, family, session=Session()):
     """is_zero verdict of L with u = f substituted, kappa a free atom."""
     body = substitute_jets(L.body, jet_values(L, family.f))
-    return is_zero(body)
+    return is_zero(body, session)
 
 
 @dataclass
@@ -92,6 +95,7 @@ class BijectionReport:
     solves: TriBool
     determining: TriBool
     invariance: TriBool
+    essential: TriBool
 
     @property
     def certified(self):
@@ -102,30 +106,31 @@ class BijectionReport:
         )
 
 
-def verify_bijection(L, family, xi):
-    """Family-solves, invariance, and determining-equation verdicts for zeta."""
+def verify_bijection(L, family, xi, session=Session()):
+    """Family-solves, invariance, determining-equation and essential-parameter verdicts."""
     ctx = family.ctx
     xi = normalize(xi)
-    solves = verify_family_solves(L, family)
-    zeta = zeta_from_family(family, xi)
+    solves = verify_family_solves(L, family, session)
+    zeta = zeta_from_family(family, xi, session)
     char = normalize(
         substitute(zeta, {ctx.u: family.f})
         - substitute(xi, {ctx.u: family.f}) * diff(family.f, ctx.x1)
         - diff(family.f, ctx.x2)
     )
-    invariance = is_zero(char)
-    system = determining_singular(L, xi)
+    invariance = is_zero(char, session)
+    system = determining_singular(L, xi, session)
     residual = instantiate_function(system.equations[0], system.zeta, zeta)
-    determining = is_zero(residual)
+    determining = is_zero(residual, session)
     return BijectionReport(
         zeta=zeta,
         solves=solves,
         determining=determining,
         invariance=invariance,
+        essential=is_zero(diff(family.f, family.kappa), session),
     )
 
 
-def adjoint_operator(zeta, F, coorder, ctx):
+def adjoint_operator(zeta, F, coorder, ctx, session=Session()):
     """Adjoint coefficient on the wave-type equation u_{1,1} = F(u).
 
     Co-order 1: zeta* = (F - zeta_1)/zeta_u. Co-order 0: zeta* =
@@ -134,7 +139,7 @@ def adjoint_operator(zeta, F, coorder, ctx):
     zeta = normalize(zeta)
     zu = diff(zeta, ctx.u)
     z1 = diff(zeta, ctx.x1)
-    zu_verdict = is_zero(zu)
+    zu_verdict = is_zero(zu, session)
     if coorder == 1:
         if zu_verdict is TriBool.PROVEN_ZERO:
             raise WrongCoorderBranch("zeta does not depend on u")
@@ -160,7 +165,7 @@ def adjoint_operator(zeta, F, coorder, ctx):
     raise ValueError("coorder must be 0 or 1")
 
 
-def coorder0_solution(L, zeta, xi):
+def coorder0_solution(L, zeta, xi, session=Session()):
     """Unique invariant solution u = G(x) and the criterion verdict.
 
     The criterion is zeta = xi*G_1 + G_2; the construction requires zeta
@@ -169,13 +174,13 @@ def coorder0_solution(L, zeta, xi):
     ctx = L.ctx
     zeta = normalize(zeta)
     xi = normalize(xi)
-    if is_zero(diff(zeta, ctx.u)) is not TriBool.PROVEN_ZERO:
+    if is_zero(diff(zeta, ctx.u), session) is not TriBool.PROVEN_ZERO:
         raise WrongCoorderBranch("zeta depends on u")
     Q = VectorField(ctx, xi, 1, zeta)
-    hat = eliminate_on_Q(L, Q, axis=2).hat
-    G = solve_for_leader(hat, ctx.u)
+    hat = eliminate_on_Q(L, Q, 2, session).hat
+    G = solve_for_leader(hat, ctx.u, session)
     crit = normalize(zeta - xi * diff(G, ctx.x1) - diff(G, ctx.x2))
-    return G, is_zero(crit)
+    return G, is_zero(crit, session)
 
 
 @dataclass
@@ -259,56 +264,59 @@ def _surface_roots(phi, a, b, kv):
         prev = (u, f)
 
 
-def backlund_verify(L, zeta, Phi, xi, samples=10, seed=0):
+def backlund_verify(L, zeta, Phi, xi, session=Session()):
     """Check the transformation identities, then sample the implicit surface.
 
     For each kappa of DEFAULT_KAPPAS the surface Phi(x, u) = kappa is
-    sampled at up to 20*samples random base points (a, b), two uniform
-    draws per attempt. The roots u come from one float search: a sign scan
-    of Phi - kappa over u = 2**k, then u = -2**k (k = -20..20), and
-    bisection of each cell that changes sign down to adjacent floats
+    sampled at the session's count of points (SURFACE_SAMPLES when it sets
+    none), from up to 20 times as many random base points (a, b), two
+    uniform draws per attempt from one generator seeded with the session's
+    seed. The roots u come from one float search: a sign scan of
+    Phi - kappa over u = 2**k, then u = -2**k (k = -20..20), and bisection
+    of each cell that changes sign down to adjacent floats
     (_surface_roots). The roots are tried cell by cell, in scan order, and
     the first whose mpmath Phi is within 1e-20 of kappa is taken; a root
     failing that certificate (such as a pole the bisection closed in on)
     or a cell where the evaluation fails during bisection passes the turn
     to the next cell, and an attempt where no cell gives a certified root
-    is a failed attempt. The residual of L, with
-    the implicit-function prolongations, is evaluated in mpmath at each
-    accepted root; when it is structurally zero the points are recorded with
-    exact zeros.
+    is a failed attempt. The residual of L, with the implicit-function
+    prolongations, is evaluated in mpmath at each accepted root; when it
+    is structurally zero the points are recorded with exact zeros. The
+    zero tests on the way use the same session.
     """
     ctx = L.ctx
     zeta = normalize(zeta)
     Phi = normalize(Phi)
     xi = normalize(xi)
     Phi_u = diff(Phi, ctx.u)
-    if is_zero(Phi_u) is TriBool.PROVEN_ZERO:
+    if is_zero(Phi_u, session) is TriBool.PROVEN_ZERO:
         raise DegenerateInverse("Phi does not depend on u")
     identity_q = is_zero(
-        xi * diff(Phi, ctx.x1) + diff(Phi, ctx.x2) + zeta * Phi_u
+        xi * diff(Phi, ctx.x1) + diff(Phi, ctx.x2) + zeta * Phi_u, session
     )
     Q = VectorField(ctx, xi, 1, zeta)
-    hat = eliminate_on_Q(L, Q, axis=2).hat
+    hat = eliminate_on_Q(L, Q, 2, session).hat
     k = ord(hat)
     if k == 1:
-        G = solve_for_leader(hat, ctx.jet(1, 0))
+        G = solve_for_leader(hat, ctx.jet(1, 0), session)
     elif k < 1 and hat.depends_on_u:
-        G = solve_for_leader(hat, ctx.u)
+        G = solve_for_leader(hat, ctx.u, session)
     else:
         G = None
     if G is not None and k == 1:
-        identity_g = is_zero(diff(Phi, ctx.x1) + G * Phi_u)
+        identity_g = is_zero(diff(Phi, ctx.x1) + G * Phi_u, session)
     elif G is not None:
         # co-order 0: the unique solution u = G(x) must lie on one surface
-        identity_g = is_zero(diff(Phi, ctx.x1) + diff(G, ctx.x1) * Phi_u)
+        identity_g = is_zero(diff(Phi, ctx.x1) + diff(G, ctx.x1) * Phi_u, session)
     else:
         identity_g = TriBool.SAMPLED_ZERO
     # jets of the u defined implicitly by Phi(x, u) = const: u_i = -Phi_i/Phi_u
     slopes = {i: normalize(-diff(Phi, ctx.var(i)) / Phi_u) for i in (1, 2)}
     residual = substitute_jets(L.body, jet_values(L, ctx.u, slopes))
-    structural = is_zero(residual)
+    structural = is_zero(residual, session)
+    samples = SURFACE_SAMPLES if session.samples is None else session.samples
     points = []
-    rng = random.Random(seed)
+    rng = random.Random(session.seed)
     can_evaluate = not any(isinstance(s, FnDerivSymbol) for s in Phi.free_symbols)
     if can_evaluate:
         phi_fn = sp.lambdify((ctx.x1, ctx.x2, ctx.u), Phi, "mpmath")

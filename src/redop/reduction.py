@@ -16,6 +16,7 @@ from .core import (
     AppliedMapBase,
     Expr,
     FnDerivSymbol,
+    Session,
     TriBool,
     UnknownFunction,
     _d,
@@ -54,7 +55,7 @@ from .singular import (
 )
 
 
-def solve_for_leader(Lhat, leader):
+def solve_for_leader(Lhat, leader, session=Session()):
     """Solve L̂ = 0 for the leader, affine case or invertible-kernel case.
 
     The kernel case covers bodies affine in a single node K(leader) with K
@@ -66,7 +67,7 @@ def solve_for_leader(Lhat, leader):
     if a != 0 and not depends_on(a, leader):
         b = normalize(body - a * leader)
         if not depends_on(b, leader):
-            if is_zero(a) in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO):
+            if is_zero(a, session) in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO):
                 return normalize(-b / a)
             raise LeaderNotSolvable(
                 "coefficient %s of %s is not confirmably nonzero" % (a, leader)
@@ -89,13 +90,13 @@ def solve_for_leader(Lhat, leader):
     rest = normalize(body - c * K)
     if depends_on(rest, leader):
         raise LeaderNotSolvable("%s appears outside the kernel %s" % (leader, K))
-    if is_zero(c) not in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO):
+    if is_zero(c, session) not in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO):
         raise LeaderNotSolvable("kernel coefficient %s may vanish" % c)
     rhs = normalize(-rest / c)
     if isinstance(K, sp.exp):
         if K.args[0] != leader:
             raise LeaderNotSolvable("exp argument %s is not the leader" % K.args[0])
-        if is_zero(rhs) is TriBool.PROVEN_ZERO:
+        if is_zero(rhs, session) is TriBool.PROVEN_ZERO:
             raise LeaderNotSolvable("logarithm of a vanishing value")
         return normalize(sp.log(rhs))
     fn, order = K.fn, K.order
@@ -142,7 +143,7 @@ def _restrict_to_solved(expr, elim_hat, kept_axis, k, sol):
     return substitute_jets(expr, jetmap)
 
 
-def _restricted_action(L, Q, ip, axis):
+def _restricted_action(L, Q, ip, axis, session):
     """Prolonged action ip on L ∩ Q_(r), eliminated along axis.
 
     Both L and ip are eliminated on Q, by the same Elimination; when the
@@ -151,25 +152,25 @@ def _restricted_action(L, Q, ip, axis):
     if the leader cannot be solved for.
     """
     ctx = L.ctx
-    elim = eliminate_on_Q(L, Q, axis)
+    elim = eliminate_on_Q(L, Q, axis, session)
     ip_elim = elim.apply(ip).body
     k = ord(elim.hat)
     if k == -1:
         return ip_elim
     kept = elim.kept_axis
     try:
-        sol = solve_for_leader(elim.hat, _top_kept_jet(ctx, kept, k))
+        sol = solve_for_leader(elim.hat, _top_kept_jet(ctx, kept, k), session)
     except LeaderNotSolvable as exc:
         raise NotAffineInLeader(str(exc), residual=ip_elim)
     return _restrict_to_solved(ip_elim, elim.hat, kept, k, sol)
 
 
-def conditional_invariance_test(L, Q, axis=None):
+def conditional_invariance_test(L, Q, axis=None, session=Session()):
     """Definition-level test: prolonged action restricted to L ∩ Q_(r)."""
     ip = apply_prolonged(Q, L)
     if ip == 0:
         return TriBool.PROVEN_ZERO
-    return is_zero(_restricted_action(L, Q, ip, axis))
+    return is_zero(_restricted_action(L, Q, ip, axis, session), session)
 
 
 @dataclass
@@ -200,7 +201,7 @@ def _classify(L):
     return "singular-general"
 
 
-def determining_singular(L, xi):
+def determining_singular(L, xi, session=Session()):
     """The single determining equation for first-co-order reduced sets.
 
     With the restriction solved as u_{1,0} = G(x1,x2,u), the equation reads
@@ -209,7 +210,7 @@ def determining_singular(L, xi):
     ctx = L.ctx
     xi = normalize(xi)
     Q, zeta = reduced_field(ctx, xi)
-    hat = eliminate_on_Q(L, Q, axis=2).hat
+    hat = eliminate_on_Q(L, Q, 2, session).hat
     k = ord(hat)
     if 0 <= k < ord(L):
         # the set must take the co-order-k shape in adapted coordinates
@@ -218,9 +219,9 @@ def determining_singular(L, xi):
         raise SetNotFirstCoorder("reduced-set co-order is %d" % k)
     leader = ctx.jet(1, 0)
     coeff = diff(hat.body, leader)
-    G = solve_for_leader(hat, leader)
+    G = solve_for_leader(hat, leader, session)
     assumptions = []
-    if is_zero(coeff) is not TriBool.PROVEN_NONZERO:
+    if is_zero(coeff, session) is not TriBool.PROVEN_NONZERO:
         assumptions.append(coeff)
     z = zeta.base
     z1 = zeta.sym((1, 0, 0))
@@ -290,7 +291,7 @@ def eq6_equation(L):
     )
 
 
-def determining_regular(L, Q, axis=None):
+def determining_regular(L, Q, axis=None, session=Session()):
     """Polynomial split of the invariance residual for a symbolic template.
 
     The elimination axis defaults to the one whose template coefficient is a
@@ -299,15 +300,15 @@ def determining_regular(L, Q, axis=None):
     """
     ctx = L.ctx
     if axis is None:
-        z1v = is_zero(Q.xi1)
-        z2v = is_zero(Q.xi2)
+        z1v = is_zero(Q.xi1, session)
+        z2v = is_zero(Q.xi2, session)
         if z1v is TriBool.PROVEN_NONZERO and z2v is not TriBool.PROVEN_NONZERO:
             axis = 1
         elif z2v is not TriBool.PROVEN_ZERO:
             axis = 2
         else:
             axis = 1
-    residual = _restricted_action(L, Q, apply_prolonged(Q, L), axis)
+    residual = _restricted_action(L, Q, apply_prolonged(Q, L), axis, session)
     split_vars = sorted(
         {
             s
@@ -374,7 +375,7 @@ def _split_factors(p, keep):
     return multiplier, residual
 
 
-def reduce_with_ansatz(L, Q, f, omega):
+def reduce_with_ansatz(L, Q, f, omega, session=Session()):
     """Substitute u = f(x, phi(omega)) into L and factor the multiplier.
 
     Only coordinate invariants omega in {x1, x2} are supported; the ansatz
@@ -407,7 +408,7 @@ def reduce_with_ansatz(L, Q, f, omega):
         - substitute(Q.xi1, {ctx.u: f}) * diff(f, ctx.x1)
         - substitute(Q.xi2, {ctx.u: f}) * diff(f, ctx.x2)
     )
-    if is_zero(char) is not TriBool.PROVEN_ZERO:
+    if is_zero(char, session) is not TriBool.PROVEN_ZERO:
         raise UnsupportedAnsatz(
             "ansatz is not invariant under the field: Q[f] = %s" % char
         )
@@ -415,7 +416,7 @@ def reduce_with_ansatz(L, Q, f, omega):
         substitute(Q.xi1, {ctx.u: f}) * diff(omega, ctx.x1)
         + substitute(Q.xi2, {ctx.u: f}) * diff(omega, ctx.x2)
     )
-    if is_zero(omega_invariance) is not TriBool.PROVEN_ZERO:
+    if is_zero(omega_invariance, session) is not TriBool.PROVEN_ZERO:
         raise UnsupportedAnsatz("omega is not an invariant of the field")
 
     body = substitute_jets(L.body, jet_values(L, f))
@@ -454,11 +455,11 @@ def reduce_with_ansatz(L, Q, f, omega):
     )
     multiplier = normalize(num_mult / den_mult)
     residual = normalize(num_res / den_res)
-    verdict = is_zero(multiplier)
+    verdict = is_zero(multiplier, session)
     order = _phi_order(residual, phi)
     if order >= 1:
         top_coeff = diff(residual, phi.sym((order,)))
-        exact = is_zero(top_coeff) in (
+        exact = is_zero(top_coeff, session) in (
             TriBool.PROVEN_NONZERO,
             TriBool.PROBABLY_NONZERO,
         )

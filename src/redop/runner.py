@@ -6,7 +6,7 @@ import time
 
 import sympy as sp
 
-from .core import CONFIG, FnDerivSymbol, TriBool, is_zero, normalize, primitive_equation, ring_form
+from .core import FnDerivSymbol, Session, TriBool, is_zero, normalize, primitive_equation, ring_form
 from .errors import NotAffineInLeader
 from .families import backlund_verify, verify_bijection
 from .jets import ord, transpose
@@ -48,7 +48,7 @@ def _named(mapping, name, what):
     return mapping[name]
 
 
-def _cmd_analyze(problem, options):
+def _cmd_analyze(problem, options, session):
     L = problem.equation
     verdicts = []
     expressions = {}
@@ -56,7 +56,7 @@ def _cmd_analyze(problem, options):
     for axis_name, Lo in oriented:
         r = ord(Lo)
         for label in ("0", "u"):
-            sa = analyze_reduced_set(Lo, _xi_expr(Lo.ctx, label))
+            sa = analyze_reduced_set(Lo, _xi_expr(Lo.ctx, label), session)
             where = "normalized on %s, xi = %s" % (axis_name, label)
             key = "%s.xi=%s" % (axis_name, label)
             expressions[key + ".associated"] = render(sa.hat.body)
@@ -95,9 +95,9 @@ def _cmd_analyze(problem, options):
     return verdicts, expressions
 
 
-def _cmd_coorder(problem, options):
+def _cmd_coorder(problem, options, session):
     Q = _named(problem.fields, options.get("field"), "field")
-    rep = weak_coorder(problem.equation, Q)
+    rep = weak_coorder(problem.equation, Q, session=session)
     verdicts = [
         Verdict(claim="strong singularity co-order = %d" % rep.strong, status=PROVED),
         Verdict(
@@ -127,7 +127,7 @@ def _cmd_coorder(problem, options):
     if rep.multiplier != 1:
         verdicts.append(Verdict(
             claim="extracted multiplier does not vanish",
-            status=nonzero_claim_status(is_zero(rep.multiplier)),
+            status=nonzero_claim_status(is_zero(rep.multiplier, session)),
         ))
     expressions = {
         "associated": render(rep.elimination.hat.body),
@@ -165,11 +165,11 @@ def _solved_display(eq, zeta):
     return "%s = %s" % (s.name, render(rhs))
 
 
-def _cmd_detsys(problem, options):
+def _cmd_detsys(problem, options, session):
     L = problem.equation
     if options.get("field") is not None:
         Q = _named(problem.fields, options["field"], "field")
-        ds = determining_regular(L, Q)
+        ds = determining_regular(L, Q, session=session)
         verdicts = [Verdict(
             claim="regular-case determining system with %d equations" % len(ds.equations),
             status=PROVED,
@@ -181,7 +181,7 @@ def _cmd_detsys(problem, options):
         }
         return verdicts, expressions
     xi = _xi_expr(L.ctx, options.get("xi", "0"))
-    ds = determining_singular(L, xi)
+    ds = determining_singular(L, xi, session)
     verdicts = [Verdict(
         claim="single determining equation for the co-order 1 set",
         status=PROVED,
@@ -190,7 +190,7 @@ def _cmd_detsys(problem, options):
     for a in ds.assumptions:
         verdicts.append(Verdict(
             claim="solvability assumption: %s does not vanish" % render(a),
-            status=nonzero_claim_status(is_zero(a)),
+            status=nonzero_claim_status(is_zero(a, session)),
         ))
     expressions = {
         "determining": _solved_display(ds.equations[0], ds.zeta),
@@ -199,10 +199,10 @@ def _cmd_detsys(problem, options):
     return verdicts, expressions
 
 
-def _cmd_verify(problem, options):
+def _cmd_verify(problem, options, session):
     Q = _named(problem.fields, options.get("field"), "field")
     try:
-        verdict = conditional_invariance_test(problem.equation, Q)
+        verdict = conditional_invariance_test(problem.equation, Q, session=session)
         verdicts = [Verdict(
             claim="conditional invariance criterion holds on the manifold",
             status=zero_claim_status(verdict),
@@ -217,10 +217,10 @@ def _cmd_verify(problem, options):
         )], {}
 
 
-def _cmd_reduce(problem, options):
+def _cmd_reduce(problem, options, session):
     Q = _named(problem.fields, options.get("field"), "field")
     a = _named(problem.ansatzes, options.get("ansatz"), "ansatz")
-    ar = reduce_with_ansatz(problem.equation, Q, a.f, a.omega)
+    ar = reduce_with_ansatz(problem.equation, Q, a.f, a.omega, session)
     verdicts = []
     if ar.essential_order < 0:
         verdicts.append(Verdict(
@@ -248,11 +248,11 @@ def _cmd_reduce(problem, options):
     return verdicts, expressions
 
 
-def _cmd_bijection(problem, options):
+def _cmd_bijection(problem, options, session):
     L = problem.equation
     fam = _named(problem.families, options.get("family"), "family")
     xi = _xi_expr(L.ctx, options.get("xi", "0"))
-    rep = verify_bijection(L, fam, xi)
+    rep = verify_bijection(L, fam, xi, session)
     verdicts = [
         Verdict(claim="family solves the equation",
                 status=zero_claim_status(rep.solves)),
@@ -261,11 +261,9 @@ def _cmd_bijection(problem, options):
         Verdict(claim="recovered zeta satisfies the determining equation",
                 status=zero_claim_status(rep.determining)),
         Verdict(claim="family parameter is essential",
-                status=nonzero_claim_status(fam.essential)),
+                status=nonzero_claim_status(rep.essential)),
     ]
-    samples = options.get("samples") or 10
-    bk = backlund_verify(L, rep.zeta, fam.Phi, xi,
-                         samples=samples, seed=options.get("seed") or 0)
+    bk = backlund_verify(L, rep.zeta, fam.Phi, xi, session)
     verdicts.append(Verdict(
         claim="surface identity xi*Phi_1 + Phi_2 + zeta*Phi_u = 0",
         status=zero_claim_status(bk.identity_q),
@@ -301,23 +299,16 @@ _DISPATCH = {
 
 
 def run(command, problem, **options):
-    """Execute one command against a parsed problem, returning a report."""
+    """Execute one command against a parsed problem, returning a report;
+    every sampled verdict uses the session of its samples and seed options."""
     if command not in _DISPATCH:
         raise ValueError("unknown command %r" % command)
     samples = options.get("samples")
     if samples is not None and samples < 1:
         raise ValueError("--samples must be at least 1, got %d" % samples)
-    # samples and seed hold for this command only
-    saved = dict(CONFIG)
-    if samples is not None:
-        CONFIG["samples"] = int(samples)
-    if options.get("seed") is not None:
-        CONFIG["seed"] = int(options["seed"])
+    session = Session(**{k: options[k] for k in ("samples", "seed") if options.get(k) is not None})
     t0 = time.perf_counter()
-    try:
-        verdicts, expressions = _DISPATCH[command](problem, options)
-    finally:
-        CONFIG.update(saved)
+    verdicts, expressions = _DISPATCH[command](problem, options, session)
     elapsed = (time.perf_counter() - t0) * 1000.0
     inputs = {
         k: str(v)

@@ -16,6 +16,7 @@ import sympy as sp
 from .core import (
     Expr,
     FnDerivSymbol,
+    Session,
     TriBool,
     UnknownFunction,
     _d,
@@ -107,14 +108,14 @@ class Elimination:
         return DifferentialFunction(_replace_jets(body, jetmap), self.ctx)
 
 
-def eliminate_on_Q(L, Q, axis=None):
+def eliminate_on_Q(L, Q, axis=None, session=Session()):
     """Remove derivatives along one axis using the invariant-surface relation.
 
     The axis defaults to 2 whenever xi2 is not provably zero, else to 1;
     forcing an axis with a provably zero coefficient is rejected.
     """
-    z1 = is_zero(Q.xi1)
-    z2 = is_zero(Q.xi2)
+    z1 = is_zero(Q.xi1, session)
+    z2 = is_zero(Q.xi2, session)
     if z1 is TriBool.PROVEN_ZERO and z2 is TriBool.PROVEN_ZERO:
         raise BothCoefficientsZero(
             "vector field %s has no independent-variable part" % (Q,)
@@ -130,9 +131,9 @@ def eliminate_on_Q(L, Q, axis=None):
     return Elimination(L, Q, axis)
 
 
-def strong_coorder(L, Q, axis=None):
+def strong_coorder(L, Q, axis=None, session=Session()):
     """Order of the associated function; -1 ultra-singular, ord L regular."""
-    return ord(eliminate_on_Q(L, Q, axis).hat)
+    return ord(eliminate_on_Q(L, Q, axis, session).hat)
 
 
 @dataclass
@@ -158,9 +159,9 @@ def _top_kept_jet(ctx, kept_axis, k):
     return ctx.jet(MultiIndex(k, 0) if kept_axis == 1 else MultiIndex(0, k))
 
 
-def weak_coorder(L, Q, axis=None):
+def weak_coorder(L, Q, axis=None, session=Session()):
     """Strong co-order plus the best multiplier-extracted bound pair."""
-    result = eliminate_on_Q(L, Q, axis)
+    result = eliminate_on_Q(L, Q, axis, session)
     strong = ord(result.hat)
     if strong == -1:
         return CoorderReport(
@@ -178,11 +179,11 @@ def weak_coorder(L, Q, axis=None):
     if upper <= 0:
         # order cannot drop below 0 for a nonzero residual, so the bounds
         # already coincide; the rank verdict records u-dependence only
-        rank = is_zero(diff(residual.body, result.hat.ctx.u))
+        rank = is_zero(diff(residual.body, result.hat.ctx.u), session)
         lower = upper
     else:
         top = _top_kept_jet(result.hat.ctx, result.kept_axis, upper)
-        rank = is_zero(diff(residual.body, top))
+        rank = is_zero(diff(residual.body, top), session)
         lower = (
             upper
             if rank in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO)
@@ -261,7 +262,7 @@ def _bare_symbol(e):
 CLOSURE_DEPTH = 2
 
 
-def consistency_closure(equations, unknown, u):
+def consistency_closure(equations, unknown, u, session=Session()):
     """Heuristic decision whether a normal ζ-system admits solutions.
 
     Differentiates the system with respect to u, propagates vanishing
@@ -286,7 +287,7 @@ def consistency_closure(equations, unknown, u):
         eqs = reduced
         for e in eqs:
             if not any(isinstance(s, FnDerivSymbol) and s.fn is unknown for s in e.free_symbols):
-                verdict = is_zero(e)
+                verdict = is_zero(e, session)
                 if verdict in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO):
                     return False
                 continue
@@ -322,12 +323,12 @@ class SetAnalysis:
     zeta: UnknownFunction
 
 
-def analyze_reduced_set(L, xi):
+def analyze_reduced_set(L, xi, session=Session()):
     """Ultra-singular and zero-co-order systems for Q = xi*d_1 + d_2 + ζd_u."""
     ctx = L.ctx
     xi = normalize(xi)
     Q, zeta = reduced_field(ctx, xi)
-    result = eliminate_on_Q(L, Q, axis=2)
+    result = eliminate_on_Q(L, Q, 2, session)
     hat = result.hat
     k = ord(hat)
     r = ord(L)
@@ -345,8 +346,8 @@ def analyze_reduced_set(L, xi):
                 if c != 0 and c not in seen:
                     seen.add(c)
                     s_zero.append(c)
-        ultra_ok = consistency_closure(s_ultra, zeta, ctx.u)
-        zero_ok = consistency_closure(s_zero, zeta, ctx.u)
+        ultra_ok = consistency_closure(s_ultra, zeta, ctx.u, session)
+        zero_ok = consistency_closure(s_zero, zeta, ctx.u, session)
     except NonPolynomialSplit:
         s_ultra = None
         s_zero = None
@@ -489,20 +490,20 @@ def bracket(Q1, Q2):
     )
 
 
-def _matrix_rank(rows):
+def _matrix_rank(rows, session):
     n = len(rows)
     for size in range(min(n, 3), 0, -1):
         for rsel in itertools.combinations(range(n), size):
             for csel in itertools.combinations(range(3), size):
                 m = sp.Matrix([[rows[i][j] for j in csel] for i in rsel])
                 det = normalize(m.det())
-                if is_zero(det) in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO):
+                if is_zero(det, session) in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO):
                     return size
     return 0
 
 
-def module_closed(Q1, Q2):
+def module_closed(Q1, Q2, session=Session()):
     """Whether [Q1,Q2] lies in the function-coefficient span of Q1 and Q2."""
     b = bracket(Q1, Q2)
     base = [Q1.coefficients(), Q2.coefficients()]
-    return _matrix_rank(base + [b.coefficients()]) <= _matrix_rank(base)
+    return _matrix_rank(base + [b.coefficients()], session) <= _matrix_rank(base, session)

@@ -1,6 +1,8 @@
 """Shared builders for the tests: standard equations, corpus access, random data."""
 
+import importlib.util
 from importlib import resources
+from pathlib import Path
 
 import sympy as sp
 
@@ -57,6 +59,15 @@ def corpus_problem(stem):
 def corpus_stems():
     root = resources.files("redop") / "corpus"
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".prob"))
+
+
+def bench_matrix():
+    """The benchmark's job matrix module, bench/matrix.py."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "matrix.py"
+    spec = importlib.util.spec_from_file_location("bench_matrix", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def corpus_values():

@@ -11,15 +11,15 @@ import sympy.core.random as sympy_random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redop import CONFIG, UnknownFunction, normalize, parse_problem
+from redop import UnknownFunction, core, normalize, parse_problem
 from redop.cli import main
 from redop.core import FnDerivSymbol, primitive_equation
 from redop.errors import SetNotFirstCoorder
 from redop.reduction import determining_singular
 from redop.report import AnalysisReport, emit_report, parse_report, render
-from redop.runner import _solved_display, run
+from redop.runner import _solved_display
 
-from helpers import corpus_problem, corpus_stems, corpus_text, rand_expr
+from helpers import bench_matrix, corpus_problem, corpus_stems, corpus_text, rand_expr
 
 # int()'s digit limit; 0 means none, as on Python before 3.10.7
 _INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -49,6 +49,13 @@ class TestExitCodes:
         assert main(["verify", prob("heat"), "--field", "badfield"]) == 1
         out = capsys.readouterr().out
         assert "[failed]" in out
+
+    @pytest.mark.xfail(strict=True, reason="the leader is solved from the associated function, "
+                       "not from its weak residual, and the logarithm of a vanishing value is "
+                       "a usage error; the fix changes recorded reports")
+    def test_detsys_on_field_d1_is_not_a_usage_error(self, prob, capsys):
+        codes = {s: main(["detsys", prob(s), "--field", "d1"]) for s in ("ttt", "evo_exp", "wave_liouville")}
+        assert 2 not in codes.values(), codes
 
     def test_missing_file_is_two(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.prob")]) == 2
@@ -165,11 +172,23 @@ class TestFlags:
         assert main(["detsys", prob("heat"), "--samples", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_samples_and_seed_apply_to_one_command(self):
-        before = dict(CONFIG)
-        run("bijection", parse_problem(corpus_text("heat")), family="grow",
-            samples=50, seed=7)
-        assert CONFIG == before
+    def test_every_sampled_verdict_uses_the_command_line_settings(self, monkeypatch, capsys):
+        matrix = bench_matrix()
+        monkeypatch.chdir(matrix.ROOT)
+        sample_points = core._sample_points
+        calls = {}
+
+        def spy(n, samples, seed):
+            calls.setdefault(job.key, []).append((samples, seed))
+            return sample_points(n, samples, seed)
+
+        monkeypatch.setattr(core, "_sample_points", spy)
+        for job in matrix.symbolic_jobs() + matrix.bijection_jobs():
+            main(job.argv(7, 3))
+            capsys.readouterr()
+        # the family parameter's sampled verdict among them
+        assert "heat:bijection:family=line" in calls
+        assert {k: v for k, v in calls.items() if set(v) != {(3, 7)}} == {}
 
     def test_xi_selects_the_reduced_set(self, prob, capsys):
         assert main(["detsys", prob("transport"), "--xi", "u"]) == 0

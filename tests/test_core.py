@@ -12,7 +12,7 @@ from sympy.core._print_helpers import Printable
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import sring
 
-from redop import JetContext, TriBool, UnknownFunction, diff, equations_equal, is_zero, normalize, primitive_equation, substitute
+from redop import JetContext, Session, TriBool, UnknownFunction, diff, equations_equal, is_zero, normalize, primitive_equation, substitute
 from redop import core
 from redop.core import (
     AppliedMapBase,
@@ -205,7 +205,7 @@ class TestIsZero:
         assert is_zero(sp.sqrt(x**2) - x) is TriBool.SAMPLED_ZERO
 
     def test_seed_and_samples_are_accepted(self):
-        assert is_zero(x + 1, samples=3, seed=42) is TriBool.PROBABLY_NONZERO
+        assert is_zero(x + 1, Session(samples=3, seed=42)) is TriBool.PROBABLY_NONZERO
 
 
 class TestPrimitiveEquation:
@@ -277,6 +277,14 @@ def test_normalize_is_idempotent(seed):
     rng = random.Random(seed)
     e = rand_expr(rng, [t, x, u], depth=3)
     n = normalize(e)
+    assert normalize(n) == n
+
+
+@pytest.mark.xfail(strict=True, reason="the general route's form depends on its input's form "
+                   "(exp(-4)*exp(3*u)/(exp(-4)*exp(2*u) + 1), then exp(3*u)/(exp(2*u) + exp(4))); "
+                   "canonical exp generators fix it and change recorded reports")
+def test_normalize_is_idempotent_on_an_exp_quotient():
+    n = normalize(sp.exp(u) / (sp.exp(4 - 2 * u) + 1))
     assert normalize(n) == n
 
 
@@ -541,10 +549,10 @@ def test_is_zero_stops_at_the_first_nonzero_value(monkeypatch):
 
     monkeypatch.setattr(core, "random", SimpleNamespace(Random=Counting))
     # one point of (t, u, x) draws a numerator and a denominator per atom
-    assert is_zero(t**2 * u - x, samples=5) is TriBool.PROBABLY_NONZERO
+    assert is_zero(t**2 * u - x, Session(samples=5)) is TriBool.PROBABLY_NONZERO
     assert len(draws) == 6
     draws.clear()
-    assert is_zero(t * (1 - x) + t * x - t, samples=5) is TriBool.PROVEN_ZERO
+    assert is_zero(t * (1 - x) + t * x - t, Session(samples=5)) is TriBool.PROVEN_ZERO
     assert draws == []
 
 
@@ -597,7 +605,7 @@ def _old_primitive_equation(e):
     return sp.S.One if f is None else f.as_expr()
 
 
-def _old_is_zero(e):
+def _old_is_zero(e, session):
     """is_zero with the former proof of "nonzero" on the numerator's tree."""
     n = normalize(e)
     if n == 0:
@@ -615,7 +623,7 @@ def _old_is_zero(e):
         if approx.is_number and abs(approx) > sp.Float(10) ** -30:
             return TriBool.PROBABLY_NONZERO
         return TriBool.SAMPLED_ZERO
-    for v in core._sample_points(n, core.CONFIG["samples"], core.CONFIG["seed"]):
+    for v in core._sample_points(n, session.samples, session.seed):
         if v.is_Rational:
             if v != 0:
                 return TriBool.PROBABLY_NONZERO
@@ -626,7 +634,7 @@ def _old_is_zero(e):
 
 def _verdict(is_zero_fn, e):
     try:
-        return is_zero_fn(e)
+        return is_zero_fn(e, Session(samples=5, seed=0))
     except EvaluationExhausted:
         return EvaluationExhausted
 

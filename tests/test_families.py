@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 
 from redop import (
+    Session,
     SolutionFamily,
     TriBool,
     VectorField,
@@ -16,10 +17,11 @@ from redop import (
     verify_family_solves,
     zeta_from_family,
 )
+from redop import core
 from redop.errors import DegenerateInverse, WrongCoorderBranch
 from redop.families import instantiate_function
 
-from helpers import corpus_problem, heat, liouville, wave_generic
+from helpers import corpus_problem, corpus_stems, heat, liouville, wave_generic
 
 kappa = sp.Symbol("kappa")
 
@@ -48,11 +50,33 @@ class TestSolutionFamily:
 
     def test_heat_families_validate(self):
         ctx, L, fam = heat_grow_family()
-        assert fam.essential is TriBool.PROVEN_NONZERO
+        assert verify_bijection(L, fam, 0).essential is TriBool.PROVEN_NONZERO
         t, x, u = ctx.x1, ctx.x2, ctx.u
         line = SolutionFamily(ctx, kappa * x, u / x, kappa)
         # df/dkappa = x vanishes on a hyperplane, so no proof is possible
-        assert line.essential is TriBool.PROBABLY_NONZERO
+        assert verify_bijection(L, line, 0).essential is TriBool.PROBABLY_NONZERO
+
+    def test_parsing_the_corpus_does_not_sample(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core, "_sample_points", lambda *args: calls.append(args) or iter(()))
+        for stem in corpus_stems():
+            corpus_problem(stem)
+        assert calls == []
+
+    def test_essential_verdict_samples_under_the_session(self, monkeypatch):
+        ctx, L = heat()
+        line = SolutionFamily(ctx, kappa * ctx.x2, ctx.u / ctx.x2, kappa)
+        calls = []
+        sample_points = core._sample_points
+
+        def spy(n, samples, seed):
+            calls.append((n, samples, seed))
+            return sample_points(n, samples, seed)
+
+        monkeypatch.setattr(core, "_sample_points", spy)
+        rep = verify_bijection(L, line, 0, Session(samples=3, seed=7))
+        assert rep.essential is TriBool.PROBABLY_NONZERO
+        assert (ctx.x2, 3, 7) in calls
 
     def test_solves_verdicts(self):
         ctx, L, fam = heat_grow_family()
@@ -174,7 +198,7 @@ class TestBacklundVerify:
     def test_sample_count_follows_the_request(self):
         ctx, L = heat()
         t, x, u = ctx.x1, ctx.x2, ctx.u
-        rep = backlund_verify(L, u, u * sp.exp(-t - x), 0, samples=2)
+        rep = backlund_verify(L, u, u * sp.exp(-t - x), 0, Session(samples=2))
         assert rep.samples_requested == 10
         assert len(rep.points) == 10
 
@@ -203,7 +227,7 @@ class TestSurfaceRootSearch:
         zeta = zeta_from_family(fam, 0)
         phi = sp.lambdify((ctx.x1, ctx.x2, ctx.u), fam.Phi, "mpmath")
         for seed in (0, 1, 7):
-            rep = backlund_verify(L, zeta, fam.Phi, 0, samples=50, seed=seed)
+            rep = backlund_verify(L, zeta, fam.Phi, 0, Session(samples=50, seed=seed))
             assert len(rep.points) == 250, (stem, name, seed)
             for (a, b, root, kv), _res in rep.points:
                 assert abs(phi(a, b, mpmath.mpf(root)) - kv) < 1e-20
@@ -219,7 +243,7 @@ class TestSurfaceRootSearch:
         fam = problem.families[name]
         zeta = zeta_from_family(fam, 0)
         for seed in (0, 1, 7):
-            rep = backlund_verify(L, zeta, fam.Phi, 0, samples=50, seed=seed)
+            rep = backlund_verify(L, zeta, fam.Phi, 0, Session(samples=50, seed=seed))
             assert len(rep.points) == 250, (stem, name, seed)
 
     def test_roots_at_negative_u_where_positive_u_fails(self):
@@ -235,7 +259,7 @@ class TestSurfaceRootSearch:
         u = ctx.u
         # the cell (1/2, 2) straddles the pole u = 1 and bisects into it; the
         # roots u = 3 (kappa = 1/2) and u = 2 (kappa = 1) lie in later cells
-        rep = backlund_verify(L, 0, 1 / (u - 1), 0, samples=10)
+        rep = backlund_verify(L, 0, 1 / (u - 1), 0, Session(samples=10))
         assert len(rep.points) == 20
         assert {kv for (_a, _b, _root, kv), _res in rep.points} == {0.5, 1.0}
 

@@ -30,8 +30,6 @@ def test_every_imported_name_is_used(path):
 
 
 MUTATORS = {"update", "append", "add", "setdefault", "pop", "clear"}
-# runner.run restores CONFIG after each command
-RESTORED = {"CONFIG"}
 
 
 def _module_level_names(tree):
@@ -43,7 +41,7 @@ def _module_level_names(tree):
             names.add(node.target.id)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.asname or alias.name for alias in node.names)
-    return names - RESTORED
+    return names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -65,6 +63,29 @@ def test_no_function_mutates_module_level_containers(path):
             if isinstance(target, ast.Name) and target.id in shared:
                 hits.add("%s (line %d)" % (target.id, node.lineno))
     assert not hits, "module-level state mutated: " + ", ".join(sorted(hits))
+
+
+def test_every_call_passes_the_session_on():
+    """A function that takes the run's Session gets it from every caller in
+    the package, so no sampled verdict falls back to the defaults."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    takes = {}
+    for tree in trees.values():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                names = [a.arg for a in fn.args.args]
+                if "session" in names:
+                    takes[fn.name] = names.index("session")
+    assert {"is_zero", "backlund_verify", "verify_bijection"} <= set(takes)
+    misses = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in takes and len(node.args) <= takes[callee] \
+                        and all(k.arg != "session" for k in node.keywords):
+                    misses.append("%s (line %d): %s" % (name, node.lineno, callee))
+    assert not misses, "session not passed on: " + ", ".join(misses)
 
 
 def test_only_ansatz_reduction_factors():
