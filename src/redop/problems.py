@@ -14,8 +14,8 @@ A problem file is a sequence of semicolon-terminated statements:
 Derivative tokens spell multi-indices with the declared variable letters
 (u_txx is the t-once, x-twice jet) or numerically (u[1,2]); derivatives of
 declared functions use the formal argument names, braced when longer than
-one character (H_{u_xx}). Comments run from '#' to end of line. The name
-phi is reserved for the unknown function of ansatz statements.
+one character (H_{u_xx}). Comments run from '#' to end of line. The names
+phi (of ansatz statements) and zeta (of the reduced operator set) are reserved.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ KEYWORDS = {
     "assume", "nonzero", "inverse", "param", "omega",
 }
 BUILTINS = {"exp", "ln", "sqrt"}
-RESERVED = KEYWORDS | BUILTINS | {"phi"}
+RESERVED = KEYWORDS | BUILTINS | {"phi", "zeta"}
 
 _PUNCT = set(";:,()[]+-*/^=")
 # a number is a run of ASCII digits; str.isdigit also accepts "²" and "３"

@@ -7,7 +7,7 @@ residual polynomially as in the classical nonclassical-symmetry method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy as sp
 from sympy.core import random as sympy_random
@@ -329,12 +329,15 @@ def determining_regular(L, Q, axis=None, session=Session()):
 
 @dataclass
 class AnsatzReduction:
+    """order_verdict decides the essential order: is_zero on the coefficient
+    of phi's top derivative in reduced, or on a phi-free reduced (order -1)."""
+
     multiplier: Expr
     reduced: Expr
     essential_order: int
-    order_exact: bool
+    order_verdict: TriBool
     omega: Expr
-    multiplier_verdict: TriBool = field(default=TriBool.PROBABLY_NONZERO)
+    multiplier_verdict: TriBool
 
 
 def _phi_order(e, phi):
@@ -425,7 +428,7 @@ def reduce_with_ansatz(L, Q, f, omega, session=Session()):
             multiplier=sp.S.One,
             reduced=sp.S.Zero,
             essential_order=-1,
-            order_exact=True,
+            order_verdict=TriBool.PROVEN_ZERO,
             omega=omega,
             multiplier_verdict=TriBool.PROVEN_NONZERO,
         )
@@ -455,21 +458,13 @@ def reduce_with_ansatz(L, Q, f, omega, session=Session()):
     )
     multiplier = normalize(num_mult / den_mult)
     residual = normalize(num_res / den_res)
-    verdict = is_zero(multiplier, session)
     order = _phi_order(residual, phi)
-    if order >= 1:
-        top_coeff = diff(residual, phi.sym((order,)))
-        exact = is_zero(top_coeff, session) in (
-            TriBool.PROVEN_NONZERO,
-            TriBool.PROBABLY_NONZERO,
-        )
-    else:
-        exact = True
+    top_coeff = residual if order < 0 else diff(residual, phi.sym((order,)))
     return AnsatzReduction(
         multiplier=multiplier,
         reduced=residual,
         essential_order=order,
-        order_exact=exact,
+        order_verdict=is_zero(top_coeff, session),
         omega=omega,
-        multiplier_verdict=verdict,
+        multiplier_verdict=is_zero(multiplier, session),
     )

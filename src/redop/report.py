@@ -3,6 +3,12 @@
 Statuses: proved (symbolic certificate), sampled (numeric evidence only),
 failed (counterexample or disproof), undecidable (no certificate either
 way where one was required).
+
+Each status comes from the outcome that decided its claim: the is_zero
+verdict on what a claim says vanishes (zero_claim_status) or does not
+(nonzero_claim_status), consistency_closure's outcome (closure_status), or
+EXACT for a value read off an exact computation with no zero test. Only a
+claim with no outcome behind it is undecidable by itself.
 """
 
 from __future__ import annotations
@@ -20,6 +26,23 @@ SAMPLED = "sampled"
 FAILED = "failed"
 UNDECIDABLE = "undecidable"
 
+# status of a value read off an exact computation with no zero test
+EXACT = PROVED
+
+# 500-digit chunks: the interpreter's str(int) digit limit is at least 640
+_CHUNK = 10**500
+
+
+def _decimal(n):
+    """The decimal digits of the int n, at any size: str(int) refuses more
+    digits than the interpreter's limit, so a long n is split by divmod."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n < _CHUNK:
+        return str(n)
+    high, low = divmod(n, _CHUNK)
+    return _decimal(high) + str(low).zfill(500)
+
 
 class GrammarPrinter(StrPrinter):
     """Prints expressions in the problem-file notation: ^ powers, ln.
@@ -31,6 +54,14 @@ class GrammarPrinter(StrPrinter):
     """
 
     _default_settings = dict(StrPrinter._default_settings, call_form=False)
+
+    def _print_Integer(self, expr):
+        return _decimal(expr.p)
+
+    def _print_Rational(self, expr):
+        if expr.q == 1:
+            return _decimal(expr.p)
+        return "%s/%s" % (_decimal(expr.p), _decimal(expr.q))
 
     def _print_log(self, expr):
         return "ln(%s)" % self._print(expr.args[0])
@@ -70,6 +101,14 @@ def nonzero_claim_status(verdict):
     if verdict is TriBool.PROVEN_ZERO:
         return FAILED
     return UNDECIDABLE
+
+
+def closure_status(contradiction):
+    """Status for a sub-branch verdict: an inconsistent one rests on its
+    contradicting member, and None, a search that found none, is sampled."""
+    if contradiction is None:
+        return SAMPLED
+    return nonzero_claim_status(contradiction)
 
 
 @dataclass

@@ -17,12 +17,12 @@ from .reduction import (
     reduce_with_ansatz,
 )
 from .report import (
-    PROVED,
-    SAMPLED,
+    EXACT,
     UNDECIDABLE,
     AnalysisReport,
     CommandResult,
     Verdict,
+    closure_status,
     nonzero_claim_status,
     render,
     zero_claim_status,
@@ -63,12 +63,12 @@ def _cmd_analyze(problem, options, session):
             if sa.k == r:
                 verdicts.append(Verdict(
                     claim="%s: regular (generic co-order %d equals the order)" % (where, sa.k),
-                    status=PROVED,
+                    status=EXACT,
                 ))
                 continue
             verdicts.append(Verdict(
                 claim="%s: singular set of co-order %d" % (where, sa.k),
-                status=PROVED,
+                status=EXACT,
                 detail="associated function of order %d" % sa.k,
             ))
             expressions[key + ".regular_value"] = render(sa.regular_value)
@@ -79,18 +79,15 @@ def _cmd_analyze(problem, options, session):
                     detail="no finite coefficient split in the kept jets",
                 ))
                 continue
-            verdicts.append(Verdict(
-                claim="%s: ultra-singular sub-branch is %s"
-                % (where, "consistent" if sa.ultra_consistent else "inconsistent"),
-                status=SAMPLED if sa.ultra_consistent else PROVED,
-                detail="conditions: %s" % "; ".join(render(e) for e in sa.s_ultra),
-            ))
+            branches = [("ultra-singular", sa.ultra_contradiction, sa.s_ultra)]
             if sa.k >= 1:
+                branches.append(("lower co-order", sa.zero_contradiction, sa.s_zero))
+            for name, contradiction, system in branches:
                 verdicts.append(Verdict(
-                    claim="%s: lower co-order sub-branch is %s"
-                    % (where, "consistent" if sa.zero_consistent else "inconsistent"),
-                    status=SAMPLED if sa.zero_consistent else PROVED,
-                    detail="conditions: %s" % "; ".join(render(e) for e in sa.s_zero),
+                    claim="%s: %s sub-branch is %s"
+                    % (where, name, "consistent" if contradiction is None else "inconsistent"),
+                    status=closure_status(contradiction),
+                    detail="conditions: %s" % "; ".join(render(e) for e in system),
                 ))
     return verdicts, expressions
 
@@ -98,32 +95,21 @@ def _cmd_analyze(problem, options, session):
 def _cmd_coorder(problem, options, session):
     Q = _named(problem.fields, options.get("field"), "field")
     rep = weak_coorder(problem.equation, Q, session=session)
+    if rep.weak_upper <= 0:
+        status, detail = EXACT, "a nonzero residual cannot drop below order 0"
+    else:
+        status = nonzero_claim_status(rep.maximal_rank)
+        detail = "top-jet coefficient verdict: %s" % rep.maximal_rank.name
     verdicts = [
-        Verdict(claim="strong singularity co-order = %d" % rep.strong, status=PROVED),
+        Verdict(claim="strong singularity co-order = %d" % rep.strong, status=EXACT),
         Verdict(
             claim="weak singularity co-order bounds [%d, %d]"
             % (rep.weak_lower, rep.weak_upper),
-            status=PROVED,
+            status=EXACT,
         ),
+        Verdict(claim="weak co-order is exactly %d" % rep.weak_upper,
+                status=status, detail=detail),
     ]
-    if rep.weak_upper <= 0:
-        verdicts.append(Verdict(
-            claim="weak co-order is exactly %d" % rep.weak_upper,
-            status=PROVED,
-            detail="a nonzero residual cannot drop below order 0",
-        ))
-    elif rep.exact:
-        verdicts.append(Verdict(
-            claim="weak co-order is exactly %d" % rep.weak_upper,
-            status=PROVED if rep.maximal_rank is not TriBool.PROBABLY_NONZERO else SAMPLED,
-            detail="top-jet coefficient verdict: %s" % rep.maximal_rank.name,
-        ))
-    else:
-        verdicts.append(Verdict(
-            claim="weak co-order is exactly %d" % rep.weak_upper,
-            status=UNDECIDABLE,
-            detail="top-jet coefficient verdict: %s" % rep.maximal_rank.name,
-        ))
     if rep.multiplier != 1:
         verdicts.append(Verdict(
             claim="extracted multiplier does not vanish",
@@ -172,7 +158,7 @@ def _cmd_detsys(problem, options, session):
         ds = determining_regular(L, Q, session=session)
         verdicts = [Verdict(
             claim="regular-case determining system with %d equations" % len(ds.equations),
-            status=PROVED,
+            status=EXACT,
             detail="case: %s" % ds.case,
         )]
         expressions = {
@@ -184,7 +170,7 @@ def _cmd_detsys(problem, options, session):
     ds = determining_singular(L, xi, session)
     verdicts = [Verdict(
         claim="single determining equation for the co-order 1 set",
-        status=PROVED,
+        status=EXACT,
         detail="case: %s" % ds.case,
     )]
     for a in ds.assumptions:
@@ -221,20 +207,20 @@ def _cmd_reduce(problem, options, session):
     Q = _named(problem.fields, options.get("field"), "field")
     a = _named(problem.ansatzes, options.get("ansatz"), "ansatz")
     ar = reduce_with_ansatz(problem.equation, Q, a.f, a.omega, session)
-    verdicts = []
     if ar.essential_order < 0:
-        verdicts.append(Verdict(
+        verdicts = [Verdict(
             claim="ansatz reduces the equation to the identity 0 = 0",
-            status=PROVED,
+            status=zero_claim_status(ar.order_verdict),
             detail="ultra-singular reduction, essential order -1",
-        ))
+        )]
     else:
-        verdicts.append(Verdict(
+        nonvanishing = ar.order_verdict in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO)
+        verdicts = [Verdict(
             claim="essential order of the reduced equation = %d" % ar.essential_order,
-            status=PROVED if ar.order_exact else UNDECIDABLE,
+            status=nonzero_claim_status(ar.order_verdict),
             detail="top derivative coefficient %s"
-            % ("does not vanish" if ar.order_exact else "could not be certified"),
-        ))
+            % ("does not vanish" if nonvanishing else "could not be certified"),
+        )]
     if ar.multiplier != 1:
         verdicts.append(Verdict(
             claim="reduction multiplier does not vanish",

@@ -263,12 +263,13 @@ CLOSURE_DEPTH = 2
 
 
 def consistency_closure(equations, unknown, u, session=Session()):
-    """Heuristic decision whether a normal ζ-system admits solutions.
+    """Search a normal ζ-system for a contradiction: the is_zero verdict of
+    a member free of the unknown that does not vanish, or None.
 
     Differentiates the system with respect to u, propagates vanishing
-    derivative symbols upward, and searches for a member free of the unknown
-    that is nonzero. A True verdict means only that no contradiction was
-    found within CLOSURE_DEPTH rounds.
+    derivative symbols upward, and looks for such a member in each round,
+    preferring a PROVEN_NONZERO one within a round. None means only that
+    no contradiction was found within CLOSURE_DEPTH rounds.
     """
     eqs = [e for e in equations if e != 0]
     null_orders = []
@@ -285,16 +286,21 @@ def consistency_closure(equations, unknown, u, session=Session()):
             seen.add(e)
             reduced.append(e)
         eqs = reduced
+        sampled = None
         for e in eqs:
             if not any(isinstance(s, FnDerivSymbol) and s.fn is unknown for s in e.free_symbols):
                 verdict = is_zero(e, session)
-                if verdict in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO):
-                    return False
+                if verdict is TriBool.PROVEN_NONZERO:
+                    return verdict
+                if verdict is TriBool.PROBABLY_NONZERO:
+                    sampled = verdict
                 continue
             s = _bare_symbol(e)
             if s is not None and s.fn is unknown and s.order not in null_orders:
                 null_orders.append(s.order)
                 changed = True
+        if sampled is not None:
+            return sampled
         if round_no < CLOSURE_DEPTH:
             new = []
             for e in eqs:
@@ -306,19 +312,21 @@ def consistency_closure(equations, unknown, u, session=Session()):
                 changed = True
         if not changed:
             break
-    return True
+    return None
 
 
 @dataclass
 class SetAnalysis:
-    """Symbolic analysis of the one-parameter reduced operator set."""
+    """Symbolic analysis of the one-parameter reduced operator set; the
+    sub-branch systems and their consistency_closure verdicts are None for
+    a regular set and when the coefficient split fails."""
 
     k: int
-    s_ultra: list
-    s_zero: list
-    ultra_consistent: bool
-    zero_consistent: bool
-    regular_value: Expr
+    s_ultra: list | None
+    s_zero: list | None
+    ultra_contradiction: TriBool | None
+    zero_contradiction: TriBool | None
+    regular_value: Expr | None
     hat: DifferentialFunction
     zeta: UnknownFunction
 
@@ -328,10 +336,11 @@ def analyze_reduced_set(L, xi, session=Session()):
     ctx = L.ctx
     xi = normalize(xi)
     Q, zeta = reduced_field(ctx, xi)
-    result = eliminate_on_Q(L, Q, 2, session)
-    hat = result.hat
+    hat = eliminate_on_Q(L, Q, 2, session).hat
     k = ord(hat)
-    r = ord(L)
+    if k == ord(L):
+        # a regular set has no sub-branches
+        return SetAnalysis(k, None, None, None, None, None, hat, zeta)
     kept_jets = [ctx.jet(j, 0) for j in range(1, max(k, 1) + 1)]
     # an unevaluated map applied to eliminated jets (xi = u pushes kept jets
     # into its arguments) admits no finite coefficient split; leave the
@@ -346,14 +355,12 @@ def analyze_reduced_set(L, xi, session=Session()):
                 if c != 0 and c not in seen:
                     seen.add(c)
                     s_zero.append(c)
-        ultra_ok = consistency_closure(s_ultra, zeta, ctx.u, session)
-        zero_ok = consistency_closure(s_zero, zeta, ctx.u, session)
+        ultra = consistency_closure(s_ultra, zeta, ctx.u, session)
+        zero = consistency_closure(s_zero, zeta, ctx.u, session)
     except NonPolynomialSplit:
-        s_ultra = None
-        s_zero = None
-        ultra_ok = None
-        zero_ok = None
-    if 0 <= k < r:
+        s_ultra = s_zero = ultra = zero = None
+    regular_value = sp.S.Zero
+    if k >= 0:
         form = representation_check(L, xi, k)
         # Q^n u as an (x,u)-function, the field acting without prolongation
         powers = JetTable(ctx.u, None, Q.apply_to)
@@ -367,20 +374,7 @@ def analyze_reduced_set(L, xi, session=Session()):
         # evaluate leftover omega atoms back at their jet-space values
         back = {w: form.values[idx] for idx, w in form.omegas.items()}
         regular_value = normalize(ineq.xreplace(back))
-    elif k >= 1:
-        regular_value = diff(hat.body, _top_kept_jet(ctx, result.kept_axis, k))
-    else:
-        regular_value = sp.S.Zero
-    return SetAnalysis(
-        k=k,
-        s_ultra=s_ultra,
-        s_zero=s_zero,
-        ultra_consistent=ultra_ok,
-        zero_consistent=zero_ok,
-        regular_value=regular_value,
-        hat=hat,
-        zeta=zeta,
-    )
+    return SetAnalysis(k, s_ultra, s_zero, ultra, zero, regular_value, hat, zeta)
 
 
 class OmegaSymbol(sp.Symbol):

@@ -128,6 +128,73 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "[undecidable]" in out
 
+    def test_coefficient_beyond_the_digit_limit_prints_exactly(self, tmp_path, capsys):
+        # printing N*N raised "Exceeds the limit (4300 digits)" and exited 2
+        n = _INT_DIGIT_LIMIT or 4300
+        path = tmp_path / "huge.prob"
+        path.write_text("vars t x;\ndep u;\neq: u_t = u_xx + %s*%s*u;\n" % ("9" * n, "9" * n))
+        assert main(["detsys", str(path)]) == 0
+        # (10^n - 1)^2 = 10^(2n) - 2*10^n + 1
+        square = "9" * (n - 1) + "8" + "0" * (n - 1) + "1"
+        out = capsys.readouterr().out
+        assert "2*zeta*zeta_xu + %s*zeta - %s*zeta_u*u + zeta_xx\n" % (square, square) in out
+        assert "  leading_derivative: zeta*zeta_u + zeta_x + %s*u\n" % square in out
+
+    @pytest.mark.parametrize("rhs", ["1", "x + 1"])
+    def test_reduction_to_a_nonzero_residual_is_not_the_identity(self, tmp_path, capsys, rhs):
+        # a residual free of phi was reported as the proved identity 0 = 0
+        path = tmp_path / "contradiction.prob"
+        path.write_text("vars t x;\ndep u;\neq: u_t = %s;\nfield shift: 1, 0, 0;\n"
+                        "ansatz flat: phi omega x;\n" % rhs)
+        assert main(["reduce", str(path), "--field", "shift", "--ansatz", "flat"]) == 1
+        out = capsys.readouterr().out
+        assert "  reduced: %s = 0\n" % rhs in out
+        assert "[failed] ansatz reduces the equation to the identity 0 = 0" in out
+
+    def test_declared_zeta_is_a_parse_error(self, tmp_path, capsys):
+        # the operator coefficient took the declared function's place
+        path = tmp_path / "zeta.prob"
+        path.write_text("vars t x;\ndep u;\nfn zeta(t, x, u);\neq: u_t = u_xx + zeta(t, x, u);\n")
+        assert main(["detsys", str(path), "--xi", "0"]) == 2
+        assert capsys.readouterr().err == "error: line 3, col 4: 'zeta' is a reserved word\n"
+
+
+class TestStatusFromTheDecidingVerdict:
+    """A claim decided by a sampled verdict is sampled, however the claim
+    is phrased; each of these was reported as proved."""
+
+    @pytest.mark.parametrize("text, argv, claims", [
+        ("eq: u_tt = u*u_x;", ["analyze"], [
+            "normalized on t, xi = 0: ultra-singular sub-branch is inconsistent",
+            "normalized on t, xi = 0: lower co-order sub-branch is inconsistent",
+        ]),
+        ("eq: u_tx = u_x + u^2;", ["analyze"], [
+            "normalized on x, xi = 0: ultra-singular sub-branch is inconsistent",
+        ]),
+        ("eq: u_t = (x^2 - 1)*u_xx;\nfield shift: 1, 0, 0;\nansatz flat: phi omega x;",
+         ["reduce", "--field", "shift", "--ansatz", "flat"],
+         ["essential order of the reduced equation = 2"]),
+    ], ids=["closure-u", "closure-2u", "essential-order"])
+    def test_a_probably_nonzero_decision_is_sampled(self, tmp_path, capsys, text, argv, claims):
+        path = tmp_path / "p.prob"
+        path.write_text("vars t x;\ndep u;\n%s\n" % text)
+        assert main([argv[0], str(path)] + argv[1:]) == 0
+        out = capsys.readouterr().out
+        for claim in claims:
+            assert "  [sampled] %s  (" % claim in out
+
+
+@pytest.mark.parametrize("n", [
+    0, 7, -7, 10**500 - 1, 10**500, -10**500 - 1, 10**1000 + 10**499, 3 * 10**1200 - 1,
+])
+def test_numbers_render_as_their_decimals(n):
+    # render splits long integers at 500 digits; below the interpreter's
+    # limit its text is str's
+    assert render(sp.Integer(n)) == str(n)
+    q = sp.Rational(n, 10**700 + 3)
+    assert render(q) == str(q)
+    assert render(q * sp.Symbol("x") ** 2) == str(q * sp.Symbol("x") ** 2).replace("**", "^")
+
 
 class TestJsonOutput:
     def test_single_line_round_trip(self, prob, capsys):

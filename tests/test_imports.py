@@ -149,3 +149,26 @@ def test_numerators_are_read_from_the_ring_form():
             if "Poly" in names or ("as_numer_denom" in names and id(node) not in allowed):
                 users.append("%s (line %d)" % (path.name, node.lineno))
     assert not users, "numerator read outside the ring form: " + ", ".join(users)
+
+
+def test_runner_names_no_status():
+    """Every status in a report comes from a rule in report.py applied to
+    the outcome that decided it; runner picks none by hand. It names
+    UNDECIDABLE only where no outcome exists: a leader that cannot be
+    solved for, and a coefficient split that does not exist."""
+    path = Path(redop.__file__).parent / "runner.py"
+    tree = ast.parse(path.read_text())
+    picked = []
+    undecidable = 0
+    for node in ast.walk(tree):
+        names = {getattr(node, "attr", None), getattr(node, "id", None)}
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        if isinstance(node, ast.Constant):
+            names.add(node.value)
+        if names & {"PROVED", "SAMPLED", "FAILED", "proved", "sampled", "failed", "undecidable"}:
+            picked.append("line %d" % node.lineno)
+        if isinstance(node, ast.Name) and node.id == "UNDECIDABLE":
+            undecidable += 1
+    assert not picked, "status named in runner.py: " + ", ".join(picked)
+    assert undecidable == 2

@@ -129,6 +129,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_problem(HEAT + "fn phi(u);\n")
 
+    def test_zeta_is_reserved(self):
+        # analyze, detsys and bijection name their operator coefficient zeta
+        with pytest.raises(ParseError) as ei:
+            parse_problem(HEAT + "fn zeta(t, x, u);\n")
+        assert "'zeta' is a reserved word" in str(ei.value)
+        with pytest.raises(ParseError):
+            parse_problem("vars t x;\ndep zeta;\neq: zeta_t = 0;\n")
+
     def test_equation_must_have_a_derivative(self):
         with pytest.raises(ParseError) as ei:
             parse_problem("vars t x;\ndep u;\neq: u = 0;\n")

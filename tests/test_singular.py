@@ -26,7 +26,7 @@ from redop import (
     weak_coorder,
 )
 from redop.errors import BothCoefficientsZero, NonPolynomialSplit, NotRepresentable
-from redop.singular import _poly_split
+from redop.singular import _poly_split, consistency_closure
 
 from helpers import (
     corpus_problem,
@@ -175,20 +175,44 @@ class TestAnalyzeReducedSet:
         ctx, L = heat()
         sa = analyze_reduced_set(L, 0)
         assert sa.k == 1
-        assert not sa.ultra_consistent
-        assert not sa.zero_consistent
+        assert sa.ultra_contradiction is TriBool.PROVEN_NONZERO
+        assert sa.zero_contradiction is TriBool.PROVEN_NONZERO
 
     def test_heat_t_orientation_is_regular(self):
         ctx, L = heat()
         sa = analyze_reduced_set(transpose(L), 0)
         assert sa.k == 2 == ord(L)
 
+    def test_a_regular_set_runs_no_closure(self, monkeypatch):
+        import redop.singular
+
+        calls = []
+        real = redop.singular.consistency_closure
+        monkeypatch.setattr(redop.singular, "consistency_closure",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        ctx, L = heat()
+        sa = analyze_reduced_set(transpose(L), 0)
+        assert sa.k == ord(L)
+        assert (sa.s_ultra, sa.s_zero, sa.ultra_contradiction, sa.zero_contradiction) == (None,) * 4
+        assert calls == []
+        assert analyze_reduced_set(L, 0).k == 1
+        assert len(calls) == 2
+
+    def test_closure_returns_the_deciding_verdict(self):
+        ctx, L = heat()
+        zeta = ctx.add_function("zeta", (ctx.x1, ctx.x2, ctx.u))
+        u = ctx.u
+        assert consistency_closure([-u], zeta, u) is TriBool.PROBABLY_NONZERO
+        # a proven member of the same round wins over a sampled one before it
+        assert consistency_closure([-u, sp.S(2)], zeta, u) is TriBool.PROVEN_NONZERO
+        assert consistency_closure([zeta.base], zeta, u) is None
+
     def test_liouville_lower_branch_requires_zeta_u(self):
         ctx, L = liouville()
         sa = analyze_reduced_set(L, 0)
         assert sa.k == 1
-        assert not sa.ultra_consistent
-        assert sa.zero_consistent
+        assert sa.ultra_contradiction is TriBool.PROVEN_NONZERO
+        assert sa.zero_contradiction is None
         zeta_u = sa.zeta.sym((0, 0, 1))
         assert normalize(sa.regular_value - zeta_u) == 0
 
@@ -196,7 +220,7 @@ class TestAnalyzeReducedSet:
         ctx, L = wave_zero()
         sa = analyze_reduced_set(L, 0)
         assert sa.k == 1
-        assert sa.ultra_consistent
+        assert sa.ultra_contradiction is None
 
     def test_unknown_function_with_xi_u_degrades_to_regular(self):
         ctx = JetContext("t", "x", "u")
@@ -208,7 +232,7 @@ class TestAnalyzeReducedSet:
         sa = analyze_reduced_set(L, ctx.u)
         # no finite coefficient split exists; the verdict stays regular
         assert sa.k == ord(L)
-        assert sa.s_ultra is None and sa.zero_consistent is None
+        assert sa.s_ultra is None and sa.zero_contradiction is None
 
 
 class TestRepresentation:
