@@ -49,10 +49,11 @@ def instantiate_function(e, fn, value):
 SURFACE_SAMPLES = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionFamily:
-    """u = f(x1, x2, kappa) together with its declared inverse kappa = Phi;
-    a parameter with df/dkappa normalizing to 0 is rejected."""
+    """u = f(x1, x2, kappa) together with its declared inverse kappa = Phi,
+    both stored normalized; a parameter with df/dkappa normalizing to 0 is
+    rejected."""
 
     ctx: object
     f: Expr
@@ -60,8 +61,8 @@ class SolutionFamily:
     kappa: sp.Symbol
 
     def __post_init__(self):
-        self.f = normalize(self.f)
-        self.Phi = normalize(self.Phi)
+        object.__setattr__(self, "f", normalize(self.f))
+        object.__setattr__(self, "Phi", normalize(self.Phi))
         residual = normalize(substitute(self.Phi, {self.ctx.u: self.f}) - self.kappa)
         if residual != 0:
             raise ValueError(

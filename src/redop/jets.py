@@ -6,6 +6,7 @@ characteristics and prolongation of vector fields.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import NamedTuple
 
 import sympy as sp
@@ -50,16 +51,18 @@ class JetContext:
     Jet symbols are interned per context; the same printed name always means
     the same multi-index within one context. Contexts with swapped axes reuse
     the same symbols with transposed indices, which is why the index map is
-    per context rather than global.
+    per context rather than global. functions is a read-only view; only
+    add_function declares a name.
     """
 
-    def __init__(self, x1="x1", x2="x2", dep="u"):
+    def __init__(self, x1="x1", x2="x2", dep="u", functions=()):
         self.x1 = sp.Symbol(str(x1))
         self.x2 = sp.Symbol(str(x2))
         if self.x1 == self.x2:
             raise ValueError("independent variables must be distinct")
         self.dep = str(dep)
-        self.functions: dict[str, UnknownFunction] = {}
+        self._functions: dict[str, UnknownFunction] = dict(functions)
+        self.functions = MappingProxyType(self._functions)
         self._jets: dict[MultiIndex, JetSymbol] = {}
         self._index: dict[JetSymbol, MultiIndex] = {}
         # intern the order-zero jet eagerly so chain rules over unknown
@@ -103,21 +106,9 @@ class JetContext:
 
     def add_function(self, name, args, nonzero=(), inverse=None):
         fn = UnknownFunction(name, args, nonzero=nonzero, inverse=inverse)
-        self.functions[fn.name] = fn
+        self._functions[fn.name] = fn
         if fn.inverse is not None:
-            self.functions[fn.inverse.name] = fn.inverse
-        return fn
-
-    def ensure_function(self, name, args):
-        """The function registered under name with these formal arguments.
-
-        A function registered under the same name with other arguments (a
-        zeta copied by transpose from the other orientation) is replaced by
-        a new one, so that its derivative symbols index the requested axes.
-        """
-        fn = self.functions.get(name)
-        if fn is None or fn.args != tuple(args):
-            fn = self.add_function(name, args)
+            self._functions[fn.inverse.name] = fn.inverse
         return fn
 
 
@@ -340,10 +331,7 @@ def transpose(L):
     single-character variable names guarantee that, positional names do not.
     """
     ctx = L.ctx
-    flipped = JetContext(ctx.x2.name, ctx.x1.name, ctx.dep)
-    # a copy, not the same dict: functions registered later against one
-    # orientation (zeta of a reduced set) must not leak into the other
-    flipped.functions = dict(ctx.functions)
+    flipped = JetContext(ctx.x2.name, ctx.x1.name, ctx.dep, ctx.functions)
     m = {}
     for s in L.body.free_symbols:
         idx = ctx.index(s)

@@ -21,7 +21,8 @@ phi (of ansatz statements) and zeta (of the reduced operator set) are reserved.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import sympy as sp
 
@@ -126,20 +127,23 @@ def _tokenize(text):
     return tokens
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ansatz:
     f: object
     omega: object
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemFile:
+    """A parsed problem. It is read-only: the name maps are MappingProxyType
+    views, so any number of commands can share one parse."""
+
     ctx: JetContext
     equation: DifferentialFunction
-    function_names: list = field(default_factory=list)
-    fields: dict = field(default_factory=dict)
-    families: dict = field(default_factory=dict)
-    ansatzes: dict = field(default_factory=dict)
+    function_names: tuple
+    fields: MappingProxyType
+    families: MappingProxyType
+    ansatzes: MappingProxyType
 
     def _signature(self):
         fns = []
@@ -237,10 +241,10 @@ class _Parser:
         return ProblemFile(
             ctx=self.ctx,
             equation=self.equation,
-            function_names=self.function_names,
-            fields=self.fields,
-            families=self.families,
-            ansatzes=self.ansatzes,
+            function_names=tuple(self.function_names),
+            fields=MappingProxyType(self.fields),
+            families=MappingProxyType(self.families),
+            ansatzes=MappingProxyType(self.ansatzes),
         )
 
     def need_ctx(self, t):
@@ -418,7 +422,7 @@ class _Parser:
         if name in self.ansatzes:
             raise ParseError("duplicate ansatz %r" % name, t.line, t.col)
         self.expect_punct(":")
-        phi = self.ctx.ensure_function("phi", (sp.Symbol("w"),))
+        phi = self.ctx.functions.get("phi") or self.ctx.add_function("phi", (sp.Symbol("w"),))
         self.scope["phi"] = phi.base
         try:
             f = self.parse_expr()
@@ -540,8 +544,6 @@ class _Parser:
                     "%s expects %d arguments" % (t.value, len(fn.args)), t.line, t.col
                 )
             return fn.applied((0,) * len(fn.args), tuple(args))
-        if t.value == "phi" and "phi" in self.scope:
-            return self.scope["phi"]
         if callable_next:
             raise ParseError("%r is not a function" % t.value, t.line, t.col)
         s = self.lookup_variable(t)

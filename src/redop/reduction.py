@@ -248,7 +248,8 @@ def de0_equation(L):
 
     Built from the substituted right-hand side H~ obtained by the chain
     Y_1 = zeta, Y_{j+1} = d_2 Y_j + zeta d_u Y_j, without going through the
-    elimination machinery; serves as an independent cross-check.
+    elimination machinery; serves as an independent cross-check. Its zeta
+    is declared in L's context, where the caller reads it.
     """
     ctx = L.ctx
     if _classify(L) != "evolution":
@@ -256,7 +257,7 @@ def de0_equation(L):
     u10 = ctx.jet(1, 0)
     a = diff(L.body, u10)
     H = normalize(-(L.body - a * u10) / a)
-    zeta = ctx.ensure_function("zeta", (ctx.x1, ctx.x2, ctx.u))
+    zeta = ctx.add_function("zeta", (ctx.x1, ctx.x2, ctx.u))
     z = zeta.base
     r = max((idx.a2 for idx in chain_jets(H, ctx).values()), default=0)
     Y = [z]
@@ -270,14 +271,15 @@ def de0_equation(L):
 
 
 def eq6_equation(L):
-    """Direct determining equation for wave bodies u_{1,1} = F(u)."""
+    """Direct determining equation for wave bodies u_{1,1} = F(u); its zeta
+    is declared in L's context, as in de0_equation."""
     ctx = L.ctx
     if _classify(L) != "wave":
         raise ValueError("body is not in wave form")
     u11 = ctx.jet(1, 1)
     c = diff(L.body, u11)
     F = normalize(-(L.body - c * u11) / c)
-    zeta = ctx.ensure_function("zeta", (ctx.x1, ctx.x2, ctx.u))
+    zeta = ctx.add_function("zeta", (ctx.x1, ctx.x2, ctx.u))
     z = zeta.base
     z1 = zeta.sym((1, 0, 0))
     zu = zeta.sym((0, 0, 1))
@@ -382,8 +384,9 @@ def reduce_with_ansatz(L, Q, f, omega, session=Session()):
     """Substitute u = f(x, phi(omega)) into L and factor the multiplier.
 
     Only coordinate invariants omega in {x1, x2} are supported; the ansatz
-    must contain the registered unknown phi, and any antiderivative baked
-    into f is taken at face value (it is verified through the Q[f] check).
+    must contain the context's phi (the parser declares it), and any
+    antiderivative baked into f is taken at face value (it is verified
+    through the Q[f] check).
     """
     ctx = L.ctx
     omega = normalize(omega)
@@ -393,7 +396,7 @@ def reduce_with_ansatz(L, Q, f, omega, session=Session()):
         noninv = ctx.x1
     else:
         raise UnsupportedAnsatz("omega must be one of the independent variables")
-    phi = ctx.ensure_function("phi", (sp.Symbol("w"),))
+    phi = ctx.functions.get("phi")
     f = sp.sympify(f)
     applied_map = {
         s: phi.applied(s.order, (omega,))

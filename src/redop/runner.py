@@ -208,10 +208,12 @@ def _cmd_reduce(problem, options, session):
     a = _named(problem.ansatzes, options.get("ansatz"), "ansatz")
     ar = reduce_with_ansatz(problem.equation, Q, a.f, a.omega, session)
     if ar.essential_order < 0:
+        vanishes = ar.order_verdict in (TriBool.PROVEN_ZERO, TriBool.SAMPLED_ZERO)
         verdicts = [Verdict(
             claim="ansatz reduces the equation to the identity 0 = 0",
             status=zero_claim_status(ar.order_verdict),
-            detail="ultra-singular reduction, essential order -1",
+            detail="ultra-singular reduction, essential order -1" if vanishes
+            else "the reduced equation is free of phi and does not vanish",
         )]
     else:
         nonvanishing = ar.order_verdict in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO)

@@ -201,8 +201,9 @@ def weak_coorder(L, Q, axis=None, session=Session()):
 
 
 def reduced_field(ctx, xi):
-    """Q = xi*d_1 + d_2 + zeta(x1,x2,u)*d_u with a registered unknown zeta."""
-    zeta = ctx.ensure_function("zeta", (ctx.x1, ctx.x2, ctx.u))
+    """Q = xi*d_1 + d_2 + zeta(x1,x2,u)*d_u with a new unknown zeta of its own,
+    registered in no context."""
+    zeta = UnknownFunction("zeta", (ctx.x1, ctx.x2, ctx.u))
     return VectorField(ctx, xi, 1, zeta.base), zeta
 
 

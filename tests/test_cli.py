@@ -151,6 +151,17 @@ class TestExitCodes:
         assert "  reduced: %s = 0\n" % rhs in out
         assert "[failed] ansatz reduces the equation to the identity 0 = 0" in out
 
+    def test_a_phi_free_nonzero_residual_is_named_as_such(self, tmp_path, capsys):
+        # the detail called the reduction to 1 = 0 ultra-singular, of essential order -1
+        path = tmp_path / "contradiction.prob"
+        path.write_text("vars t x;\ndep u;\neq: u_t = 1;\nfield shift: 1, 0, 0;\n"
+                        "ansatz flat: phi omega x;\n")
+        assert main(["reduce", str(path), "--field", "shift", "--ansatz", "flat"]) == 1
+        out = capsys.readouterr().out
+        assert "  [failed] ansatz reduces the equation to the identity 0 = 0  (the reduced " \
+            "equation is free of phi and does not vanish)\n" in out
+        assert "ultra-singular" not in out
+
     def test_declared_zeta_is_a_parse_error(self, tmp_path, capsys):
         # the operator coefficient took the declared function's place
         path = tmp_path / "zeta.prob"

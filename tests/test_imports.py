@@ -172,3 +172,29 @@ def test_runner_names_no_status():
             undecidable += 1
     assert not picked, "status named in runner.py: " + ", ".join(picked)
     assert undecidable == 2
+
+
+def test_only_the_parser_and_the_cross_checks_declare_functions():
+    """A command builds the unknowns it brings in (the zeta of a reduced
+    set) and registers them nowhere, so a parsed problem never changes:
+    add_function is called only by the parser and by the library
+    cross-checks de0_equation and eq6_equation, and ensure_function is
+    neither defined nor called."""
+    callers = set()
+    ensured = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                names = {getattr(node, "attr", None), getattr(node, "id", None),
+                         getattr(node, "name", None)}
+                if "ensure_function" in names:
+                    ensured.append("%s (line %d)" % (path.name, node.lineno))
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_function":
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert not ensured, "ensure_function referenced: " + ", ".join(ensured)
+    assert callers == {
+        ("problems.py", "_Parser"),
+        ("reduction.py", "de0_equation"),
+        ("reduction.py", "eq6_equation"),
+    }

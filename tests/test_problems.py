@@ -1,9 +1,11 @@
 """Problem-file grammar: tokenizing, parsing, rendering, round trips."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 import sympy as sp
 
-from redop import TriBool, is_zero, parse_problem, render_problem, normalize, ord
+from redop import TriBool, UnknownFunction, is_zero, parse_problem, render_problem, normalize, ord
 from redop.errors import ParseError, UndeclaredIdentifier
 
 from helpers import corpus_stems, corpus_text
@@ -162,6 +164,37 @@ class TestEquality:
 
     def test_not_a_problem_file(self):
         assert parse_problem(HEAT) != "text"
+
+
+class TestReadOnly:
+    """A parsed problem cannot change, so commands can share one parse."""
+
+    def test_every_mutation_raises(self):
+        p = parse_problem(corpus_text("heat"))
+        grow = p.families["grow"]
+        with pytest.raises(FrozenInstanceError):
+            p.equation = p.equation
+        with pytest.raises(TypeError):
+            p.fields["other"] = p.fields["expo"]
+        with pytest.raises(TypeError):
+            p.families["other"] = grow
+        with pytest.raises(TypeError):
+            p.ansatzes["other"] = p.ansatzes["sep"]
+        with pytest.raises(TypeError):
+            p.ctx.functions["zeta"] = UnknownFunction("zeta", (p.ctx.x1, p.ctx.x2, p.ctx.u))
+        with pytest.raises(FrozenInstanceError):
+            grow.f = grow.Phi
+        with pytest.raises(FrozenInstanceError):
+            p.ansatzes["sep"].f = 0
+        with pytest.raises(AttributeError):
+            p.function_names.append("zeta")
+
+    def test_a_family_stores_its_normal_forms(self):
+        p = parse_problem(HEAT + "family grow: kappa*exp(t)*exp(x) param kappa inverse u/exp(t+x);\n")
+        grow = p.families["grow"]
+        t, x, u = p.ctx.x1, p.ctx.x2, p.ctx.u
+        assert grow.f == normalize(grow.kappa * sp.exp(t) * sp.exp(x))
+        assert grow.Phi == normalize(u / sp.exp(t + x))
 
 
 class TestRoundTrip:
