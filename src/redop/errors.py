@@ -42,19 +42,11 @@ class NonPolynomialSplit(RedopError):
 class NotRepresentable(RedopError):
     """The triangular change of jet coordinates leaves atoms outside the allowed range."""
 
-    def __init__(self, message, offending=None):
-        super().__init__(message)
-        self.offending = offending
-
 
 # reduction engine
 
 class NotAffineInLeader(RedopError):
     """The restricted equation is not affine in its highest-order derivative."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class LeaderNotSolvable(RedopError):

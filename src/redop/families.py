@@ -27,9 +27,9 @@ from .core import (
     substitute,
 )
 from .errors import DegenerateInverse, WrongCoorderBranch
-from .jets import VectorField, jet_values, ord
+from .jets import VectorField, jet_values, ord, substitute_jets
 from .reduction import determining_singular, solve_for_leader
-from .singular import eliminate_on_Q, substitute_jets
+from .singular import eliminate_on_Q
 
 
 def instantiate_function(e, fn, value):

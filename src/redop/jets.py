@@ -1,11 +1,13 @@
 """Jet-space bookkeeping for two independent and one dependent variable.
 
-Multi-indices, jet symbols, total derivatives, order computation,
+Multi-indices, jet symbols, the chain rule through jets (derivation) and
+its rewrite half (substitute_jets), total derivatives, order computation,
 characteristics and prolongation of vector fields.
 """
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -16,7 +18,6 @@ from .core import (
     UnknownFunction,
     _d,
     depends_on,
-    diff,
     normalize,
 )
 from .errors import OrderUndefined
@@ -132,16 +133,65 @@ def chain_jets(body, ctx):
     return out
 
 
+def derivation(body, ctx, coefficients, jet_value=None):
+    """The chain rule, not normalized: the sum of c * d(body)/dv over the
+    pairs (v, c) of coefficients, plus d(body)/ds * jet_value(idx) over the
+    jets s = u_idx of chain_jets(body, ctx) when jet_value is given.
+
+    Every total derivative, prolonged action and field action is one call.
+    """
+    memo = {}
+    raw = sp.S.Zero
+    for v, c in coefficients:
+        dv = _d(body, v, memo)
+        if dv != 0:
+            raw = raw + c * dv
+    if jet_value is not None:
+        for s, idx in chain_jets(body, ctx).items():
+            ds = _d(body, s, memo)
+            if ds != 0:
+                raw = raw + ds * jet_value(idx)
+    return raw
+
+
+def _replace_jets(body, jetmap):
+    """body with jet symbols replaced everywhere, not normalized.
+
+    A function symbol whose formal arguments intersect the map becomes the
+    corresponding applied map at the rewritten arguments.
+    """
+    m = dict(jetmap)
+    for s in body.free_symbols:
+        if isinstance(s, FnDerivSymbol) and any(a in jetmap for a in s.fn.args):
+            m[s] = s.fn.applied(s.order, tuple(jetmap.get(a, a) for a in s.fn.args))
+    return body.xreplace(m)
+
+
+def substitute_jets(body, jetmap):
+    """Replace jet symbols everywhere, including unknown-function arguments."""
+    return normalize(_replace_jets(body, jetmap))
+
+
+def _top_kept_jet(ctx, kept_axis, k):
+    return ctx.jet(MultiIndex(k, 0) if kept_axis == 1 else MultiIndex(0, k))
+
+
+def _read_only(self, name, value=None):
+    raise FrozenInstanceError("%s is read-only: %s" % (type(self).__name__, name))
+
+
 class DifferentialFunction:
     """An expression over a jet context, with normalization at construction.
 
     A composite is normalized once: by this constructor, given the raw
-    composite, or by normalize, never both.
+    composite, or by normalize, never both. It is read-only.
     """
 
+    __setattr__ = __delattr__ = _read_only
+
     def __init__(self, body, ctx):
-        self.body = normalize(body)
-        self.ctx = ctx
+        object.__setattr__(self, "body", normalize(body))
+        object.__setattr__(self, "ctx", ctx)
 
     def __repr__(self):
         return "DifferentialFunction(%s)" % self.body
@@ -178,14 +228,8 @@ def ord(L):
 
 def total_derivative(L, axis):
     """Total derivative D_i, chain rule through jets and unknown functions."""
-    body = L.body
     ctx = L.ctx
-    memo = {}
-    raw = _d(body, ctx.var(axis), memo)
-    for s, idx in chain_jets(body, ctx).items():
-        ds = _d(body, s, memo)
-        if ds != 0:
-            raw = raw + ds * ctx.jet(idx.bump(axis))
+    raw = derivation(L.body, ctx, ((ctx.var(axis), 1),), lambda idx: ctx.jet(idx.bump(axis)))
     return DifferentialFunction(raw, ctx)
 
 
@@ -223,10 +267,10 @@ def jet_values(L, value, slopes=None):
     ctx = L.ctx
 
     def D(p, axis):
-        e = diff(p, ctx.var(axis))
+        coefficients = [(ctx.var(axis), 1)]
         if depends_on(p, ctx.u):
-            e = normalize(e + diff(p, ctx.u) * slopes[axis])
-        return e
+            coefficients.append((ctx.u, slopes[axis]))
+        return normalize(derivation(p, ctx, coefficients))
 
     table = JetTable(value, lambda p: D(p, 1), lambda p: D(p, 2))
     return {s: table.value(*idx) for s, idx in chain_jets(L.body, ctx).items()}
@@ -236,15 +280,17 @@ class VectorField:
     """First-order operator xi1*d_1 + xi2*d_2 + eta*d_u with (x,u) coefficients.
 
     Whether (xi1, xi2) != (0, 0) holds is checked by the operations that
-    need it; prolongation itself is happy with fields like x2*d_u.
+    need it; prolongation itself is happy with fields like x2*d_u. It is
+    read-only.
     """
 
+    __setattr__ = __delattr__ = _read_only
+
     def __init__(self, ctx, xi1, xi2, eta):
-        self.ctx = ctx
-        self.xi1 = normalize(xi1)
-        self.xi2 = normalize(xi2)
-        self.eta = normalize(eta)
-        for c in (self.xi1, self.xi2, self.eta):
+        object.__setattr__(self, "ctx", ctx)
+        for name, c in zip(("xi1", "xi2", "eta"), (xi1, xi2, eta)):
+            object.__setattr__(self, name, normalize(c))
+        for c in self.coefficients():
             for s in c.free_symbols:
                 idx = ctx.index(s)
                 if idx is not None and idx.order() > 0:
@@ -261,11 +307,8 @@ class VectorField:
     def apply_to(self, e):
         """Action on a function of (x1, x2, u), no prolongation."""
         ctx = self.ctx
-        return normalize(
-            self.xi1 * diff(e, ctx.x1)
-            + self.xi2 * diff(e, ctx.x2)
-            + self.eta * diff(e, ctx.u)
-        )
+        pairs = zip((ctx.x1, ctx.x2, ctx.u), self.coefficients())
+        return normalize(derivation(sp.sympify(e), ctx, pairs))
 
 
 def characteristic(Q):
@@ -314,13 +357,8 @@ def apply_prolonged(Q, L):
         raise OrderUndefined("prolonged action on an identically zero function")
     ctx = L.ctx
     eta = _prolonged_coefficients(Q)
-    memo = {}
-    raw = Q.xi1 * _d(L.body, ctx.x1, memo) + Q.xi2 * _d(L.body, ctx.x2, memo)
-    for s, idx in chain_jets(L.body, ctx).items():
-        ds = _d(L.body, s, memo)
-        if ds != 0:
-            raw = raw + eta(*idx) * ds
-    return normalize(raw)
+    pairs = ((ctx.x1, Q.xi1), (ctx.x2, Q.xi2))
+    return normalize(derivation(L.body, ctx, pairs, lambda idx: eta(*idx)))
 
 
 def transpose(L):

@@ -38,21 +38,17 @@ from .errors import (
 from .jets import (
     DifferentialFunction,
     JetTable,
-    apply_prolonged,
-    chain_jets,
-    jet_values,
-    ord,
-    total_derivative,
-)
-from .singular import (
-    _poly_split,
     _replace_jets,
     _top_kept_jet,
-    eliminate_on_Q,
-    reduced_field,
-    representation_check,
+    apply_prolonged,
+    chain_jets,
+    derivation,
+    jet_values,
+    ord,
     substitute_jets,
+    total_derivative,
 )
+from .singular import _poly_split, eliminate_on_Q, reduced_field, representation_check
 
 
 def solve_for_leader(Lhat, leader, session=Session()):
@@ -161,16 +157,16 @@ def _restricted_action(L, Q, ip, axis, session):
     try:
         sol = solve_for_leader(elim.hat, _top_kept_jet(ctx, kept, k), session)
     except LeaderNotSolvable as exc:
-        raise NotAffineInLeader(str(exc), residual=ip_elim)
+        raise NotAffineInLeader(str(exc))
     return _restrict_to_solved(ip_elim, elim.hat, kept, k, sol)
 
 
-def conditional_invariance_test(L, Q, axis=None, session=Session()):
+def conditional_invariance_test(L, Q, session=Session()):
     """Definition-level test: prolonged action restricted to L ∩ Q_(r)."""
     ip = apply_prolonged(Q, L)
     if ip == 0:
         return TriBool.PROVEN_ZERO
-    return is_zero(_restricted_action(L, Q, ip, axis, session), session)
+    return is_zero(_restricted_action(L, Q, ip, None, session), session)
 
 
 @dataclass
@@ -262,7 +258,7 @@ def de0_equation(L):
     r = max((idx.a2 for idx in chain_jets(H, ctx).values()), default=0)
     Y = [z]
     for _ in range(r - 1):
-        Y.append(normalize(diff(Y[-1], ctx.x2) + z * diff(Y[-1], ctx.u)))
+        Y.append(normalize(derivation(Y[-1], ctx, ((ctx.x2, 1), (ctx.u, z)))))
     jetmap = {ctx.jet(0, j): Y[j - 1] for j in range(1, r + 1)}
     Ht = substitute_jets(H, jetmap)
     z1 = zeta.sym((1, 0, 0))
@@ -293,23 +289,18 @@ def eq6_equation(L):
     )
 
 
-def determining_regular(L, Q, axis=None, session=Session()):
+def determining_regular(L, Q, session=Session()):
     """Polynomial split of the invariance residual for a symbolic template.
 
-    The elimination axis defaults to the one whose template coefficient is a
+    The elimination axis is the one whose template coefficient is a
     proven-nonzero constant (the normalized tau = 1 direction), falling back
     to the usual axis-2 preference.
     """
     ctx = L.ctx
-    if axis is None:
-        z1v = is_zero(Q.xi1, session)
-        z2v = is_zero(Q.xi2, session)
-        if z1v is TriBool.PROVEN_NONZERO and z2v is not TriBool.PROVEN_NONZERO:
-            axis = 1
-        elif z2v is not TriBool.PROVEN_ZERO:
-            axis = 2
-        else:
-            axis = 1
+    z1v = is_zero(Q.xi1, session)
+    z2v = is_zero(Q.xi2, session)
+    tau_on_1 = z1v is TriBool.PROVEN_NONZERO and z2v is not TriBool.PROVEN_NONZERO
+    axis = 1 if tau_on_1 or z2v is TriBool.PROVEN_ZERO else 2
     residual = _restricted_action(L, Q, apply_prolonged(Q, L), axis, session)
     split_vars = sorted(
         {

@@ -19,7 +19,6 @@ from .core import (
     Session,
     TriBool,
     UnknownFunction,
-    _d,
     diff,
     is_zero,
     normalize,
@@ -30,30 +29,15 @@ from .errors import BothCoefficientsZero, NonPolynomialSplit, NotRepresentable
 from .jets import (
     DifferentialFunction,
     JetTable,
-    MultiIndex,
     VectorField,
+    _replace_jets,
+    _top_kept_jet,
     chain_jets,
+    derivation,
     ord,
+    substitute_jets,
     total_derivative,
 )
-
-
-def _replace_jets(body, jetmap):
-    """body with jet symbols replaced everywhere, not normalized.
-
-    A function symbol whose formal arguments intersect the map becomes the
-    corresponding applied map at the rewritten arguments.
-    """
-    m = dict(jetmap)
-    for s in body.free_symbols:
-        if isinstance(s, FnDerivSymbol) and any(a in jetmap for a in s.fn.args):
-            m[s] = s.fn.applied(s.order, tuple(jetmap.get(a, a) for a in s.fn.args))
-    return body.xreplace(m)
-
-
-def substitute_jets(body, jetmap):
-    """Replace jet symbols everywhere, including unknown-function arguments."""
-    return normalize(_replace_jets(body, jetmap))
 
 
 class Elimination:
@@ -74,9 +58,9 @@ class Elimination:
         xi = {1: Q.xi1, 2: Q.xi2}
         xi_hat = normalize(xi[self.kept_axis] / xi[axis])
         eta_hat = normalize(Q.eta / xi[axis])
-        e_kept = MultiIndex(1, 0) if self.kept_axis == 1 else MultiIndex(0, 1)
+        u_kept = _top_kept_jet(ctx, self.kept_axis, 1)
         self._table = JetTable(
-            DifferentialFunction(eta_hat - xi_hat * ctx.jet(e_kept), ctx),
+            DifferentialFunction(eta_hat - xi_hat * u_kept, ctx),
             lambda f: total_derivative(f, self.kept_axis),
             self._ehat,
         )
@@ -89,13 +73,10 @@ class Elimination:
     def _ehat(self, g):
         """Restricted evolution operator: d_elim plus chain through kept jets."""
         ctx = self.ctx
-        body = g.body
-        memo = {}
-        r = _d(body, ctx.var(self.axis), memo)
-        for s, idx in chain_jets(body, ctx).items():
-            dg = _d(body, s, memo)
-            if dg != 0:
-                r = r + self._table.value(self._counts(idx)[1], 0).body * dg
+        r = derivation(
+            g.body, ctx, ((ctx.var(self.axis), 1),),
+            lambda idx: self._table.value(self._counts(idx)[1], 0).body,
+        )
         return DifferentialFunction(r, ctx)
 
     def apply(self, body):
@@ -131,9 +112,9 @@ def eliminate_on_Q(L, Q, axis=None, session=Session()):
     return Elimination(L, Q, axis)
 
 
-def strong_coorder(L, Q, axis=None, session=Session()):
+def strong_coorder(L, Q, session=Session()):
     """Order of the associated function; -1 ultra-singular, ord L regular."""
-    return ord(eliminate_on_Q(L, Q, axis, session).hat)
+    return ord(eliminate_on_Q(L, Q, session=session).hat)
 
 
 @dataclass
@@ -155,13 +136,9 @@ class CoorderReport:
         return self.weak_lower == self.weak_upper
 
 
-def _top_kept_jet(ctx, kept_axis, k):
-    return ctx.jet(MultiIndex(k, 0) if kept_axis == 1 else MultiIndex(0, k))
-
-
-def weak_coorder(L, Q, axis=None, session=Session()):
+def weak_coorder(L, Q, session=Session()):
     """Strong co-order plus the best multiplier-extracted bound pair."""
-    result = eliminate_on_Q(L, Q, axis, session)
+    result = eliminate_on_Q(L, Q, session=session)
     strong = ord(result.hat)
     if strong == -1:
         return CoorderReport(
@@ -396,10 +373,12 @@ class OmegaForm:
 def _omega_table(ctx, xi):
     """value(a1, a2) = D_1^{a1} (xi D_1 + D_2)^{a2} u, as DifferentialFunctions."""
 
+    def along_jet(idx):
+        return xi * ctx.jet(idx.bump(1)) + ctx.jet(idx.bump(2))
+
     def along_field(f):
-        return DifferentialFunction(
-            xi * total_derivative(f, 1).body + total_derivative(f, 2).body, ctx
-        )
+        raw = derivation(f.body, ctx, ((ctx.x1, xi), (ctx.x2, 1)), along_jet)
+        return DifferentialFunction(raw, ctx)
 
     return JetTable(
         DifferentialFunction(ctx.u, ctx),
@@ -419,7 +398,7 @@ def representation_check(L, xi, k):
     The change omega_{(a1,a2)} = D_1^{a1}(xi*D_1 + D_2)^{a2} u is triangular
     in the second index, so the inversion recurses on it. Passes when every
     free omega atom has first index <= k and at least one atom attains k;
-    raises NotRepresentable with the offending atom name otherwise.
+    raises NotRepresentable naming the offending atom otherwise.
     """
     ctx = L.ctx
     xi = normalize(xi)
@@ -465,8 +444,7 @@ def representation_check(L, xi, k):
     if bad:
         worst = max(bad, key=lambda i: (i.a1, i.a2))
         raise NotRepresentable(
-            "atom w[%d,%d] exceeds first index %d" % (worst.a1, worst.a2, k),
-            offending=str(omegas[worst]),
+            "atom w[%d,%d] exceeds first index %d" % (worst.a1, worst.a2, k)
         )
     if not any(idx.a1 == k for idx in present):
         raise NotRepresentable(

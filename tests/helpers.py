@@ -115,9 +115,10 @@ def rand_expr(rng, atoms, depth=3, allow_exp=True):
     return sp.exp(rand_expr(rng, atoms, depth - 1, False))
 
 
-def rand_jet_body(rng, ctx, max_order=2, depth=3):
-    """Random differential function body over coordinates and low jets."""
-    atoms = [ctx.x1, ctx.x2, ctx.u]
+def rand_jet_body(rng, ctx, max_order=2, depth=3, extra=()):
+    """Random differential function body over coordinates, low jets and
+    the extra atoms."""
+    atoms = [ctx.x1, ctx.x2, ctx.u, *extra]
     for a1 in range(max_order + 1):
         for a2 in range(max_order + 1 - a1):
             if a1 + a2 > 0:

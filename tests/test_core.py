@@ -23,10 +23,11 @@ from redop.core import (
     fn_symbol_info,
     split_nonvanishing,
 )
+from redop.jets import substitute_jets
 from redop.reduction import _split_factors
 from redop.errors import DivisionByZeroDetected, EvaluationExhausted, UnknownVariable, UnsupportedExpression
 
-from helpers import corpus_values, rand_expr
+from helpers import corpus_problem, corpus_values, rand_expr
 
 t, x, u, y = sp.symbols("t x u y")
 
@@ -169,6 +170,14 @@ class TestSubstitute:
     def test_key_must_be_symbol(self):
         with pytest.raises(UnknownVariable):
             substitute(x, {x + 1: u})
+
+    @pytest.mark.xfail(strict=True, reason="substitute replaces atoms only, so eta(t, x, u) "
+                       "keeps u; reduce prints heat template's Q[f] with eta and xi at u, and "
+                       "the fix changes three recorded reports")
+    def test_reaches_unknown_function_arguments(self):
+        p = corpus_problem("heat")
+        eta, u_, x_ = p.fields["template"].eta, p.ctx.u, p.ctx.x2
+        assert substitute(eta, {u_: x_**2}) == substitute_jets(eta, {u_: x_**2})
 
 
 class TestIsZero:

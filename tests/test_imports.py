@@ -198,3 +198,43 @@ def test_only_the_parser_and_the_cross_checks_declare_functions():
         ("reduction.py", "de0_equation"),
         ("reduction.py", "eq6_equation"),
     }
+
+
+JET_RULE = {"chain_jets", "derivation", "_replace_jets", "substitute_jets"}
+
+
+def _calls(node, names):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) in names]
+
+
+def test_one_chain_rule():
+    """jets.derivation is the one chain rule through jets: no other function
+    loops over chain_jets and differentiates (_d or diff) by the jets it
+    returns, and the read and rewrite halves of the jet rule (chain_jets,
+    derivation, _replace_jets, substitute_jets) are defined in jets.py alone."""
+    defined = set()
+    sites = set()
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn.name in JET_RULE:
+                defined.add((path.name, fn.name))
+            for node in ast.walk(fn):
+                if isinstance(node, ast.For):
+                    loops, body = [node], node.body
+                elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                    loops, body = node.generators, [node]
+                else:
+                    continue
+                for loop in loops:
+                    if not _calls(loop.iter, {"chain_jets"}):
+                        continue
+                    jets = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
+                    for call in (c for stmt in body for c in _calls(stmt, {"_d", "diff"})):
+                        if any(isinstance(n, ast.Name) and n.id in jets
+                               for arg in call.args for n in ast.walk(arg)):
+                            sites.add((path.name, fn.name))
+    assert sites == {("jets.py", "derivation")}
+    assert defined == {("jets.py", name) for name in JET_RULE}

@@ -188,6 +188,10 @@ class TestReadOnly:
             p.ansatzes["sep"].f = 0
         with pytest.raises(AttributeError):
             p.function_names.append("zeta")
+        with pytest.raises(FrozenInstanceError):
+            p.fields["expo"].eta = 0
+        with pytest.raises(FrozenInstanceError):
+            p.equation.body = 0
 
     def test_a_family_stores_its_normal_forms(self):
         p = parse_problem(HEAT + "family grow: kappa*exp(t)*exp(x) param kappa inverse u/exp(t+x);\n")
