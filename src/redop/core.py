@@ -55,6 +55,9 @@ from .errors import (
 Expr = sp.Expr
 
 _BAD = (sp.zoo, sp.nan, sp.oo, -sp.oo)
+# normalize's bound on general-route passes; no input drawn by the
+# property tests in tests/test_core.py has needed more than three
+_GENERAL_PASSES = 4
 
 # sample points per zero test when the session sets no count
 ZERO_TEST_SAMPLES = 5
@@ -604,20 +607,23 @@ def _kept(e, leaves):
 
 
 def _cancelled(e, leaves):
-    """(ring, P, Q) with e = P/Q, P and Q coprime and Q's leading
-    coefficient positive: the walk's ring when leaves holds e's leaves,
-    else sring's over e.as_numer_denom(). A ring with no generators is
-    returned uncancelled."""
+    """(ring, P, Q, den) with e = P/Q, P and Q coprime and Q's leading
+    coefficient positive: the walk's ring when leaves holds e's leaves
+    and the walk takes e (den is None), else sring's over
+    e.as_numer_denom(), whose denominator den is. A ring with no
+    generators is returned uncancelled."""
     walked = None if leaves is None else _walk(e, leaves)
     if walked is not None:
         ring, P, Q = walked
         if Q == ring.one:
-            return ring, P, Q
+            return ring, P, Q, None
+        den = None
     else:
-        ring, (P, Q) = sring(e.as_numer_denom())
+        num, den = e.as_numer_denom()
+        ring, (P, Q) = sring((num, den))
         if not ring.ngens:
-            return ring, P, Q
-    return (ring,) + P.cancel(Q)
+            return ring, P, Q, den
+    return (ring,) + P.cancel(Q) + (den,)
 
 
 def ring_form(e):
@@ -629,6 +635,12 @@ def ring_form(e):
     e's numerator expects, since e is already normal. Callers read degrees,
     coefficients and monomials from it instead of re-deriving them from
     the expression tree. A number has a ring with no generators."""
+    return _ring_form(e)[:3]
+
+
+def _ring_form(e):
+    """ring_form's (ring, P, Q) and the denominator the general route read
+    from e's tree, None where the walk took e."""
     e = sp.sympify(e)
     leaves = {}
     return _cancelled(e, leaves if _collect_leaves(e, leaves) else None)
@@ -663,31 +675,57 @@ def normalize(e):
     beyond the exp merging; in particular there is no ln(exp(a)) -> a
     rewrite. ring_form exposes the cancelled pair of a normal value.
 
+    The general route's form depends on its input's form: the normal form
+    exp(2*t)/(exp(2*u)*exp(-2*x) + 1) of exp(2*t)/(exp(2*u - 2*x) + 1)
+    holds a product of two exp factors, which a second pass merges into
+    exp(2*t)*exp(2*x)/(exp(2*u) + exp(2*x)). So a value of the general
+    route that differs from its input and holds an exp of a negative
+    argument is normalized again, until a pass returns it unchanged or
+    _GENERAL_PASSES passes have run.
+
     normalize is idempotent. Its values, and those of diff, substitute,
     substitute_jets, DifferentialFunction.body and the VectorField
     coefficients, are normal; only public functions that accept raw input,
     such as is_zero, normalize them again.
     """
     e = sp.sympify(e)
+    for _ in range(_GENERAL_PASSES):
+        n, general = _normal_pass(e)
+        if not general or n == e or not _has_negative_exp(n):
+            return n
+        e = n
+    return e
+
+
+def _has_negative_exp(e):
+    """Whether e holds an exp whose argument reads as negative (exp(-2*x),
+    exp(-4)). Only such general-route values have changed in a second
+    pass; the others are not passed again."""
+    return any(a.exp.could_extract_minus_sign() for a in e.atoms(sp.exp))
+
+
+def _normal_pass(e):
+    """(n, general): normalize's n from one pass over e, and whether n came
+    from the general route."""
     if e.has(*_BAD):
         raise DivisionByZeroDetected(sp.sstr(e))
     if e.is_Atom:
-        return e
+        return e, False
     leaves = {}
     if not _collect_leaves(e, leaves):
         leaves = None
         if e.has(sp.exp):
             e = sp.powsimp(e, combine="exp")
     elif _kept(e, leaves):
-        return e
-    ring, P, Q = _cancelled(e, leaves)
+        return e, False
+    ring, P, Q, den = _cancelled(e, leaves)
     if not ring.ngens:
         e = e.expand()
     else:
         e = P.as_expr() if Q == ring.one else P.as_expr() / Q.as_expr()
     if e.has(*_BAD):
         raise DivisionByZeroDetected(sp.sstr(e))
-    return e
+    return e, den is not None
 
 
 def depends_on(e, v):
@@ -709,17 +747,18 @@ def _provably_nonzero(f):
 
 
 def _primitive_numerator(e):
-    """(c, P, Q) with a normal nonzero e = c*P/Q, from its ring form: c is
-    the numerator's content, negated when its leading coefficient is a
-    negative number (factor_list's sign rule), or the numerator itself when
-    that is a number; P is the primitive rest, a ring element."""
-    ring, P, Q = ring_form(e)
+    """(c, P, Q, den) with a normal nonzero e = c*P/Q, from its ring form
+    (den as _ring_form gives it): c is the numerator's content, negated
+    when its leading coefficient is a negative number (factor_list's sign
+    rule), or the numerator itself when that is a number; P is the
+    primitive rest, a ring element."""
+    ring, P, Q, den = _ring_form(e)
     if P.is_ground:
-        return ring.domain.to_sympy(P.LC), ring.one, Q
+        return ring.domain.to_sympy(P.LC), ring.one, Q, den
     c = P.content()
     if ring.domain.to_sympy(P.LC).is_negative:
         c = -c
-    return ring.domain.to_sympy(c), P.quo_ground(c), Q
+    return ring.domain.to_sympy(c), P.quo_ground(c), Q, den
 
 
 def split_nonvanishing(e):
@@ -731,8 +770,15 @@ def split_nonvanishing(e):
     the denominator. _provably_nonzero keeps single generators only, so
     factoring would find the same split. The residual, the primitive rest
     times the other least powers, is returned unnormalized.
+
+    Where the general route read e's denominator from its tree and that
+    expands to Q, the multiplier is put over the denominator as e writes
+    it. The general route's form depends on its input's: Q expanded would
+    spread an exp factor of e's denominator over its terms, where powsimp
+    merges it with the exp factors beside it, and the same value would
+    take another form.
     """
-    multiplier, P, Q = _primitive_numerator(e)
+    multiplier, P, Q, den = _primitive_numerator(e)
     m = monomial_min(*P.itermonoms())
     residual = P.ring.from_dict({monomial_div(k, m): a for k, a in P.iterterms()}).as_expr()
     for g, k in zip(P.ring.symbols, m):
@@ -740,7 +786,10 @@ def split_nonvanishing(e):
             multiplier = multiplier * g**k
         else:
             residual = residual * g**k
-    return normalize(multiplier / Q.as_expr()), residual
+    Q = Q.as_expr()
+    if den is None or den.expand() != Q:
+        den = Q
+    return normalize(multiplier / den), residual
 
 
 def fingerprint(e):
@@ -818,7 +867,7 @@ def is_zero(e, session=Session()):
     if not any(isinstance(a, sp.Add) for a in sp.Mul.make_args(n)):
         # a normal value with a sum as a factor (or a sum) is the quotient
         # of a numerator of several terms
-        c, P, _Q = _primitive_numerator(n)
+        c, P, _Q, _den = _primitive_numerator(n)
         if len(P) == 1 and _provably_nonzero(c) and all(
             _provably_nonzero(g) for g, k in zip(P.ring.symbols, P.LM) if k
         ):
