@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import sympy as sp
 from sympy.core.exprtools import decompose_power
@@ -143,13 +143,22 @@ def _applied_fdiff(self, argindex=1):
 _SERIALS = itertools.count()
 
 
+def _read_only(self, name, value=None):
+    raise FrozenInstanceError("%s is read-only: %s" % (type(self).__name__, name))
+
+
 class UnknownFunction:
     """Named arbitrary element with formal arguments and nonvanishing facts.
 
     Assumptions are derivative multi-indices declared nonvanishing, e.g.
-    (1,) for F_u of F(u). The optional inverse is another UnknownFunction;
+    (1,) for F_u of F(u). A single-argument function may name its inverse
+    Ftil, which is made with it over the one formal argument _Ftil;
     compositions F(Ftil(s)) and Ftil(F(s)) collapse to s on construction.
+    A function is complete when made and read-only; only its interning
+    caches of symbols and classes grow.
     """
+
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, name, args, nonzero=(), inverse=None):
         args = tuple(sp.sympify(a) for a in args)
@@ -157,18 +166,16 @@ class UnknownFunction:
             raise ValueError("formal arguments must be symbols")
         if len(set(args)) != len(args):
             raise ValueError("formal arguments must be distinct")
-        self.name = str(name)
-        self.args = args
-        self.serial = next(_SERIALS)
-        self.nonzero = set()
-        self.inverse = None
-        self.inverse_of = None
-        self._syms = {}
-        self._applied = {}
-        for order in nonzero:
-            self.assume_nonzero(order)
+        fields = vars(self)
+        fields.update(name=str(name), args=args, serial=next(_SERIALS), _syms={}, _applied={},
+                      inverse=None, inverse_of=None)
+        fields["nonzero"] = frozenset(self._check_order(order) for order in nonzero)
         if inverse is not None:
-            self.declare_inverse(inverse)
+            if len(args) != 1:
+                raise ValueError("only single-argument functions may declare an inverse")
+            other = UnknownFunction(inverse, (sp.Symbol("_%s" % inverse),))
+            vars(other).update(inverse=self, inverse_of=self)
+            fields["inverse"] = other
 
     def __repr__(self):
         return "UnknownFunction(%s%s)" % (self.name, self.args)
@@ -187,19 +194,6 @@ class UnknownFunction:
         if len(order) != len(self.args) or any(k < 0 for k in order):
             raise ValueError("bad derivative multi-index %r for %s" % (order, self.name))
         return order
-
-    def assume_nonzero(self, order):
-        self.nonzero.add(self._check_order(order))
-
-    def declare_inverse(self, other):
-        if len(self.args) != 1:
-            raise ValueError("only single-argument functions may declare an inverse")
-        if not isinstance(other, UnknownFunction):
-            other = UnknownFunction(str(other), (sp.Symbol("_" + str(other)),))
-        self.inverse = other
-        other.inverse = self
-        other.inverse_of = self
-        return other
 
     def sym(self, order):
         """The interned derivative symbol for the given multi-index."""

@@ -120,7 +120,7 @@ def verify_bijection(L, family, xi, session=Session()):
     )
     invariance = is_zero(char, session)
     system = determining_singular(L, xi, session)
-    residual = instantiate_function(system.equations[0], system.zeta, zeta)
+    residual = instantiate_function(system.equations[0], L.ctx.functions["zeta"], zeta)
     determining = is_zero(residual, session)
     return BijectionReport(
         zeta=zeta,
@@ -186,8 +186,10 @@ def coorder0_solution(L, zeta, xi, session=Session()):
 
 @dataclass
 class BacklundReport:
+    """identity_g is None when there is no G to test the flow identity on."""
+
     identity_q: TriBool
-    identity_g: TriBool
+    identity_g: TriBool | None
     structural: TriBool
     points: list
     samples_requested: int
@@ -197,12 +199,14 @@ class BacklundReport:
         """Zero verdict on the implicit-surface residual.
 
         PROVEN_ZERO when it is structurally zero, SAMPLED_ZERO when every
-        sampled point is within 1e-9, else PROBABLY_NONZERO (this includes
-        finding no point at all).
+        sampled point is within 1e-9, PROBABLY_NONZERO when one is not, and
+        None when no point was found.
         """
         if self.structural is TriBool.PROVEN_ZERO:
             return TriBool.PROVEN_ZERO
-        if self.points and all(res <= 1e-9 for _pt, res in self.points):
+        if not self.points:
+            return None
+        if all(res <= 1e-9 for _pt, res in self.points):
             return TriBool.SAMPLED_ZERO
         return TriBool.PROBABLY_NONZERO
 
@@ -211,7 +215,7 @@ class BacklundReport:
         return (
             self.identity_q is TriBool.PROVEN_ZERO
             and self.identity_g is TriBool.PROVEN_ZERO
-            and self.surface is not TriBool.PROBABLY_NONZERO
+            and self.surface in (TriBool.PROVEN_ZERO, TriBool.SAMPLED_ZERO)
         )
 
 
@@ -310,7 +314,7 @@ def backlund_verify(L, zeta, Phi, xi, session=Session()):
         # co-order 0: the unique solution u = G(x) must lie on one surface
         identity_g = is_zero(diff(Phi, ctx.x1) + diff(G, ctx.x1) * Phi_u, session)
     else:
-        identity_g = TriBool.SAMPLED_ZERO
+        identity_g = None
     # jets of the u defined implicitly by Phi(x, u) = const: u_i = -Phi_i/Phi_u
     slopes = {i: normalize(-diff(Phi, ctx.var(i)) / Phi_u) for i in (1, 2)}
     residual = substitute_jets(L.body, jet_values(L, ctx.u, slopes))

@@ -7,7 +7,6 @@ characteristics and prolongation of vector fields.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -17,6 +16,7 @@ from .core import (
     FnDerivSymbol,
     UnknownFunction,
     _d,
+    _read_only,
     depends_on,
     normalize,
 )
@@ -53,7 +53,9 @@ class JetContext:
     the same multi-index within one context. Contexts with swapped axes reuse
     the same symbols with transposed indices, which is why the index map is
     per context rather than global. functions is a read-only view; only
-    add_function declares a name.
+    add_function declares a name. Every context makes its own zeta(x1, x2,
+    u), the u-coefficient of the reduced operator set, and the ansatz
+    function phi(w); they replace any functions of those names passed in.
     """
 
     def __init__(self, x1="x1", x2="x2", dep="u", functions=()):
@@ -62,13 +64,17 @@ class JetContext:
         if self.x1 == self.x2:
             raise ValueError("independent variables must be distinct")
         self.dep = str(dep)
-        self._functions: dict[str, UnknownFunction] = dict(functions)
-        self.functions = MappingProxyType(self._functions)
         self._jets: dict[MultiIndex, JetSymbol] = {}
         self._index: dict[JetSymbol, MultiIndex] = {}
         # intern the order-zero jet eagerly so chain rules over unknown
         # functions of u see it even before any derivative is requested
         self.jet(0, 0)
+        self._functions: dict[str, UnknownFunction] = dict(
+            functions,
+            zeta=UnknownFunction("zeta", (self.x1, self.x2, self.u)),
+            phi=UnknownFunction("phi", (sp.Symbol("w"),)),
+        )
+        self.functions = MappingProxyType(self._functions)
 
     def __repr__(self):
         return "JetContext(%s, %s; %s)" % (self.x1, self.x2, self.dep)
@@ -174,10 +180,6 @@ def substitute_jets(body, jetmap):
 
 def _top_kept_jet(ctx, kept_axis, k):
     return ctx.jet(MultiIndex(k, 0) if kept_axis == 1 else MultiIndex(0, k))
-
-
-def _read_only(self, name, value=None):
-    raise FrozenInstanceError("%s is read-only: %s" % (type(self).__name__, name))
 
 
 class DifferentialFunction:
@@ -312,9 +314,9 @@ class VectorField:
 
 
 def characteristic(Q):
-    """Q[u] = eta - xi1*u_{1,0} - xi2*u_{0,1}."""
+    """Q[u] = eta - xi1*u_{1,0} - xi2*u_{0,1}, a DifferentialFunction."""
     ctx = Q.ctx
-    return normalize(Q.eta - Q.xi1 * ctx.jet(1, 0) - Q.xi2 * ctx.jet(0, 1))
+    return DifferentialFunction(Q.eta - Q.xi1 * ctx.jet(1, 0) - Q.xi2 * ctx.jet(0, 1), ctx)
 
 
 def _prolonged_coefficients(Q):
@@ -324,9 +326,8 @@ def _prolonged_coefficients(Q):
     only the coefficients asked for are derived.
     """
     ctx = Q.ctx
-    ch = Q.eta - Q.xi1 * ctx.jet(1, 0) - Q.xi2 * ctx.jet(0, 1)
     table = JetTable(
-        DifferentialFunction(ch, ctx),
+        characteristic(Q),
         lambda f: total_derivative(f, 2),
         lambda f: total_derivative(f, 1),
     )

@@ -15,7 +15,9 @@ Derivative tokens spell multi-indices with the declared variable letters
 (u_txx is the t-once, x-twice jet) or numerically (u[1,2]); derivatives of
 declared functions use the formal argument names, braced when longer than
 one character (H_{u_xx}). Comments run from '#' to end of line. The names
-phi (of ansatz statements) and zeta (of the reduced operator set) are reserved.
+phi (of ansatz statements) and zeta (of the reduced operator set) are reserved:
+every jet context holds both, but the text may use phi only from the first
+ansatz statement on, and zeta never.
 """
 
 from __future__ import annotations
@@ -178,6 +180,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ctx = None
+        self.functions = {}  # the functions the text may use, by name
         self.function_names = []
         self.equation = None
         self.fields = {}
@@ -218,7 +221,7 @@ class _Parser:
             raise ParseError("%r is a reserved word" % t.value, t.line, t.col)
         if self.ctx is not None and (
             t.value in (self.ctx.x1.name, self.ctx.x2.name, self.ctx.dep)
-            or t.value in self.ctx.functions
+            or t.value in self.functions
         ):
             raise ParseError("%r is already declared" % t.value, t.line, t.col)
         return t.value
@@ -301,7 +304,8 @@ class _Parser:
                 break
             else:
                 raise ParseError("expected 'assume', 'inverse' or ';'", nxt.line, nxt.col)
-        self.ctx.add_function(name, args, nonzero=nonzero, inverse=inverse)
+        fn = self.ctx.add_function(name, args, nonzero=nonzero, inverse=inverse)
+        self.functions.update((f.name, f) for f in (fn, fn.inverse) if f is not None)
         self.function_names.append(name)
 
     def parse_fn_arg(self):
@@ -422,7 +426,7 @@ class _Parser:
         if name in self.ansatzes:
             raise ParseError("duplicate ansatz %r" % name, t.line, t.col)
         self.expect_punct(":")
-        phi = self.ctx.functions.get("phi") or self.ctx.add_function("phi", (sp.Symbol("w"),))
+        phi = self.functions["phi"] = self.ctx.functions["phi"]
         self.scope["phi"] = phi.base
         try:
             f = self.parse_expr()
@@ -484,7 +488,7 @@ class _Parser:
         base, parts = t.value
         if base == self.ctx.dep:
             return self.jet_from_parts(parts, t)
-        fn = self.ctx.functions.get(base)
+        fn = self.functions.get(base)
         if fn is not None:
             slots = {a.name: i for i, a in enumerate(fn.args)}
             order = [0] * len(fn.args)
@@ -532,8 +536,8 @@ class _Parser:
             if len(args) != 1:
                 raise ParseError("%s takes one argument" % t.value, t.line, t.col)
             return {"exp": sp.exp, "ln": sp.log, "sqrt": sp.sqrt}[t.value](args[0])
-        if self.ctx is not None and t.value in self.ctx.functions:
-            fn = self.ctx.functions[t.value]
+        fn = self.functions.get(t.value)
+        if fn is not None:
             if not callable_next:
                 if t.value == "phi" and "phi" in self.scope:
                     return self.scope["phi"]

@@ -18,7 +18,6 @@ from .core import (
     FnDerivSymbol,
     Session,
     TriBool,
-    UnknownFunction,
     _d,
     depends_on,
     diff,
@@ -175,7 +174,6 @@ class DeterminingSystem:
     case: str
     G: Expr | None
     assumptions: list
-    zeta: UnknownFunction | None = None
 
 
 def _classify(L):
@@ -205,8 +203,7 @@ def determining_singular(L, xi, session=Session()):
     """
     ctx = L.ctx
     xi = normalize(xi)
-    Q, zeta = reduced_field(ctx, xi)
-    hat = eliminate_on_Q(L, Q, 2, session).hat
+    hat = eliminate_on_Q(L, reduced_field(ctx, xi), 2, session).hat
     k = ord(hat)
     if 0 <= k < ord(L):
         # the set must take the co-order-k shape in adapted coordinates
@@ -219,6 +216,7 @@ def determining_singular(L, xi, session=Session()):
     assumptions = []
     if is_zero(coeff, session) is not TriBool.PROVEN_NONZERO:
         assumptions.append(coeff)
+    zeta = ctx.functions["zeta"]
     z = zeta.base
     z1 = zeta.sym((1, 0, 0))
     zu = zeta.sym((0, 0, 1))
@@ -235,7 +233,6 @@ def determining_singular(L, xi, session=Session()):
         case=_classify(L),
         G=G,
         assumptions=assumptions,
-        zeta=zeta,
     )
 
 
@@ -244,8 +241,8 @@ def de0_equation(L):
 
     Built from the substituted right-hand side H~ obtained by the chain
     Y_1 = zeta, Y_{j+1} = d_2 Y_j + zeta d_u Y_j, without going through the
-    elimination machinery; serves as an independent cross-check. Its zeta
-    is declared in L's context, where the caller reads it.
+    elimination machinery; serves as an independent cross-check. The
+    equation is in the zeta of L's context.
     """
     ctx = L.ctx
     if _classify(L) != "evolution":
@@ -253,7 +250,7 @@ def de0_equation(L):
     u10 = ctx.jet(1, 0)
     a = diff(L.body, u10)
     H = normalize(-(L.body - a * u10) / a)
-    zeta = ctx.add_function("zeta", (ctx.x1, ctx.x2, ctx.u))
+    zeta = ctx.functions["zeta"]
     z = zeta.base
     r = max((idx.a2 for idx in chain_jets(H, ctx).values()), default=0)
     Y = [z]
@@ -267,15 +264,15 @@ def de0_equation(L):
 
 
 def eq6_equation(L):
-    """Direct determining equation for wave bodies u_{1,1} = F(u); its zeta
-    is declared in L's context, as in de0_equation."""
+    """Direct determining equation for wave bodies u_{1,1} = F(u), in the
+    zeta of L's context."""
     ctx = L.ctx
     if _classify(L) != "wave":
         raise ValueError("body is not in wave form")
     u11 = ctx.jet(1, 1)
     c = diff(L.body, u11)
     F = normalize(-(L.body - c * u11) / c)
-    zeta = ctx.add_function("zeta", (ctx.x1, ctx.x2, ctx.u))
+    zeta = ctx.functions["zeta"]
     z = zeta.base
     z1 = zeta.sym((1, 0, 0))
     zu = zeta.sym((0, 0, 1))
@@ -316,7 +313,6 @@ def determining_regular(L, Q, session=Session()):
         case="regular-split",
         G=None,
         assumptions=[],
-        zeta=None,
     )
 
 
@@ -375,9 +371,8 @@ def reduce_with_ansatz(L, Q, f, omega, session=Session()):
     """Substitute u = f(x, phi(omega)) into L and factor the multiplier.
 
     Only coordinate invariants omega in {x1, x2} are supported; the ansatz
-    must contain the context's phi (the parser declares it), and any
-    antiderivative baked into f is taken at face value (it is verified
-    through the Q[f] check).
+    must contain the context's phi, and any antiderivative baked into f is
+    taken at face value (it is verified through the Q[f] check).
     """
     ctx = L.ctx
     omega = normalize(omega)
@@ -387,7 +382,7 @@ def reduce_with_ansatz(L, Q, f, omega, session=Session()):
         noninv = ctx.x1
     else:
         raise UnsupportedAnsatz("omega must be one of the independent variables")
-    phi = ctx.functions.get("phi")
+    phi = ctx.functions["phi"]
     f = sp.sympify(f)
     applied_map = {
         s: phi.applied(s.order, (omega,))
@@ -400,19 +395,15 @@ def reduce_with_ansatz(L, Q, f, omega, session=Session()):
     if depends_on(f, ctx.u):
         raise UnsupportedAnsatz("ansatz body may not depend on u")
 
+    xi1, xi2 = (substitute(c, {ctx.u: f}) for c in (Q.xi1, Q.xi2))
     char = normalize(
-        substitute(Q.eta, {ctx.u: f})
-        - substitute(Q.xi1, {ctx.u: f}) * diff(f, ctx.x1)
-        - substitute(Q.xi2, {ctx.u: f}) * diff(f, ctx.x2)
+        substitute(Q.eta, {ctx.u: f}) - xi1 * diff(f, ctx.x1) - xi2 * diff(f, ctx.x2)
     )
     if is_zero(char, session) is not TriBool.PROVEN_ZERO:
         raise UnsupportedAnsatz(
             "ansatz is not invariant under the field: Q[f] = %s" % char
         )
-    omega_invariance = normalize(
-        substitute(Q.xi1, {ctx.u: f}) * diff(omega, ctx.x1)
-        + substitute(Q.xi2, {ctx.u: f}) * diff(omega, ctx.x2)
-    )
+    omega_invariance = normalize(xi1 * diff(omega, ctx.x1) + xi2 * diff(omega, ctx.x2))
     if is_zero(omega_invariance, session) is not TriBool.PROVEN_ZERO:
         raise UnsupportedAnsatz("omega is not an invariant of the field")
 

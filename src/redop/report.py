@@ -80,7 +80,10 @@ def render(e, call_form=False):
 
 
 def zero_claim_status(verdict):
-    """Status for a claim of the form 'expression vanishes'."""
+    """Status for a claim of the form 'expression vanishes'; None, a claim
+    that nothing decided, is undecidable."""
+    if verdict is None:
+        return UNDECIDABLE
     if verdict is TriBool.PROVEN_ZERO:
         return PROVED
     if verdict is TriBool.SAMPLED_ZERO:

@@ -179,7 +179,7 @@ def _cmd_detsys(problem, options, session):
             status=nonzero_claim_status(is_zero(a, session)),
         ))
     expressions = {
-        "determining": _solved_display(ds.equations[0], ds.zeta),
+        "determining": _solved_display(ds.equations[0], L.ctx.functions["zeta"]),
         "leading_derivative": render(ds.G),
     }
     return verdicts, expressions
@@ -263,11 +263,11 @@ def _cmd_bijection(problem, options, session):
     surface = bk.surface
     if surface is TriBool.PROVEN_ZERO:
         detail = "residual is structurally zero; %d points exact" % len(bk.points)
-    elif surface is TriBool.SAMPLED_ZERO:
+    elif surface is None:
+        detail = "no sample point found"
+    else:
         detail = "max residual %.3g over %d points" % (
             max(res for _, res in bk.points), len(bk.points))
-    else:
-        detail = "residual nonzero or no sample points found"
     verdicts.append(Verdict(
         claim="implicit-surface residual vanishes at sampled points",
         status=zero_claim_status(surface), detail=detail,

@@ -18,7 +18,6 @@ from .core import (
     FnDerivSymbol,
     Session,
     TriBool,
-    UnknownFunction,
     diff,
     is_zero,
     normalize,
@@ -178,10 +177,8 @@ def weak_coorder(L, Q, session=Session()):
 
 
 def reduced_field(ctx, xi):
-    """Q = xi*d_1 + d_2 + zeta(x1,x2,u)*d_u with a new unknown zeta of its own,
-    registered in no context."""
-    zeta = UnknownFunction("zeta", (ctx.x1, ctx.x2, ctx.u))
-    return VectorField(ctx, xi, 1, zeta.base), zeta
+    """Q = xi*d_1 + d_2 + zeta(x1,x2,u)*d_u with the context's zeta."""
+    return VectorField(ctx, xi, 1, ctx.functions["zeta"].base)
 
 
 def _poly_split(e, gens):
@@ -306,19 +303,18 @@ class SetAnalysis:
     zero_contradiction: TriBool | None
     regular_value: Expr | None
     hat: DifferentialFunction
-    zeta: UnknownFunction
 
 
 def analyze_reduced_set(L, xi, session=Session()):
     """Ultra-singular and zero-co-order systems for Q = xi*d_1 + d_2 + ζd_u."""
     ctx = L.ctx
     xi = normalize(xi)
-    Q, zeta = reduced_field(ctx, xi)
+    Q = reduced_field(ctx, xi)
     hat = eliminate_on_Q(L, Q, 2, session).hat
     k = ord(hat)
     if k == ord(L):
         # a regular set has no sub-branches
-        return SetAnalysis(k, None, None, None, None, None, hat, zeta)
+        return SetAnalysis(k, None, None, None, None, None, hat)
     kept_jets = [ctx.jet(j, 0) for j in range(1, max(k, 1) + 1)]
     # an unevaluated map applied to eliminated jets (xi = u pushes kept jets
     # into its arguments) admits no finite coefficient split; leave the
@@ -333,6 +329,7 @@ def analyze_reduced_set(L, xi, session=Session()):
                 if c != 0 and c not in seen:
                     seen.add(c)
                     s_zero.append(c)
+        zeta = ctx.functions["zeta"]
         ultra = consistency_closure(s_ultra, zeta, ctx.u, session)
         zero = consistency_closure(s_zero, zeta, ctx.u, session)
     except NonPolynomialSplit:
@@ -352,7 +349,7 @@ def analyze_reduced_set(L, xi, session=Session()):
         # evaluate leftover omega atoms back at their jet-space values
         back = {w: form.values[idx] for idx, w in form.omegas.items()}
         regular_value = normalize(ineq.xreplace(back))
-    return SetAnalysis(k, s_ultra, s_zero, ultra, zero, regular_value, hat, zeta)
+    return SetAnalysis(k, s_ultra, s_zero, ultra, zero, regular_value, hat)
 
 
 class OmegaSymbol(sp.Symbol):

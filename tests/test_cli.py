@@ -371,7 +371,7 @@ def test_solved_display_from_the_ring_equals_the_term_scan_on_the_corpus():
                 ds = determining_singular(problem.equation, xi)
             except SetNotFirstCoorder:
                 continue
-            eq = ds.equations[0]
-            assert _solved_display(eq, ds.zeta) == _solved_display_by_terms(eq, ds.zeta)
+            eq, zeta = ds.equations[0], problem.ctx.functions["zeta"]
+            assert _solved_display(eq, zeta) == _solved_display_by_terms(eq, zeta)
             shown += 1
     assert shown == 11

@@ -2,6 +2,7 @@
 
 import copy
 import random
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import pytest
@@ -101,18 +102,33 @@ class TestUnknownFunction:
         assert diff(node, x) == F.applied((1,), (x + u,))
 
     def test_inverse_composition_collapses(self):
-        F = UnknownFunction("F", (u,))
-        Ftil = F.declare_inverse("Ftil")
+        F = UnknownFunction("F", (u,), inverse="Ftil")
+        Ftil = F.inverse
         s = sp.Symbol("s")
         assert F(Ftil(s)) == s
         assert Ftil(F(s)) == s
 
     def test_inverse_derivative_rule(self):
-        F = UnknownFunction("F", (u,))
-        Ftil = F.declare_inverse("Ftil")
+        F = UnknownFunction("F", (u,), inverse="Ftil")
+        Ftil = F.inverse
         s = sp.Symbol("s")
         got = diff(Ftil(s), s)
         assert normalize(got - 1 / F.applied((1,), (Ftil(s),))) == 0
+
+    def test_a_function_is_complete_when_made(self):
+        F = UnknownFunction("F", (u,), nonzero=((1,),), inverse="Ftil")
+        Ftil = F.inverse
+        assert F.nonzero == frozenset({(1,)})
+        assert (Ftil.name, Ftil.inverse, Ftil.inverse_of, F.inverse_of) == ("Ftil", F, F, None)
+        for fn, name in ((F, "inverse"), (F, "nonzero"), (Ftil, "inverse"), (F, "name")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(fn, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(fn, name)
+        with pytest.raises(AttributeError):
+            F.nonzero.add((2,))
+        with pytest.raises(ValueError):
+            UnknownFunction("H", (t, x), inverse="Htil")
 
     def test_formal_args_validated(self):
         with pytest.raises(ValueError):
@@ -711,3 +727,12 @@ def test_numerator_reads_from_the_ring_equal_the_tree_reads(e, scale):
         # form normalize gives such a quotient depends on its input's form,
         # since exp(a) and exp(-a) are independent generators
         assert _old_kernel(multiplier - want_multiplier) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="exp(4) and exp(-4) are independent ring generators, "
+                   "so the tree read of the primitive equation keeps a factor exp(4) that the "
+                   "ring read divides out: the exp-generator defect (ROADMAP direction 2)")
+def test_numerator_reads_agree_on_exp_factors_of_opposite_sign():
+    # the quotient on which the property test above fails about once in 15 unseeded runs
+    e = normalize(_random_quotient(_WIDE_ATOMS, 352637431, True))
+    test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(e, 1)

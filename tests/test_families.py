@@ -5,6 +5,8 @@ import pytest
 import sympy as sp
 
 from redop import (
+    DifferentialFunction,
+    JetContext,
     Session,
     SolutionFamily,
     TriBool,
@@ -13,6 +15,7 @@ from redop import (
     backlund_verify,
     coorder0_solution,
     normalize,
+    parse_problem,
     verify_bijection,
     verify_family_solves,
     zeta_from_family,
@@ -20,6 +23,8 @@ from redop import (
 from redop import core
 from redop.errors import DegenerateInverse, WrongCoorderBranch
 from redop.families import instantiate_function
+from redop.report import UNDECIDABLE, zero_claim_status
+from redop.runner import run
 
 from helpers import corpus_problem, corpus_stems, heat, liouville, wave_generic
 
@@ -154,9 +159,9 @@ class TestAdjoint:
         zeta = (ctx.x1 + ctx.x2) ** 2 / 2
         with pytest.raises(WrongCoorderBranch):
             adjoint_operator(zeta, F, 0, ctx)
-        Ftil = F.declare_inverse("Ftil")
+        F = ctx.add_function("F", (ctx.u,), nonzero=((1,),), inverse="Ftil")
         star = adjoint_operator(zeta, F, 0, ctx)
-        want = 1 / F.applied((1,), (Ftil(ctx.x1 + ctx.x2),))
+        want = 1 / F.applied((1,), (F.inverse(ctx.x1 + ctx.x2),))
         assert normalize(star - want) == 0
 
 
@@ -262,6 +267,39 @@ class TestSurfaceRootSearch:
         rep = backlund_verify(L, 0, 1 / (u - 1), 0, Session(samples=10))
         assert len(rep.points) == 20
         assert {kv for (_a, _b, _root, kv), _res in rep.points} == {0.5, 1.0}
+
+    def test_a_flow_identity_with_no_G_is_undecidable(self):
+        # u_x = u under zeta = u leaves hat = 0, free of u, so there is no G
+        ctx = JetContext("t", "x", "u")
+        x, u = ctx.x2, ctx.u
+        L = DifferentialFunction(ctx.jet(0, 1) - u, ctx)
+        rep = backlund_verify(L, u, u * sp.exp(-x), 0, Session(samples=2))
+        assert rep.identity_q is TriBool.PROVEN_ZERO
+        assert rep.identity_g is None
+        assert zero_claim_status(rep.identity_g) == UNDECIDABLE
+        assert not rep.passed
+
+    def test_a_surface_with_no_sample_point_is_undecidable(self):
+        # Phi holds an unknown function, so no point can be evaluated
+        ctx, L = heat()
+        F = ctx.add_function("F", (ctx.u,), nonzero=((1,),))
+        rep = backlund_verify(L, 1 / F.sym((1,)), F.base - ctx.x2, 0)
+        assert rep.identity_q is TriBool.PROVEN_ZERO
+        assert rep.structural is not TriBool.PROVEN_ZERO
+        assert rep.points == []
+        assert rep.surface is None
+        assert zero_claim_status(rep.surface) == UNDECIDABLE
+        assert not rep.passed
+
+    def test_the_runner_reports_a_surface_with_no_point_as_undecidable(self):
+        # -exp(u) - x is negative where the base points lie, so it never reaches kappa
+        text = (
+            "vars t x;\ndep u;\neq: u_t = u_xx;\n"
+            "family g: ln(-kappa - x) param kappa inverse -exp(u) - x;\n"
+        )
+        report = run("bijection", parse_problem(text), family="g", samples=2)
+        surface = [v for v in report.results[0].verdicts if v.claim.startswith("implicit-surface")]
+        assert [(v.status, v.detail) for v in surface] == [(UNDECIDABLE, "no sample point found")]
 
     def test_nonzero_residual_is_evaluated_at_each_root(self):
         ctx, L = heat()

@@ -174,29 +174,53 @@ def test_runner_names_no_status():
     assert undecidable == 2
 
 
-def test_only_the_parser_and_the_cross_checks_declare_functions():
-    """A command builds the unknowns it brings in (the zeta of a reduced
-    set) and registers them nowhere, so a parsed problem never changes:
-    add_function is called only by the parser and by the library
-    cross-checks de0_equation and eq6_equation, and ensure_function is
-    neither defined nor called."""
-    callers = set()
+def _scopes(tree):
+    """(scope, node) for each module-level statement and each statement of
+    a module-level class: a function or method by its qualified name, any
+    other class-body statement by its class name, the rest by None."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield "%s.%s" % (top.name, node.name), node
+                else:
+                    yield top.name, node
+        else:
+            yield getattr(top, "name", None), top
+
+
+def _callers(name):
+    """(module, scope) of each call of name, as a function or a method."""
+    return {(path.name, scope)
+            for path in MODULES
+            for scope, node in _scopes(ast.parse(path.read_text()))
+            if _calls(node, {name})}
+
+
+def test_only_the_parser_declares_functions():
+    """Every unknown function gets its identity in one place: the jet context
+    makes its zeta and phi, and add_function is called only by the parser's
+    fn statement, so nothing declares a name in a parsed problem afterwards;
+    ensure_function is neither defined nor called."""
     ensured = []
     for path in MODULES:
-        tree = ast.parse(path.read_text())
-        for top in tree.body:
-            for node in ast.walk(top):
-                names = {getattr(node, "attr", None), getattr(node, "id", None),
-                         getattr(node, "name", None)}
-                if "ensure_function" in names:
-                    ensured.append("%s (line %d)" % (path.name, node.lineno))
-                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_function":
-                    callers.add((path.name, getattr(top, "name", None)))
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "attr", None), getattr(node, "id", None),
+                     getattr(node, "name", None)}
+            if "ensure_function" in names:
+                ensured.append("%s (line %d)" % (path.name, node.lineno))
     assert not ensured, "ensure_function referenced: " + ", ".join(ensured)
-    assert callers == {
-        ("problems.py", "_Parser"),
-        ("reduction.py", "de0_equation"),
-        ("reduction.py", "eq6_equation"),
+    assert _callers("add_function") == {("problems.py", "_Parser.stmt_fn")}
+
+
+def test_unknown_functions_are_made_in_core_and_jets_alone():
+    """An UnknownFunction is constructed only for a declared inverse, by the
+    function it inverts, and by the jet context: its zeta and phi, and
+    add_function."""
+    assert _callers("UnknownFunction") == {
+        ("core.py", "UnknownFunction.__init__"),
+        ("jets.py", "JetContext.__init__"),
+        ("jets.py", "JetContext.add_function"),
     }
 
 

@@ -140,7 +140,7 @@ class TestVectorField:
     def test_characteristic(self, ctx):
         Q = VectorField(ctx, ctx.u, 1, ctx.x1)
         want = ctx.x1 - ctx.u * ctx.jet(1, 0) - ctx.jet(0, 1)
-        assert normalize(characteristic(Q) - want) == 0
+        assert normalize(characteristic(Q).body - want) == 0
 
 
 class TestProlongation:
@@ -208,8 +208,13 @@ class TestTranspose:
     def test_function_registry_is_copied_not_shared(self):
         ctx, L = heat()
         flipped = transpose(L).ctx
-        flipped.add_function("zeta", (flipped.x1, flipped.x2, flipped.u))
-        assert "zeta" not in ctx.functions
+        assert flipped.functions["zeta"] is not ctx.functions["zeta"]
+        assert flipped.functions["zeta"].args == (flipped.x1, flipped.x2, flipped.u)
+        before = dict(ctx.functions)
+        flipped.add_function("H", (flipped.x1, flipped.u))
+        assert "H" in flipped.functions
+        assert ctx.functions.keys() == before.keys()
+        assert all(ctx.functions[name] is fn for name, fn in before.items())
 
     def test_mixed_jet_arguments_cannot_transpose(self):
         ctx = JetContext("t", "x", "u")

@@ -59,6 +59,22 @@ class TestUndeclaredNames:
             parse_problem("vars t x;\ndep u;\neq: u_t = w;\n")
         assert ei.value.name == "w"
 
+    @pytest.mark.parametrize("rhs, name", [
+        ("zeta_x", "zeta"), ("phi", "phi"), ("phi_w", "phi"),
+    ])
+    def test_reserved_functions_are_undeclared_before_an_ansatz(self, rhs, name):
+        # every context holds zeta and phi, but the text may not name them here
+        with pytest.raises(UndeclaredIdentifier) as ei:
+            parse_problem("vars t x;\ndep u;\neq: u_t = %s;\nansatz sep: phi omega t;\n" % rhs)
+        assert ei.value.name == name
+
+    @pytest.mark.parametrize("rhs", ["zeta(t, x, u)", "phi(x)"])
+    def test_reserved_functions_cannot_be_called_before_an_ansatz(self, rhs):
+        with pytest.raises(ParseError) as ei:
+            parse_problem("vars t x;\ndep u;\neq: u_t = %s;\n" % rhs)
+        assert "%r is not a function" % rhs.split("(")[0] in str(ei.value)
+        assert not isinstance(ei.value, UndeclaredIdentifier)
+
     def test_family_parameter_scope_ends_with_the_statement(self):
         text = (
             "vars t x;\ndep u;\n"
@@ -124,6 +140,10 @@ class TestParsing:
         phi = p.ctx.functions["phi"]
         assert normalize(a.f - phi.base * sp.exp(p.ctx.x2)) == 0
         assert a.omega == p.ctx.x1
+
+    def test_a_field_after_an_ansatz_may_use_phi(self):
+        p = parse_problem(HEAT + "ansatz sep: phi*exp(x) omega t;\nfield f: 0, 1, phi_w;\n")
+        assert p.fields["f"].eta == p.ctx.functions["phi"].sym((1,))
 
     def test_phi_is_reserved(self):
         with pytest.raises(ParseError):
@@ -192,6 +212,11 @@ class TestReadOnly:
             p.fields["expo"].eta = 0
         with pytest.raises(FrozenInstanceError):
             p.equation.body = 0
+        F = parse_problem(corpus_text("wave_generic")).ctx.functions["F"]
+        with pytest.raises(AttributeError):
+            F.nonzero.add((2,))
+        with pytest.raises(FrozenInstanceError):
+            F.inverse = None
 
     def test_a_family_stores_its_normal_forms(self):
         p = parse_problem(HEAT + "family grow: kappa*exp(t)*exp(x) param kappa inverse u/exp(t+x);\n")

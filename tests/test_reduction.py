@@ -27,6 +27,7 @@ from redop import (
     solve_for_leader,
     transpose,
 )
+from redop.core import FnDerivSymbol
 from redop.errors import (
     BothCoefficientsZero,
     LeaderNotSolvable,
@@ -64,7 +65,7 @@ class TestEvolutionDetermining:
         ds = determining_singular(L, 0)
         assert ds.case == "evolution"
         assert len(ds.equations) == 1
-        assert equations_equal(ds.equations[0], heat_reference_equation(ds.zeta))
+        assert equations_equal(ds.equations[0], heat_reference_equation(ctx.functions["zeta"]))
 
     def test_the_equation_needs_no_sub_branch_analysis(self, monkeypatch):
         import redop.singular
@@ -75,13 +76,14 @@ class TestEvolutionDetermining:
         monkeypatch.setattr(redop.singular, "consistency_closure", refuse)
         ctx, L = heat()
         ds = determining_singular(L, 0)
-        assert equations_equal(ds.equations[0], heat_reference_equation(ds.zeta))
+        assert equations_equal(ds.equations[0], heat_reference_equation(ctx.functions["zeta"]))
 
     def test_leading_derivative_for_heat(self):
         ctx, L = heat()
         ds = determining_singular(L, 0)
-        z = ds.zeta.base
-        want = z * ds.zeta.sym((0, 0, 1)) + ds.zeta.sym((0, 1, 0))
+        zeta = ctx.functions["zeta"]
+        z = zeta.base
+        want = z * zeta.sym((0, 0, 1)) + zeta.sym((0, 1, 0))
         assert normalize(ds.G - want) == 0
 
     def test_xi_u_set_of_the_transport_equation(self):
@@ -89,7 +91,7 @@ class TestEvolutionDetermining:
         ctx = JetContext("t", "x", "u")
         L = DifferentialFunction(ctx.jet(1, 0) + ctx.u * ctx.jet(0, 1), ctx)
         ds = determining_singular(L, ctx.u)
-        zeta = ds.zeta
+        zeta = ctx.functions["zeta"]
         z, zt, zx = zeta.base, zeta.sym((1, 0, 0)), zeta.sym((0, 1, 0))
         want = (zt + ctx.u * zx) * (1 - ctx.u**2) + z**2
         assert equations_equal(ds.equations[0], want)
@@ -143,7 +145,7 @@ class TestWaveDetermining:
     def test_generic_wave_solved_form(self):
         ctx, L, F = wave_generic()
         ds = determining_singular(L, 0)
-        zeta = ds.zeta
+        zeta = ctx.functions["zeta"]
         want = (F.base - zeta.sym((1, 0, 0))) / zeta.sym((0, 0, 1))
         assert normalize(ds.G - want) == 0
         # the division by zeta_u is recorded as an open assumption
@@ -347,10 +349,21 @@ class TestReduceWithAnsatz:
 
 
 class TestAtomsBelongToTheirDeclaration:
+    @pytest.mark.parametrize("stem, build", [("heat", de0_equation), ("wave_liouville", eq6_equation)])
+    def test_cross_checks_leave_a_parsed_problem_unchanged(self, stem, build):
+        p = corpus_problem(stem)
+        before = dict(p.ctx.functions)
+        first, second = build(p.equation), build(p.equation)
+        assert p.ctx.functions.keys() == before.keys()
+        assert all(p.ctx.functions[name] is fn for name, fn in before.items())
+        assert first == second
+        zetas = {s.fn for s in first.free_symbols if isinstance(s, FnDerivSymbol)}
+        assert zetas == {p.ctx.functions["zeta"]}
+
     def test_determining_equation_survives_another_problem(self):
         ctx, L = heat()
         ds = determining_singular(L, 0)
-        eq, zeta = ds.equations[0], ds.zeta
+        eq, zeta = ds.equations[0], ctx.functions["zeta"]
         assert is_zero(instantiate_function(eq, zeta, ctx.u)) is TriBool.PROVEN_ZERO
         other = JetContext("t", "x", "u")
         determining_singular(
@@ -416,7 +429,7 @@ def test_consequences_equal_the_old_chain_on_the_corpus():
     for stem in corpus_stems():
         p = corpus_problem(stem)
         L, ctx = p.equation, p.equation.ctx
-        fields = list(p.fields.values()) + [reduced_field(ctx, xi)[0] for xi in (0, ctx.u)]
+        fields = list(p.fields.values()) + [reduced_field(ctx, xi) for xi in (0, ctx.u)]
         for Q in fields:
             for axis in (1, 2):
                 solved += _assert_same_consequences(L, Q, axis, 1)

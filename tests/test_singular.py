@@ -213,7 +213,7 @@ class TestAnalyzeReducedSet:
         assert sa.k == 1
         assert sa.ultra_contradiction is TriBool.PROVEN_NONZERO
         assert sa.zero_contradiction is None
-        zeta_u = sa.zeta.sym((0, 0, 1))
+        zeta_u = ctx.functions["zeta"].sym((0, 0, 1))
         assert normalize(sa.regular_value - zeta_u) == 0
 
     def test_ultra_branch_of_the_trivial_wave(self):
