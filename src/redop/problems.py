@@ -14,8 +14,15 @@ A problem file is a sequence of semicolon-terminated statements:
 Derivative tokens spell multi-indices with the declared variable letters
 (u_txx is the t-once, x-twice jet) or numerically (u[1,2]); derivatives of
 declared functions use the formal argument names, braced when longer than
-one character (H_{u_xx}). Comments run from '#' to end of line. The names
-phi (of ansatz statements) and zeta (of the reduced operator set) are reserved:
+one character (H_{u_xx}). Comments run from '#' to end of line.
+
+The two axes, the dependent variable, the declared functions and their
+inverses share one namespace, and a family's parameter joins it while the
+family's f is parsed: no name may be declared twice, and a parameter may not
+shadow any of them. A declaration its constructor refuses, such as
+fn F(u, u); or fn F(u, t) inverse G; (only a one-argument function has an
+inverse), is a ParseError at the statement, so the CLI exits 2. The names phi
+(of ansatz statements) and zeta (of the reduced operator set) are reserved:
 every jet context holds both, but the text may use phi only from the first
 ansatz statement on, and zeta never.
 """
@@ -23,12 +30,13 @@ ansatz statement on, and zeta never.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import sympy as sp
 
-from .core import normalize
+from .core import UnknownFunction, normalize
 from .errors import ParseError, UndeclaredIdentifier
 from .families import SolutionFamily
 from .jets import DifferentialFunction, JetContext, VectorField, ord
@@ -129,6 +137,27 @@ def _tokenize(text):
     return tokens
 
 
+def _multi_index(t, symbols, what):
+    """The multi-index over symbols that derivative token t's suffix spells:
+    each part names one symbol, and what says what a part must be."""
+    slots = {s.name: i for i, s in enumerate(symbols)}
+    order = [0] * len(symbols)
+    for part in t.value[1]:
+        if part not in slots:
+            raise ParseError("%r is not %s" % (part, what), t.line, t.col)
+        order[slots[part]] += 1
+    return tuple(order)
+
+
+@contextmanager
+def _declaring(t):
+    """A declaration its constructor refuses is a ParseError at statement t."""
+    try:
+        yield
+    except ValueError as e:
+        raise ParseError(str(e), t.line, t.col)
+
+
 @dataclass(frozen=True)
 class Ansatz:
     f: object
@@ -180,13 +209,15 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ctx = None
-        self.functions = {}  # the functions the text may use, by name
+        # what each name the text may use stands for: a symbol (an axis, u,
+        # a family parameter) or an UnknownFunction
+        self.names = {}
+        self.in_ansatz = False  # bare phi is phi's base only in an ansatz body
         self.function_names = []
         self.equation = None
         self.fields = {}
         self.families = {}
         self.ansatzes = {}
-        self.scope = {}  # extra expression-level names (family params, phi)
 
     # token plumbing
 
@@ -216,13 +247,10 @@ class _Parser:
             raise ParseError("expected %r" % kw, t.line, t.col)
         return t
 
-    def fresh_name(self, t):
+    def fresh_name(self, t, taken=()):
         if t.value in RESERVED:
             raise ParseError("%r is a reserved word" % t.value, t.line, t.col)
-        if self.ctx is not None and (
-            t.value in (self.ctx.x1.name, self.ctx.x2.name, self.ctx.dep)
-            or t.value in self.functions
-        ):
+        if t.value in self.names or t.value in taken:
             raise ParseError("%r is already declared" % t.value, t.line, t.col)
         return t.value
 
@@ -273,7 +301,8 @@ class _Parser:
         if d.value in RESERVED or d.value in self._vars:
             raise ParseError("bad dependent variable %r" % d.value, d.line, d.col)
         self.expect_punct(";")
-        self.ctx = JetContext(self._vars[0], self._vars[1], d.value)
+        ctx = self.ctx = JetContext(self._vars[0], self._vars[1], d.value)
+        self.names.update({ctx.x1.name: ctx.x1, ctx.x2.name: ctx.x2, ctx.dep: ctx.u})
 
     def stmt_fn(self, t):
         self.need_ctx(t)
@@ -298,43 +327,34 @@ class _Parser:
                 nonzero.extend(self.parse_assume_tokens(name, args))
             elif nxt.kind == "name" and nxt.value == "inverse":
                 self.next()
-                inverse = self.fresh_name(self.expect_name("inverse name"))
+                inverse = self.fresh_name(self.expect_name("inverse name"), (name,))
             elif nxt.kind == "punct" and nxt.value == ";":
                 self.next()
                 break
             else:
                 raise ParseError("expected 'assume', 'inverse' or ';'", nxt.line, nxt.col)
-        fn = self.ctx.add_function(name, args, nonzero=nonzero, inverse=inverse)
-        self.functions.update((f.name, f) for f in (fn, fn.inverse) if f is not None)
+        with _declaring(t):
+            fn = self.ctx.add_function(name, args, nonzero=nonzero, inverse=inverse)
+        self.names.update((f.name, f) for f in (fn, fn.inverse) if f is not None)
         self.function_names.append(name)
 
     def parse_fn_arg(self):
         t = self.next()
         if t.kind == "name":
-            s = self.lookup_variable(t)
-            return s
+            return self.lookup_variable(t)
         if t.kind == "deriv":
-            base, parts = t.value
-            if base != self.ctx.dep:
+            if t.value[0] != self.ctx.dep:
                 raise ParseError("formal arguments must be variables or jets", t.line, t.col)
-            return self.jet_from_parts(parts, t)
+            return self.resolve_deriv(t)
         raise ParseError("expected a formal argument", t.line, t.col)
 
     def parse_assume_tokens(self, fname, args):
-        slots = {a.name: i for i, a in enumerate(args)}
         orders = []
         while True:
             t = self.peek()
             if t.kind == "deriv" and t.value[0] == fname:
                 self.next()
-                order = [0] * len(args)
-                for part in t.value[1]:
-                    if part not in slots:
-                        raise ParseError(
-                            "%r is not an argument of %s" % (part, fname), t.line, t.col
-                        )
-                    order[slots[part]] += 1
-                orders.append(tuple(order))
+                orders.append(_multi_index(t, args, "an argument of %s" % fname))
             elif t.kind == "name" and t.value == fname:
                 self.next()
                 orders.append((0,) * len(args))
@@ -373,10 +393,8 @@ class _Parser:
         self.expect_punct(",")
         eta = self.parse_expr()
         self.expect_punct(";")
-        try:
+        with _declaring(t):
             self.fields[name] = VectorField(self.ctx, xi1, xi2, eta)
-        except ValueError as e:
-            raise ParseError(str(e), t.line, t.col)
 
     def stmt_family(self, t):
         self.need_ctx(t)
@@ -386,21 +404,16 @@ class _Parser:
         self.expect_punct(":")
         # the parameter is declared after the expression that uses it
         param = self._scan_ahead_param(t)
-        kappa = sp.Symbol(param)
-        self.scope[param] = kappa
-        try:
-            f = self.parse_expr()
-            self.expect_keyword("param")
-            self.expect_name("parameter name")
-            self.expect_keyword("inverse")
-        finally:
-            del self.scope[param]
+        kappa = self.names[param] = sp.Symbol(param)
+        f = self.parse_expr()
+        self.expect_keyword("param")
+        self.expect_name("parameter name")
+        self.expect_keyword("inverse")
+        del self.names[param]
         Phi = self.parse_expr()
         self.expect_punct(";")
-        try:
+        with _declaring(t):
             self.families[name] = SolutionFamily(self.ctx, f, Phi, kappa)
-        except ValueError as e:
-            raise ParseError(str(e), t.line, t.col)
 
     def _scan_ahead_param(self, t):
         i = self.pos
@@ -412,9 +425,9 @@ class _Parser:
                 nxt = self.tokens[i + 1]
                 if nxt.kind != "name" or nxt.value in RESERVED:
                     raise ParseError("expected parameter name", nxt.line, nxt.col)
-                if nxt.value in (self.ctx.x1.name, self.ctx.x2.name, self.ctx.dep):
+                if nxt.value in self.names:
                     raise ParseError(
-                        "parameter shadows a declared variable", nxt.line, nxt.col
+                        "parameter shadows a declared variable or function", nxt.line, nxt.col
                     )
                 return nxt.value
             i += 1
@@ -426,14 +439,12 @@ class _Parser:
         if name in self.ansatzes:
             raise ParseError("duplicate ansatz %r" % name, t.line, t.col)
         self.expect_punct(":")
-        phi = self.functions["phi"] = self.ctx.functions["phi"]
-        self.scope["phi"] = phi.base
-        try:
-            f = self.parse_expr()
-            self.expect_keyword("omega")
-            omega = self.parse_expr()
-        finally:
-            del self.scope["phi"]
+        self.names["phi"] = self.ctx.functions["phi"]
+        self.in_ansatz = True
+        f = self.parse_expr()
+        self.expect_keyword("omega")
+        omega = self.parse_expr()
+        self.in_ansatz = False
         self.expect_punct(";")
         self.ansatzes[name] = Ansatz(f=normalize(f), omega=normalize(omega))
 
@@ -485,45 +496,20 @@ class _Parser:
         raise ParseError("expected an expression", t.line, t.col)
 
     def resolve_deriv(self, t):
-        base, parts = t.value
+        base = t.value[0]
         if base == self.ctx.dep:
-            return self.jet_from_parts(parts, t)
-        fn = self.functions.get(base)
-        if fn is not None:
-            slots = {a.name: i for i, a in enumerate(fn.args)}
-            order = [0] * len(fn.args)
-            for part in parts:
-                if part not in slots:
-                    raise ParseError(
-                        "%r is not an argument of %s" % (part, base), t.line, t.col
-                    )
-                order[slots[part]] += 1
-            return fn.sym(tuple(order))
+            axes = (self.ctx.x1, self.ctx.x2)
+            return self.ctx.jet(*_multi_index(t, axes, "an independent variable"))
+        fn = self.names.get(base)
+        if isinstance(fn, UnknownFunction):
+            return fn.sym(_multi_index(t, fn.args, "an argument of %s" % base))
         raise UndeclaredIdentifier(base, t.line, t.col)
 
-    def jet_from_parts(self, parts, t):
-        a1 = a2 = 0
-        for part in parts:
-            if part == self.ctx.x1.name:
-                a1 += 1
-            elif part == self.ctx.x2.name:
-                a2 += 1
-            else:
-                raise ParseError(
-                    "%r is not an independent variable" % part, t.line, t.col
-                )
-        return self.ctx.jet(a1, a2)
-
     def lookup_variable(self, t):
-        if t.value == self.ctx.x1.name:
-            return self.ctx.x1
-        if t.value == self.ctx.x2.name:
-            return self.ctx.x2
-        if t.value == self.ctx.dep:
-            return self.ctx.u
-        if t.value in self.scope:
-            return self.scope[t.value]
-        raise UndeclaredIdentifier(t.value, t.line, t.col)
+        s = self.names.get(t.value)
+        if not isinstance(s, sp.Symbol):
+            raise UndeclaredIdentifier(t.value, t.line, t.col)
+        return s
 
     def resolve_name(self, t):
         callable_next = (
@@ -536,11 +522,11 @@ class _Parser:
             if len(args) != 1:
                 raise ParseError("%s takes one argument" % t.value, t.line, t.col)
             return {"exp": sp.exp, "ln": sp.log, "sqrt": sp.sqrt}[t.value](args[0])
-        fn = self.functions.get(t.value)
-        if fn is not None:
+        fn = self.names.get(t.value)
+        if isinstance(fn, UnknownFunction):
             if not callable_next:
-                if t.value == "phi" and "phi" in self.scope:
-                    return self.scope["phi"]
+                if t.value == "phi" and self.in_ansatz:
+                    return fn.base
                 raise ParseError("%s needs arguments" % t.value, t.line, t.col)
             args = self.parse_call_args()
             if len(args) != len(fn.args):

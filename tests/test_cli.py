@@ -67,6 +67,13 @@ class TestExitCodes:
         assert main(["coorder", str(bad)]) == 2
         assert "undeclared identifier 'v'" in capsys.readouterr().err
 
+    def test_a_refused_function_declaration_is_two(self, tmp_path, capsys):
+        # the constructor's ValueError once escaped main as a traceback
+        bad = tmp_path / "bad.prob"
+        bad.write_text("vars t x;\ndep u;\nfn F(u, u);\neq: u_t = u_xx;\n")
+        assert main(["analyze", str(bad)]) == 2
+        assert "line 3, col 1: formal arguments must be distinct" in capsys.readouterr().err
+
     def test_missing_required_flag_is_two(self, prob, capsys):
         assert main(["verify", prob("heat")]) == 2
         assert "error:" in capsys.readouterr().err

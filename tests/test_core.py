@@ -357,6 +357,46 @@ def test_ring_cancellation_matches_the_old_kernel(e):
     assert normalize(e) == _old_kernel(e)
 
 
+@pytest.mark.xfail(strict=True, reason="exp(x) and exp(-x) are independent ring generators, "
+                   "so normalize keeps 4*exp(x) over a denominator the old kernel writes "
+                   "with exp(-x) factors: the exp-generator defect (ROADMAP direction 2)")
+def test_ring_cancellation_agrees_on_an_exp_factor_of_opposite_sign():
+    # seed 11822: a quotient on which the property test above fails at random
+    e = _random_quotient(_ATOMS, 11822, False)
+    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
+
+
+@pytest.mark.xfail(strict=True, reason="exp(x/2) and exp(2*x) are independent ring generators, "
+                   "so normalize keeps -exp(5*x/2) - exp(x/2) where the old kernel writes "
+                   "-exp(2*x) - 1 over exp(-x/2) factors: the exp-generator defect "
+                   "(ROADMAP direction 2)")
+def test_ring_cancellation_agrees_on_exp_factors_of_different_rational_multiples():
+    # seed 3577: a quotient on which the property test above fails at random
+    e = _random_quotient(_ATOMS, 3577, False)
+    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
+
+
+@pytest.mark.xfail(strict=True, reason="exp(x) and exp(-x) are independent ring generators, "
+                   "so normalize keeps exp(x) in the numerator where the old kernel writes "
+                   "exp(2*u)*exp(-x) in each denominator term: the exp-generator defect "
+                   "(ROADMAP direction 2)")
+def test_ring_cancellation_agrees_on_an_exp_factor_over_a_sum():
+    # seed 129766: a quotient on which the property test above fails at random
+    e = _random_quotient(_ATOMS, 129766, False)
+    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
+
+
+@pytest.mark.xfail(strict=True, reason="exp(x/2), exp(x) and exp(3*x/2) are independent ring "
+                   "generators, so normalize keeps exp(3*x/2) over terms in all three where "
+                   "the old kernel writes 1 over exp(-x) and exp(-x/2) terms: the "
+                   "exp-generator defect (ROADMAP direction 2)")
+def test_ring_cancellation_agrees_on_a_square_of_an_exp_half():
+    # seed 2182076: exp(-2*u)*exp(x)/(u + exp(x/2))**2, on which the property
+    # test above fails at random
+    e = _random_quotient(_ATOMS, 2182076, False)
+    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
+
+
 _Fu = _F.sym((1,))
 _WIDE_ATOMS = _ATOMS + [sp.exp(-x / 2), sp.sqrt(u), sp.sqrt(2), _F(t + x), sp.log(x)]
 

@@ -171,6 +171,38 @@ class TestParsing:
             parse_problem("dep u;\neq: u_t = 0;\n")
 
 
+class TestOneNamespace:
+    """Axes, u, functions, inverses and a family's parameter share one namespace,
+    and a declaration its constructor refuses is a ParseError at its statement."""
+
+    @pytest.mark.parametrize("fn, message", [
+        ("fn F(u, u);", "formal arguments must be distinct"),
+        ("fn F(u, t) inverse G;", "only single-argument functions may declare an inverse"),
+    ])
+    def test_a_refused_function_is_a_parse_error_at_its_statement(self, fn, message):
+        with pytest.raises(ParseError) as ei:
+            parse_problem("vars t x;\ndep u;\n%s\neq: u_t = u_xx;\n" % fn)
+        assert message in str(ei.value)
+        assert (ei.value.line, ei.value.col) == (3, 1)
+
+    def test_an_inverse_may_not_take_its_function_name(self):
+        with pytest.raises(ParseError) as ei:
+            parse_problem("vars t x;\ndep u;\nfn F(u) inverse F;\neq: u_t = F(u);\n")
+        assert "'F' is already declared" in str(ei.value)
+        assert (ei.value.line, ei.value.col) == (3, 17)
+
+    @pytest.mark.parametrize("param", ["F", "G", "t", "u"])
+    def test_a_family_parameter_may_not_shadow_a_declared_name(self, param):
+        text = (
+            "vars t x;\ndep u;\nfn F(u) inverse G;\n"
+            "family g: %s*exp(t) param %s inverse u;\neq: u_t = u_xx;\n" % (param, param)
+        )
+        with pytest.raises(ParseError) as ei:
+            parse_problem(text)
+        assert "parameter shadows a declared variable or function" in str(ei.value)
+        assert (ei.value.line, ei.value.col) == (4, 26)  # the name after 'param'
+
+
 class TestEquality:
     def test_same_text_parses_equal(self):
         a = parse_problem(HEAT + "field expo: 0, 1, u;\n")
