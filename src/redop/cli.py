@@ -40,9 +40,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        text = Path(args.file).read_text()
+        text = Path(args.file).read_text(encoding="utf-8")
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print("error: %s is not UTF-8 text: %s" % (args.file, e), file=sys.stderr)
         return 2
     try:
         problem = parse_problem(text)

@@ -7,6 +7,7 @@ characteristics and prolongation of vector fields.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -53,9 +54,11 @@ class JetContext:
     the same multi-index within one context. Contexts with swapped axes reuse
     the same symbols with transposed indices, which is why the index map is
     per context rather than global. functions is a read-only view; only
-    add_function declares a name. Every context makes its own zeta(x1, x2,
-    u), the u-coefficient of the reduced operator set, and the ansatz
-    function phi(w); they replace any functions of those names passed in.
+    add_function declares a name, and only until seal is called: the parser
+    seals every context it returns, so a parse that many callers share keeps
+    the functions it declared. Every context makes its own zeta(x1, x2, u),
+    the u-coefficient of the reduced operator set, and the ansatz function
+    phi(w); they replace any functions of those names passed in.
     """
 
     def __init__(self, x1="x1", x2="x2", dep="u", functions=()):
@@ -75,6 +78,7 @@ class JetContext:
             phi=UnknownFunction("phi", (sp.Symbol("w"),)),
         )
         self.functions = MappingProxyType(self._functions)
+        self._sealed = False
 
     def __repr__(self):
         return "JetContext(%s, %s; %s)" % (self.x1, self.x2, self.dep)
@@ -111,7 +115,13 @@ class JetContext:
         """MultiIndex of a jet symbol of this context, else None."""
         return self._index.get(s)
 
+    def seal(self):
+        """Refuse add_function from now on."""
+        self._sealed = True
+
     def add_function(self, name, args, nonzero=(), inverse=None):
+        if self._sealed:
+            raise FrozenInstanceError("%r is sealed: cannot declare %s" % (self, name))
         fn = UnknownFunction(name, args, nonzero=nonzero, inverse=inverse)
         self._functions[fn.name] = fn
         if fn.inverse is not None:

@@ -29,6 +29,7 @@ ansatz statement on, and zeta never.
 
 from __future__ import annotations
 
+import functools
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -167,7 +168,8 @@ class Ansatz:
 @dataclass(frozen=True)
 class ProblemFile:
     """A parsed problem. It is read-only: the name maps are MappingProxyType
-    views, so any number of commands can share one parse."""
+    views and the context is sealed, so any number of commands can share one
+    parse."""
 
     ctx: JetContext
     equation: DifferentialFunction
@@ -269,6 +271,7 @@ class _Parser:
             raise ParseError("missing 'vars' statement", 1, 1)
         if self.equation is None:
             raise ParseError("missing 'eq:' statement", 1, 1)
+        self.ctx.seal()
         return ProblemFile(
             ctx=self.ctx,
             equation=self.equation,
@@ -561,8 +564,14 @@ class _Parser:
                 raise ParseError("expected ',' or ')'", t.line, t.col)
 
 
+@functools.lru_cache(maxsize=64)
 def parse_problem(text):
     """Parse problem-file text into a fully resolved ProblemFile.
+
+    Each distinct text is parsed once per process: the last 64 texts parsed
+    are kept, and every caller of a kept text gets the same read-only
+    ProblemFile, whose sealed context refuses add_function. A text that
+    raises is not kept.
 
     Expressions are parsed, built and normalized by recursion, so an
     expression nested deeper than the interpreter's recursion limit allows

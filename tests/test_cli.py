@@ -61,6 +61,16 @@ class TestExitCodes:
         assert main(["analyze", str(tmp_path / "nope.prob")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_undecodable_file_is_two(self, tmp_path, capsys):
+        # read in the locale's encoding, these bytes escaped main as a
+        # UnicodeDecodeError traceback
+        bad = tmp_path / "bad.prob"
+        bad.write_bytes(b"\xff\xfe vars t x;")
+        assert main(["analyze", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s is not UTF-8 text" % bad)
+        assert "Traceback" not in err
+
     def test_parse_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.prob"
         bad.write_text("vars t x;\ndep u;\neq: u_t = v_xx;\n")
