@@ -25,13 +25,16 @@ and the numerator's content and primitive rest (split_nonvanishing,
 primitive_equation, is_zero) from the ring instead of the tree. The chain
 rule through unknown functions is implemented by structural recursion so
 that no foreign node kinds (Derivative, Subs) ever appear. The sampling
-settings of a run travel in an immutable Session passed as a parameter;
-the module holds no mutable state.
+settings of a run travel in an immutable Session passed as a parameter.
+Besides the serial numbers of unknown functions, the module's one mutable
+state is normalize's bounded table of normal forms, which holds values,
+never settings.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import random
 from dataclasses import FrozenInstanceError, dataclass
@@ -58,6 +61,8 @@ _BAD = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 # normalize's bound on general-route passes; no input drawn by the
 # property tests in tests/test_core.py has needed more than three
 _GENERAL_PASSES = 4
+# entries in normalize's table of normal forms, one table per process
+_NORMAL_TABLE_SIZE = 4096
 
 # sample points per zero test when the session sets no count
 ZERO_TEST_SAMPLES = 5
@@ -681,14 +686,32 @@ def normalize(e):
     substitute_jets, DifferentialFunction.body and the VectorField
     coefficients, are normal; only public functions that accept raw input,
     such as is_zero, normalize them again.
+
+    There is one bounded table per process (_normal_value, the
+    _NORMAL_TABLE_SIZE inputs used last), so every caller that meets an
+    input equal to one normalized before reads its value from there. An
+    atom does not enter it, and the table records a kept input as kept,
+    not as the object first stored: atoms and kept inputs come back as
+    themselves. An input that raises is not stored.
     """
     e = sp.sympify(e)
+    if e.is_Atom:
+        return _normal_pass(e)[0]
+    n = _normal_value(e)
+    return e if n is None else n
+
+
+@functools.lru_cache(maxsize=_NORMAL_TABLE_SIZE)
+def _normal_value(e):
+    """normalize's value of the non-atom e, or None when that is e itself."""
+    n = e
     for _ in range(_GENERAL_PASSES):
-        n, general = _normal_pass(e)
-        if not general or n == e or not _has_negative_exp(n):
-            return n
-        e = n
-    return e
+        m, general = _normal_pass(n)
+        done = not general or m == n or not _has_negative_exp(m)
+        n = m
+        if done:
+            break
+    return None if n is e else n
 
 
 def _has_negative_exp(e):

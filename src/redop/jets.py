@@ -53,32 +53,33 @@ class JetContext:
     Jet symbols are interned per context; the same printed name always means
     the same multi-index within one context. Contexts with swapped axes reuse
     the same symbols with transposed indices, which is why the index map is
-    per context rather than global. functions is a read-only view; only
-    add_function declares a name, and only until seal is called: the parser
-    seals every context it returns, so a parse that many callers share keeps
-    the functions it declared. Every context makes its own zeta(x1, x2, u),
-    the u-coefficient of the reduced operator set, and the ansatz function
-    phi(w); they replace any functions of those names passed in.
+    per context rather than global. Assigning or deleting an attribute
+    raises FrozenInstanceError; only the jet-interning tables grow.
+    functions is a read-only view; only add_function declares a name, and
+    only until seal is called: the parser seals every context it returns,
+    so a parse that many callers share keeps the functions it declared.
+    Every context makes its own zeta(x1, x2, u), the u-coefficient of the
+    reduced operator set, and the ansatz function phi(w); they replace any
+    functions of those names passed in.
     """
 
+    __setattr__ = __delattr__ = _read_only
+
     def __init__(self, x1="x1", x2="x2", dep="u", functions=()):
-        self.x1 = sp.Symbol(str(x1))
-        self.x2 = sp.Symbol(str(x2))
-        if self.x1 == self.x2:
+        x1, x2 = sp.Symbol(str(x1)), sp.Symbol(str(x2))
+        if x1 == x2:
             raise ValueError("independent variables must be distinct")
-        self.dep = str(dep)
-        self._jets: dict[MultiIndex, JetSymbol] = {}
-        self._index: dict[JetSymbol, MultiIndex] = {}
+        fields = vars(self)
+        fields.update(x1=x1, x2=x2, dep=str(dep), _sealed=False, _jets={}, _index={})
         # intern the order-zero jet eagerly so chain rules over unknown
         # functions of u see it even before any derivative is requested
         self.jet(0, 0)
-        self._functions: dict[str, UnknownFunction] = dict(
+        fields["_functions"] = dict(
             functions,
-            zeta=UnknownFunction("zeta", (self.x1, self.x2, self.u)),
+            zeta=UnknownFunction("zeta", (x1, x2, self.u)),
             phi=UnknownFunction("phi", (sp.Symbol("w"),)),
         )
-        self.functions = MappingProxyType(self._functions)
-        self._sealed = False
+        fields["functions"] = MappingProxyType(self._functions)
 
     def __repr__(self):
         return "JetContext(%s, %s; %s)" % (self.x1, self.x2, self.dep)
@@ -117,7 +118,7 @@ class JetContext:
 
     def seal(self):
         """Refuse add_function from now on."""
-        self._sealed = True
+        vars(self)["_sealed"] = True
 
     def add_function(self, name, args, nonzero=(), inverse=None):
         if self._sealed:

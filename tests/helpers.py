@@ -7,6 +7,9 @@ from pathlib import Path
 import sympy as sp
 
 from redop import DifferentialFunction, JetContext, diff, normalize, parse_problem
+from redop.errors import RedopError
+from redop.report import FAILED, UNDECIDABLE, emit_report
+from redop.runner import run
 
 
 def heat():
@@ -68,6 +71,21 @@ def bench_matrix():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def job_outcome(matrix, problem, job, seed):
+    """The benchmark job's outcome as redop.cli.main would print it, run on
+    the parsed problem."""
+    options = dict(job.options)
+    options.setdefault("xi", "0")
+    if job.command == "bijection":
+        options["samples"] = matrix.BIJECTION_SAMPLES
+    try:
+        report = run(job.command, problem, seed=seed, problem_name=job.problem, **options)
+    except (RedopError, ValueError) as e:
+        return matrix.outcome(2, "", "error: %s" % e)
+    code = {FAILED: 1, UNDECIDABLE: 3}.get(report.worst_status, 0)
+    return matrix.outcome(code, emit_report(report, "json"), "")
 
 
 def corpus_values():

@@ -8,28 +8,13 @@ import json
 from dataclasses import FrozenInstanceError
 
 import pytest
+import sympy as sp
 
 from redop import parse_problem
 from redop.cli import main
-from redop.errors import ParseError, RedopError
-from redop.report import FAILED, UNDECIDABLE, emit_report
-from redop.runner import run
+from redop.errors import ParseError
 
-from helpers import bench_matrix
-
-
-def _outcome(matrix, problem, job, seed):
-    """The job's outcome as redop.cli.main would print it, from the shared parse."""
-    options = dict(job.options)
-    options.setdefault("xi", "0")
-    if job.command == "bijection":
-        options["samples"] = matrix.BIJECTION_SAMPLES
-    try:
-        report = run(job.command, problem, seed=seed, problem_name=job.problem, **options)
-    except (RedopError, ValueError) as e:
-        return matrix.outcome(2, "", "error: %s" % e)
-    code = {FAILED: 1, UNDECIDABLE: 3}.get(report.worst_status, 0)
-    return matrix.outcome(code, emit_report(report, "json"), "")
+from helpers import bench_matrix, job_outcome
 
 
 def test_every_job_reproduces_its_reference_on_one_shared_parse():
@@ -41,7 +26,7 @@ def test_every_job_reproduces_its_reference_on_one_shared_parse():
     declared = {name: dict(p.ctx.functions) for name, p in problems.items()}
     mismatched = []
     for job in jobs + jobs[::-1]:
-        got = _outcome(matrix, problems[job.problem], job, recorded["seed"])
+        got = job_outcome(matrix, problems[job.problem], job, recorded["seed"])
         if got != recorded["jobs"][job.key]:
             mismatched.append(job.key)
     assert mismatched == []
@@ -96,6 +81,24 @@ def test_a_parsed_context_refuses_add_function():
     again = parse_problem(text)
     assert again is p
     assert dict(again.ctx.functions) == declared
+
+
+def test_a_parsed_context_is_read_only_but_still_interns_jets():
+    p = parse_problem(HEAT + "field r: 0, 1, t*u;\n")
+    ctx = p.ctx
+    before = (ctx.x1, ctx.x2, ctx.dep, dict(ctx.functions))
+    for name, value in (("dep", "v"), ("x1", sp.Symbol("y")), ("_sealed", False), ("functions", {})):
+        with pytest.raises(FrozenInstanceError, match="read-only"):
+            setattr(ctx, name, value)
+        with pytest.raises(FrozenInstanceError, match="read-only"):
+            delattr(ctx, name)
+    assert (ctx.x1, ctx.x2, ctx.dep, dict(ctx.functions)) == before
+    with pytest.raises(FrozenInstanceError, match="sealed"):
+        ctx.add_function("G", (ctx.u,))
+    # the jet-interning tables still grow after the seal
+    assert (3, 0) not in [ctx.index(s) for s in p.equation.body.free_symbols]
+    s = ctx.jet(3, 0)
+    assert ctx.index(s) == (3, 0) and ctx.jet(3, 0) is s and s.name == "u_ttt"
 
 
 def test_a_shared_parse_keeps_each_text_its_own_facts(tmp_path, capsys):
