@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failed, 2 input error, 3 undecidable.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -18,7 +19,9 @@ from .report import FAILED, UNDECIDABLE, emit_report
 from .runner import COMMANDS, run
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by later ones."""
     p = argparse.ArgumentParser(
         prog="redop",
         description="Singularity co-orders and reduction operators for PDEs "

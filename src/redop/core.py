@@ -331,7 +331,13 @@ def diff(e, v):
 
 
 def substitute(e, bindings):
-    """Simultaneous substitution of atoms by expressions, then normalization."""
+    """Simultaneous substitution of atoms by expressions, then normalization.
+
+    Only atoms are replaced: a declared function's formal arguments keep
+    their atoms, so eta(t, x, u) stays at u. jets.substitute_jets rewrites
+    those too; only the Q[f] check of reduction.reduce_with_ansatz still
+    calls this one.
+    """
     m = {}
     for k, val in bindings.items():
         if not isinstance(k, sp.Symbol):

@@ -24,7 +24,6 @@ from .core import (
     diff,
     is_zero,
     normalize,
-    substitute,
 )
 from .errors import DegenerateInverse, WrongCoorderBranch
 from .jets import VectorField, jet_values, ord, substitute_jets
@@ -52,8 +51,9 @@ SURFACE_SAMPLES = 10
 @dataclass(frozen=True)
 class SolutionFamily:
     """u = f(x1, x2, kappa) together with its declared inverse kappa = Phi,
-    both stored normalized; a parameter with df/dkappa normalizing to 0 is
-    rejected."""
+    both stored normalized. The inverse check substitutes u = f through the
+    jet rewrite, so Phi may hold declared functions of u; a parameter with
+    df/dkappa normalizing to 0 is rejected."""
 
     ctx: object
     f: Expr
@@ -63,7 +63,7 @@ class SolutionFamily:
     def __post_init__(self):
         object.__setattr__(self, "f", normalize(self.f))
         object.__setattr__(self, "Phi", normalize(self.Phi))
-        residual = normalize(substitute(self.Phi, {self.ctx.u: self.f}) - self.kappa)
+        residual = normalize(substitute_jets(self.Phi, {self.ctx.u: self.f}) - self.kappa)
         if residual != 0:
             raise ValueError(
                 "inverse check failed: Phi(x, f) - kappa = %s" % residual
@@ -113,9 +113,10 @@ def verify_bijection(L, family, xi, session=Session()):
     xi = normalize(xi)
     solves = verify_family_solves(L, family, session)
     zeta = zeta_from_family(family, xi, session)
+    on_f = {ctx.u: family.f}
     char = normalize(
-        substitute(zeta, {ctx.u: family.f})
-        - substitute(xi, {ctx.u: family.f}) * diff(family.f, ctx.x1)
+        substitute_jets(zeta, on_f)
+        - substitute_jets(xi, on_f) * diff(family.f, ctx.x1)
         - diff(family.f, ctx.x2)
     )
     invariance = is_zero(char, session)

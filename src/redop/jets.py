@@ -8,6 +8,7 @@ characteristics and prolongation of vector fields.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -60,7 +61,9 @@ class JetContext:
     so a parse that many callers share keeps the functions it declared.
     Every context makes its own zeta(x1, x2, u), the u-coefficient of the
     reduced operator set, and the ansatz function phi(w); they replace any
-    functions of those names passed in.
+    functions of those names passed in. flipped, the context with the axes
+    swapped, is made once, on first use, and is sealed with its parent;
+    add_function and seal drop one made before them.
     """
 
     __setattr__ = __delattr__ = _read_only
@@ -116,13 +119,23 @@ class JetContext:
         """MultiIndex of a jet symbol of this context, else None."""
         return self._index.get(s)
 
+    @cached_property
+    def flipped(self):
+        """This context with x1 and x2 swapped and a copy of its functions."""
+        flipped = JetContext(self.x2.name, self.x1.name, self.dep, self.functions)
+        if self._sealed:
+            flipped.seal()
+        return flipped
+
     def seal(self):
         """Refuse add_function from now on."""
         vars(self)["_sealed"] = True
+        vars(self).pop("flipped", None)
 
     def add_function(self, name, args, nonzero=(), inverse=None):
         if self._sealed:
             raise FrozenInstanceError("%r is sealed: cannot declare %s" % (self, name))
+        vars(self).pop("flipped", None)
         fn = UnknownFunction(name, args, nonzero=nonzero, inverse=inverse)
         self._functions[fn.name] = fn
         if fn.inverse is not None:
@@ -381,7 +394,7 @@ def transpose(L):
     single-character variable names guarantee that, positional names do not.
     """
     ctx = L.ctx
-    flipped = JetContext(ctx.x2.name, ctx.x1.name, ctx.dep, ctx.functions)
+    flipped = ctx.flipped
     m = {}
     for s in L.body.free_symbols:
         idx = ctx.index(s)

@@ -51,6 +51,14 @@ def first_order_t():
     return ctx, DifferentialFunction(body, ctx)
 
 
+# heat with the family u = Ftil(x + kappa), whose inverse F(u) - x holds a
+# declared function of u
+INVERSE_THROUGH_A_FUNCTION = (
+    "vars t x;\ndep u;\nfn F(u) assume nonzero F_u inverse Ftil;\neq: u_t = u_xx;\n"
+    "family g: Ftil(x + kappa) param kappa inverse F(u) - x;\n"
+)
+
+
 def corpus_text(stem):
     return (resources.files("redop") / "corpus" / (stem + ".prob")).read_text()
 

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 import sympy as sp
@@ -11,7 +12,7 @@ import sympy.core.random as sympy_random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redop import UnknownFunction, core, normalize, parse_problem
+from redop import UnknownFunction, core, normalize, parse_problem, runner
 from redop.cli import main
 from redop.core import FnDerivSymbol, primitive_equation
 from redop.errors import SetNotFirstCoorder
@@ -19,7 +20,14 @@ from redop.reduction import determining_singular
 from redop.report import AnalysisReport, emit_report, parse_report, render
 from redop.runner import _solved_display
 
-from helpers import bench_matrix, corpus_problem, corpus_stems, corpus_text, rand_expr
+from helpers import (
+    INVERSE_THROUGH_A_FUNCTION,
+    bench_matrix,
+    corpus_problem,
+    corpus_stems,
+    corpus_text,
+    rand_expr,
+)
 
 # int()'s digit limit; 0 means none, as on Python before 3.10.7
 _INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -186,6 +194,20 @@ class TestExitCodes:
         assert main(["detsys", str(path), "--xi", "0"]) == 2
         assert capsys.readouterr().err == "error: line 3, col 4: 'zeta' is a reserved word\n"
 
+    def test_an_inverse_through_a_declared_function_is_accepted(self, tmp_path, capsys):
+        # the inverse check once substituted u = f into atoms only, so
+        # F(u) - x stayed F - x and the file was a parse error
+        path = tmp_path / "ftil.prob"
+        path.write_text(INVERSE_THROUGH_A_FUNCTION)
+        assert main(["analyze", str(path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        # the family is invariant but does not solve the heat equation
+        assert main(["bijection", str(path), "--family", "g"]) == 1
+        out, err = capsys.readouterr()
+        assert "[proved] family is invariant under its reduction operator" in out
+        assert "[failed] family solves the equation" in out
+        assert err == ""
+
 
 class TestStatusFromTheDecidingVerdict:
     """A claim decided by a sampled verdict is sampled, however the claim
@@ -252,6 +274,27 @@ class TestJsonOutput:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report(AnalysisReport(), "yaml")
+
+
+class TestOneParser:
+    def test_repeated_calls_in_one_process_print_the_same_bytes(self, prob, capsys, monkeypatch):
+        # a stopped clock, so that the printed timings agree too
+        monkeypatch.setattr(runner, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        argv = ["bijection", prob("heat"), "--family", "line"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert "[0.0 ms]" in outputs[0].out
+
+    def test_a_usage_error_after_a_good_call_exits_two(self, prob, capsys):
+        assert main(["detsys", prob("heat")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["detsys", prob("heat"), "--xi", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestFlags:

@@ -409,6 +409,17 @@ def test_ring_cancellation_agrees_on_an_exp_half_over_a_sum_with_it():
     test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
 
 
+@pytest.mark.xfail(strict=True, reason="exp(u) and exp(-u), exp(x/2) and exp(-x/2) are "
+                   "independent ring generators, so normalize keeps exp(x/2) over terms in "
+                   "exp(u) where the old kernel writes 3 over exp(u)*exp(-x/2) terms: the "
+                   "exp-generator defect (ROADMAP direction 2)")
+def test_ring_cancellation_agrees_on_an_exp_half_over_an_exp_of_opposite_sign():
+    # seed 20267: 3*exp(-u)*exp(x/2)/(4*(F_u + u**2 + 4)), on which the
+    # property test above fails at random
+    e = _random_quotient(_ATOMS, 20267, False)
+    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
+
+
 _Fu = _F.sym((1,))
 _WIDE_ATOMS = _ATOMS + [sp.exp(-x / 2), sp.sqrt(u), sp.sqrt(2), _F(t + x), sp.log(x)]
 
@@ -889,3 +900,15 @@ def test_numerator_reads_agree_on_an_exp_factor_and_its_reciprocal():
     # *exp(-t)*exp(u), on which the property test above fails at random
     test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(
         _random_normal(4857), 1)
+
+
+@pytest.mark.xfail(strict=True, reason="exp(exp(x/2)) and exp(-exp(x/2)) are independent ring "
+                   "generators, so the tree read of the primitive equation keeps a factor "
+                   "exp(exp(x/2)) that the ring read divides out: the exp-generator defect "
+                   "(ROADMAP direction 2)")
+def test_numerator_reads_agree_on_an_exp_of_an_exp_and_its_reciprocal():
+    # _random_normal(836938971), (-x*exp(F_uu)*exp(x)*exp(-exp(x/2)) - ...
+    # - exp(x/2))*exp(-F_uu)*exp(exp(x/2))/3, on which the property test
+    # above fails at random
+    test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(
+        _random_normal(836938971), 1)

@@ -26,7 +26,14 @@ from redop.families import instantiate_function
 from redop.report import UNDECIDABLE, zero_claim_status
 from redop.runner import run
 
-from helpers import corpus_problem, corpus_stems, heat, liouville, wave_generic
+from helpers import (
+    INVERSE_THROUGH_A_FUNCTION,
+    corpus_problem,
+    corpus_stems,
+    heat,
+    liouville,
+    wave_generic,
+)
 
 kappa = sp.Symbol("kappa")
 
@@ -128,6 +135,17 @@ class TestVerifyBijection:
         rep = verify_bijection(L, fam, 0)
         assert rep.certified
         assert normalize(rep.zeta + sp.sqrt(2) * sp.exp(ctx.u / 2)) == 0
+
+    def test_invariance_substitutes_through_a_declared_function(self):
+        # zeta = 1/F_u at u = Ftil(x + kappa) is 1/F_u(Ftil(x + kappa)) =
+        # Ftil_x(x + kappa), the x-derivative of f; the family does not solve
+        # the heat equation, so only invariance and the parameter are proved
+        p = parse_problem(INVERSE_THROUGH_A_FUNCTION)
+        rep = verify_bijection(p.equation, p.families["g"], 0)
+        assert rep.invariance is TriBool.PROVEN_ZERO
+        assert rep.essential is TriBool.PROVEN_NONZERO
+        assert rep.solves is not TriBool.PROVEN_ZERO
+        assert not rep.certified
 
 
 class TestAdjoint:

@@ -130,6 +130,21 @@ def test_only_core_converts_into_rings():
     assert users == {"core.py"}
 
 
+def test_only_the_ansatz_reduction_substitutes_atoms_alone():
+    """Families substitute u = f through jets.substitute_jets, which also
+    rewrites the formal arguments of declared functions; core.substitute,
+    which replaces atoms only, is referenced by reduction.py alone."""
+    users = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            if "substitute" in names:
+                users.add(path.name)
+    assert users == {"reduction.py"}
+
+
 def test_numerators_are_read_from_the_ring_form():
     """split_nonvanishing, primitive_equation, is_zero and the ansatz
     reduction read numerators from core.ring_form: as_numer_denom is called

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 import sympy as sp
@@ -215,6 +216,26 @@ class TestTranspose:
         assert "H" in flipped.functions
         assert ctx.functions.keys() == before.keys()
         assert all(ctx.functions[name] is fn for name, fn in before.items())
+
+    def test_a_parsed_problem_has_one_sealed_flipped_context(self):
+        L = corpus_problem("heat").equation
+        flipped = transpose(L).ctx
+        assert transpose(L).ctx is flipped
+        assert flipped.functions["xi"] is L.ctx.functions["xi"]
+        with pytest.raises(FrozenInstanceError):
+            flipped.add_function("H", (flipped.x1, flipped.u))
+
+    def test_declaring_or_sealing_drops_the_flipped_context(self):
+        ctx, L = heat()
+        before = transpose(L).ctx
+        ctx.add_function("H", (ctx.x1, ctx.u))
+        after = transpose(L).ctx
+        assert after is not before and "H" in after.functions
+        ctx.seal()
+        sealed = transpose(L).ctx
+        assert sealed is not after
+        with pytest.raises(FrozenInstanceError):
+            sealed.add_function("K", (sealed.x1, sealed.u))
 
     def test_mixed_jet_arguments_cannot_transpose(self):
         ctx = JetContext("t", "x", "u")

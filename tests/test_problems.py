@@ -8,7 +8,7 @@ import sympy as sp
 from redop import TriBool, UnknownFunction, is_zero, parse_problem, render_problem, normalize, ord
 from redop.errors import ParseError, UndeclaredIdentifier
 
-from helpers import corpus_stems, corpus_text
+from helpers import INVERSE_THROUGH_A_FUNCTION, corpus_stems, corpus_text
 
 HEAT = "vars t x;\ndep u;\neq: u_t = u_xx;\n"
 
@@ -112,6 +112,14 @@ class TestParsing:
         F = p.ctx.functions["F"]
         assert F.inverse is not None and F.inverse.name == "G"
         assert F.inverse.inverse is F
+
+    def test_an_inverse_may_pass_through_a_declared_function(self):
+        # u = Ftil(x + kappa) turns F(u) - x into F(Ftil(x + kappa)) - x = kappa
+        p = parse_problem(INVERSE_THROUGH_A_FUNCTION)
+        g = p.families["g"]
+        F = p.ctx.functions["F"]
+        assert g.f == F.inverse(p.ctx.x2 + g.kappa)
+        assert g.Phi == normalize(F(p.ctx.u) - p.ctx.x2)
 
     def test_numeric_multi_index(self):
         p = parse_problem("vars t x;\ndep u;\neq: u_t = u[1,2];\n")
