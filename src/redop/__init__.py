@@ -24,7 +24,6 @@ from .errors import (
     DegenerateInverse,
     LeaderNotSolvable,
     NonPolynomialSplit,
-    NotAffineInLeader,
     NotRepresentable,
     OrderUndefined,
     ParseError,

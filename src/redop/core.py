@@ -259,11 +259,6 @@ class UnknownFunction:
         return self.applied((0,) * len(self.args), argexprs)
 
 
-def fn_symbol_info(s):
-    """(UnknownFunction, order) for a derivative symbol, or None."""
-    return (s.fn, s.order) if isinstance(s, FnDerivSymbol) else None
-
-
 def _bump_symbol(s, v):
     for i, a in enumerate(s.fn.args):
         if a == v:

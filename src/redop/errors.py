@@ -45,10 +45,6 @@ class NotRepresentable(RedopError):
 
 # reduction engine
 
-class NotAffineInLeader(RedopError):
-    """The restricted equation is not affine in its highest-order derivative."""
-
-
 class LeaderNotSolvable(RedopError):
     """The equation cannot be solved for the requested leader."""
 

@@ -26,7 +26,7 @@ from .core import (
     normalize,
 )
 from .errors import DegenerateInverse, WrongCoorderBranch
-from .jets import VectorField, jet_values, ord, substitute_jets
+from .jets import VectorField, jet_values, substitute_jets
 from .reduction import determining_singular, solve_for_leader
 from .singular import eliminate_on_Q
 
@@ -171,7 +171,8 @@ def coorder0_solution(L, zeta, xi, session=Session()):
     """Unique invariant solution u = G(x) and the criterion verdict.
 
     The criterion is zeta = xi*G_1 + G_2; the construction requires zeta
-    free of u so the associated function is solvable for u itself.
+    free of u and a strong co-order of 0, so that the associated function
+    is solved for u itself.
     """
     ctx = L.ctx
     zeta = normalize(zeta)
@@ -179,8 +180,10 @@ def coorder0_solution(L, zeta, xi, session=Session()):
     if is_zero(diff(zeta, ctx.u), session) is not TriBool.PROVEN_ZERO:
         raise WrongCoorderBranch("zeta depends on u")
     Q = VectorField(ctx, xi, 1, zeta)
-    hat = eliminate_on_Q(L, Q, 2, session).hat
-    G = solve_for_leader(hat, ctx.u, session)
+    elim = eliminate_on_Q(L, Q, 2, session)
+    if elim.k != 0:
+        raise WrongCoorderBranch("strong co-order is %d; co-order 0 needs 0" % elim.k)
+    G = solve_for_leader(elim.hat, elim.leader, session)
     crit = normalize(zeta - xi * diff(G, ctx.x1) - diff(G, ctx.x2))
     return G, is_zero(crit, session)
 
@@ -301,15 +304,12 @@ def backlund_verify(L, zeta, Phi, xi, session=Session()):
         xi * diff(Phi, ctx.x1) + diff(Phi, ctx.x2) + zeta * Phi_u, session
     )
     Q = VectorField(ctx, xi, 1, zeta)
-    hat = eliminate_on_Q(L, Q, 2, session).hat
-    k = ord(hat)
-    if k == 1:
-        G = solve_for_leader(hat, ctx.jet(1, 0), session)
-    elif k < 1 and hat.depends_on_u:
-        G = solve_for_leader(hat, ctx.u, session)
+    elim = eliminate_on_Q(L, Q, 2, session)
+    if elim.k == 1 or elim.k == 0 and elim.hat.depends_on_u:
+        G = solve_for_leader(elim.hat, elim.leader, session)
     else:
         G = None
-    if G is not None and k == 1:
+    if G is not None and elim.k == 1:
         identity_g = is_zero(diff(Phi, ctx.x1) + G * Phi_u, session)
     elif G is not None:
         # co-order 0: the unique solution u = G(x) must lie on one surface

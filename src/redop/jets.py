@@ -202,10 +202,6 @@ def substitute_jets(body, jetmap):
     return normalize(_replace_jets(body, jetmap))
 
 
-def _top_kept_jet(ctx, kept_axis, k):
-    return ctx.jet(MultiIndex(k, 0) if kept_axis == 1 else MultiIndex(0, k))
-
-
 class DifferentialFunction:
     """An expression over a jet context, with normalization at construction.
 

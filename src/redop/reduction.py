@@ -29,7 +29,6 @@ from .core import (
 )
 from .errors import (
     LeaderNotSolvable,
-    NotAffineInLeader,
     ResidualNonInvariant,
     SetNotFirstCoorder,
     UnsupportedAnsatz,
@@ -38,7 +37,6 @@ from .jets import (
     DifferentialFunction,
     JetTable,
     _replace_jets,
-    _top_kept_jet,
     apply_prolonged,
     chain_jets,
     derivation,
@@ -104,37 +102,37 @@ def solve_for_leader(Lhat, leader, session=Session()):
     return normalize(fn.inverse(rhs))
 
 
-def _consequences(ctx, kept_axis, k, sol):
+def _consequences(elim, sol):
     """JetTable whose entry (0, j) is the order-(k + j) kept-axis jet on the
-    solved relation leader = sol, as a DifferentialFunction: sol, then the
-    total derivative of the entry below with the leader replaced by sol.
+    solved relation elim.leader = sol, as a DifferentialFunction: sol, then
+    the total derivative of the entry below with the leader replaced by sol.
     Each entry holds only kept-axis jets below the leader, so a total
     derivative brings in the leader and no higher jet."""
-    leader = _top_kept_jet(ctx, kept_axis, k)
+    ctx = elim.ctx
 
     def step(row):
-        row = total_derivative(row, kept_axis)
-        if leader in row.body.free_symbols:
-            row = DifferentialFunction(_replace_jets(row.body, {leader: sol}), ctx)
+        row = total_derivative(row, elim.kept_axis)
+        if elim.leader in row.body.free_symbols:
+            row = DifferentialFunction(_replace_jets(row.body, {elim.leader: sol}), ctx)
         return row
 
     return JetTable(DifferentialFunction(sol, ctx), None, step)
 
 
-def _restrict_to_solved(expr, elim_hat, kept_axis, k, sol):
-    """Substitute the leader relation and its consequences into expr."""
-    ctx = elim_hat.ctx
+def _restrict_to_solved(expr, elim, sol):
+    """Substitute the relation elim.leader = sol and its consequences into expr."""
+    k, kept = elim.k, elim.kept_axis
     max_order = max(
-        (idx.a1 if kept_axis == 1 else idx.a2 for idx in chain_jets(expr, ctx).values()),
+        (idx.a1 if kept == 1 else idx.a2 for idx in chain_jets(expr, elim.ctx).values()),
         default=0,
     )
     if max_order < k:
         return expr
-    jetmap = {_top_kept_jet(ctx, kept_axis, k): sol}
+    jetmap = {elim.leader: sol}
     if max_order > k:
-        table = _consequences(ctx, kept_axis, k, sol)
+        table = _consequences(elim, sol)
         for m in range(k + 1, max_order + 1):
-            jetmap[_top_kept_jet(ctx, kept_axis, m)] = table.value(0, m - k).body
+            jetmap[elim.kept_jet(m)] = table.value(0, m - k).body
     return substitute_jets(expr, jetmap)
 
 
@@ -142,22 +140,16 @@ def _restricted_action(L, Q, ip, axis, session):
     """Prolonged action ip on L ∩ Q_(r), eliminated along axis.
 
     Both L and ip are eliminated on Q, by the same Elimination; when the
-    strong co-order k of L is not -1 its leader is solved and substituted,
-    with its consequences, into the eliminated ip. Raises NotAffineInLeader
+    strong co-order of L is not -1 its leader is solved and substituted,
+    with its consequences, into the eliminated ip. Raises LeaderNotSolvable
     if the leader cannot be solved for.
     """
-    ctx = L.ctx
     elim = eliminate_on_Q(L, Q, axis, session)
     ip_elim = elim.apply(ip).body
-    k = ord(elim.hat)
-    if k == -1:
+    if elim.k == -1:
         return ip_elim
-    kept = elim.kept_axis
-    try:
-        sol = solve_for_leader(elim.hat, _top_kept_jet(ctx, kept, k), session)
-    except LeaderNotSolvable as exc:
-        raise NotAffineInLeader(str(exc))
-    return _restrict_to_solved(ip_elim, elim.hat, kept, k, sol)
+    sol = solve_for_leader(elim.hat, elim.leader, session)
+    return _restrict_to_solved(ip_elim, elim, sol)
 
 
 def conditional_invariance_test(L, Q, session=Session()):
@@ -203,16 +195,14 @@ def determining_singular(L, xi, session=Session()):
     """
     ctx = L.ctx
     xi = normalize(xi)
-    hat = eliminate_on_Q(L, reduced_field(ctx, xi), 2, session).hat
-    k = ord(hat)
-    if 0 <= k < ord(L):
+    elim = eliminate_on_Q(L, reduced_field(ctx, xi), 2, session)
+    if 0 <= elim.k < ord(L):
         # the set must take the co-order-k shape in adapted coordinates
-        representation_check(L, xi, k)
-    if k != 1:
-        raise SetNotFirstCoorder("reduced-set co-order is %d" % k)
-    leader = ctx.jet(1, 0)
-    coeff = diff(hat.body, leader)
-    G = solve_for_leader(hat, leader, session)
+        representation_check(L, xi, elim.k)
+    if elim.k != 1:
+        raise SetNotFirstCoorder("reduced-set co-order is %d" % elim.k)
+    coeff = diff(elim.hat.body, elim.leader)
+    G = solve_for_leader(elim.hat, elim.leader, session)
     assumptions = []
     if is_zero(coeff, session) is not TriBool.PROVEN_NONZERO:
         assumptions.append(coeff)

@@ -7,7 +7,7 @@ import time
 import sympy as sp
 
 from .core import FnDerivSymbol, Session, TriBool, is_zero, normalize, primitive_equation, ring_form
-from .errors import NotAffineInLeader
+from .errors import LeaderNotSolvable
 from .families import backlund_verify, verify_bijection
 from .jets import ord, transpose
 from .reduction import (
@@ -195,7 +195,7 @@ def _cmd_verify(problem, options, session):
             detail="residual verdict: %s" % verdict.name,
         )]
         return verdicts, {}
-    except NotAffineInLeader as e:
+    except LeaderNotSolvable as e:
         return [Verdict(
             claim="conditional invariance criterion holds on the manifold",
             status=UNDECIDABLE,

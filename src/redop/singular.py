@@ -30,7 +30,6 @@ from .jets import (
     JetTable,
     VectorField,
     _replace_jets,
-    _top_kept_jet,
     chain_jets,
     derivation,
     ord,
@@ -47,6 +46,9 @@ class Elimination:
     one equals D_kept^m w_j, where w_{j+1} is w_j under the restricted
     evolution operator. These values are the entries (m, j) of one JetTable.
     hat is L rewritten; apply rewrites any further body on the same manifold.
+    k = ord(hat) is the strong co-order, and leader, hat's top jet along the
+    kept axis, is the jet a solved restriction is solved for (None when
+    k = -1).
     """
 
     def __init__(self, L, Q, axis):
@@ -57,13 +59,18 @@ class Elimination:
         xi = {1: Q.xi1, 2: Q.xi2}
         xi_hat = normalize(xi[self.kept_axis] / xi[axis])
         eta_hat = normalize(Q.eta / xi[axis])
-        u_kept = _top_kept_jet(ctx, self.kept_axis, 1)
         self._table = JetTable(
-            DifferentialFunction(eta_hat - xi_hat * u_kept, ctx),
+            DifferentialFunction(eta_hat - xi_hat * self.kept_jet(1), ctx),
             lambda f: total_derivative(f, self.kept_axis),
             self._ehat,
         )
         self.hat = self.apply(L.body)
+        self.k = ord(self.hat)
+        self.leader = None if self.k == -1 else self.kept_jet(self.k)
+
+    def kept_jet(self, m):
+        """The jet with m derivatives along the kept axis."""
+        return self.ctx.jet((m, 0) if self.kept_axis == 1 else (0, m))
 
     def _counts(self, idx):
         """(eliminated-axis count, kept-axis count) of a multi-index."""
@@ -113,7 +120,7 @@ def eliminate_on_Q(L, Q, axis=None, session=Session()):
 
 def strong_coorder(L, Q, session=Session()):
     """Order of the associated function; -1 ultra-singular, ord L regular."""
-    return ord(eliminate_on_Q(L, Q, session=session).hat)
+    return eliminate_on_Q(L, Q, session=session).k
 
 
 @dataclass
@@ -137,42 +144,40 @@ class CoorderReport:
 
 def weak_coorder(L, Q, session=Session()):
     """Strong co-order plus the best multiplier-extracted bound pair."""
-    result = eliminate_on_Q(L, Q, session=session)
-    strong = ord(result.hat)
-    if strong == -1:
+    elim = eliminate_on_Q(L, Q, session=session)
+    if elim.k == -1:
         return CoorderReport(
             strong=-1,
             weak_lower=-1,
             weak_upper=-1,
             multiplier=sp.S.One,
-            residual=result.hat,
+            residual=elim.hat,
             maximal_rank=TriBool.PROVEN_ZERO,
-            elimination=result,
+            elimination=elim,
         )
-    multiplier, residual_body = split_nonvanishing(result.hat.body)
-    residual = DifferentialFunction(residual_body, result.hat.ctx)
+    multiplier, residual_body = split_nonvanishing(elim.hat.body)
+    residual = DifferentialFunction(residual_body, elim.ctx)
     upper = ord(residual)
     if upper <= 0:
         # order cannot drop below 0 for a nonzero residual, so the bounds
         # already coincide; the rank verdict records u-dependence only
-        rank = is_zero(diff(residual.body, result.hat.ctx.u), session)
+        rank = is_zero(diff(residual.body, elim.ctx.u), session)
         lower = upper
     else:
-        top = _top_kept_jet(result.hat.ctx, result.kept_axis, upper)
-        rank = is_zero(diff(residual.body, top), session)
+        rank = is_zero(diff(residual.body, elim.kept_jet(upper)), session)
         lower = (
             upper
             if rank in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO)
             else 0
         )
     return CoorderReport(
-        strong=strong,
+        strong=elim.k,
         weak_lower=lower,
         weak_upper=upper,
         multiplier=multiplier,
         residual=residual,
         maximal_rank=rank,
-        elimination=result,
+        elimination=elim,
     )
 
 
@@ -310,12 +315,12 @@ def analyze_reduced_set(L, xi, session=Session()):
     ctx = L.ctx
     xi = normalize(xi)
     Q = reduced_field(ctx, xi)
-    hat = eliminate_on_Q(L, Q, 2, session).hat
-    k = ord(hat)
+    elim = eliminate_on_Q(L, Q, 2, session)
+    hat, k = elim.hat, elim.k
     if k == ord(L):
         # a regular set has no sub-branches
         return SetAnalysis(k, None, None, None, None, None, hat)
-    kept_jets = [ctx.jet(j, 0) for j in range(1, max(k, 1) + 1)]
+    kept_jets = [elim.kept_jet(j) for j in range(1, max(k, 1) + 1)]
     # an unevaluated map applied to eliminated jets (xi = u pushes kept jets
     # into its arguments) admits no finite coefficient split; leave the
     # sub-branch systems undetermined in that case
@@ -382,11 +387,6 @@ def _omega_table(ctx, xi):
         lambda f: total_derivative(f, 1),
         along_field,
     )
-
-
-def _mixed_derivative(ctx, xi, idx):
-    """omega value D_1^{a1} (xi D_1 + D_2)^{a2} u as a jet expression."""
-    return _omega_table(ctx, xi).value(*idx).body
 
 
 def representation_check(L, xi, k):

@@ -22,7 +22,6 @@ from redop.core import (
     _provably_nonzero,
     _ring_fraction,
     _sort_ring_gens,
-    fn_symbol_info,
     split_nonvanishing,
 )
 from redop.jets import substitute_jets
@@ -89,7 +88,8 @@ class TestUnknownFunction:
     def test_syms_are_interned(self):
         F = UnknownFunction("F", (u,))
         assert F.sym((1,)) is F.sym((1,))
-        assert fn_symbol_info(F.sym((2,))) == (F, (2,))
+        s = F.sym((2,))
+        assert (s.fn, s.order) == (F, (2,))
 
     def test_applied_at_formal_args_is_the_symbol(self):
         F = UnknownFunction("F", (u,))

@@ -196,6 +196,14 @@ class TestCoorderZeroSolution:
         with pytest.raises(WrongCoorderBranch):
             coorder0_solution(L, ctx.u, 0)
 
+    def test_set_of_nonzero_strong_coorder_rejected(self):
+        # u_t = u_xx - u on Q = d_x: u_x = 0 leaves hat = u_t + u, of co-order
+        # 1; solved for u it would give G = -u_t and the criterion 0 = 0
+        ctx = JetContext("t", "x", "u")
+        L = DifferentialFunction(ctx.jet(1, 0) - ctx.jet(0, 2) + ctx.u, ctx)
+        with pytest.raises(WrongCoorderBranch, match="strong co-order is 1"):
+            coorder0_solution(L, 0, 0)
+
 
 class TestBacklundVerify:
     def test_heat_surface(self):

@@ -277,3 +277,32 @@ def test_one_chain_rule():
                             sites.add((path.name, fn.name))
     assert sites == {("jets.py", "derivation")}
     assert defined == {("jets.py", name) for name in JET_RULE}
+
+
+def test_the_elimination_owns_the_coorder_and_the_leader():
+    """The strong co-order and the jet it is solved for are decided by
+    singular.Elimination alone: _top_kept_jet is gone, the order of an
+    associated function (a hat) is taken inside Elimination only, and every
+    solve_for_leader call solves for an attribute named leader."""
+    misses = []
+    for path in sorted(Path(redop.__file__).parent.glob("*.py")):
+        for scope, top in _scopes(ast.parse(path.read_text())):
+            for node in ast.walk(top):
+                names = {getattr(node, "attr", None), getattr(node, "id", None),
+                         getattr(node, "name", None)}
+                if isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+                if "_top_kept_jet" in names:
+                    misses.append("%s (line %d): _top_kept_jet" % (path.name, node.lineno))
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                arg_names = [getattr(a, "attr", getattr(a, "id", None)) for a in node.args]
+                if callee == "ord" and arg_names[:1] == ["hat"] and not (
+                        path.name == "singular.py" and scope.startswith("Elimination.")):
+                    misses.append("%s (line %d): ord of a hat" % (path.name, node.lineno))
+                if callee == "solve_for_leader" and not (
+                        len(node.args) > 1 and isinstance(node.args[1], ast.Attribute)
+                        and node.args[1].attr == "leader"):
+                    misses.append("%s (line %d): solve_for_leader" % (path.name, node.lineno))
+    assert not misses, "leader decided outside the Elimination: " + ", ".join(misses)

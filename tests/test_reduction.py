@@ -31,14 +31,13 @@ from redop.core import FnDerivSymbol
 from redop.errors import (
     BothCoefficientsZero,
     LeaderNotSolvable,
-    NotAffineInLeader,
     SetNotFirstCoorder,
     UnsupportedAnsatz,
 )
 from redop.families import instantiate_function
-from redop.jets import chain_jets, ord, total_derivative
+from redop.jets import chain_jets, total_derivative
 from redop.reduction import _consequences, _restrict_to_solved, _split_factors
-from redop.singular import _replace_jets, _top_kept_jet, eliminate_on_Q, reduced_field
+from redop.singular import _replace_jets, eliminate_on_Q, reduced_field
 
 from helpers import corpus_problem, corpus_stems, heat, liouville, rand_expr, wave_generic, wave_zero
 
@@ -216,7 +215,7 @@ class TestConditionalInvariance:
     def test_nonaffine_leader_refuses_instead_of_guessing(self):
         ctx = JetContext("t", "x", "u")
         L = DifferentialFunction(ctx.jet(1, 0) ** 2 - ctx.jet(0, 2), ctx)
-        with pytest.raises(NotAffineInLeader):
+        with pytest.raises(LeaderNotSolvable):
             conditional_invariance_test(L, VectorField(ctx, 0, 1, ctx.u))
 
 
@@ -262,9 +261,13 @@ class TestRestrictToSolved:
         def D_t(f):
             return normalize(diff(f, t) + diff(f, u) * sol)
 
-        hat = DifferentialFunction(ctx.jet(1, 0) - sol, ctx)
+        # the body has no x-jet, so Q = d_x leaves it as it is: hat = u_t - sol
+        elim = eliminate_on_Q(
+            DifferentialFunction(ctx.jet(1, 0) - sol, ctx), VectorField(ctx, 0, 1, 0), 2
+        )
+        assert (elim.k, elim.leader) == (1, ctx.jet(1, 0))
         expr = ctx.jet(3, 0) + x * ctx.jet(2, 0) + ctx.jet(1, 0)
-        got = _restrict_to_solved(expr, hat, 1, 1, sol)
+        got = _restrict_to_solved(expr, elim, sol)
         want = D_t(D_t(sol)) + x * D_t(sol) + sol
         assert normalize(got - want) == 0
 
@@ -376,18 +379,18 @@ class TestAtomsBelongToTheirDeclaration:
 # chain it replaced is kept here as the oracle
 
 
-def _old_consequence_table(elim_hat, kept_axis, k, sol, max_order):
-    ctx = elim_hat.ctx
+def _old_consequence_table(elim, sol, max_order):
+    ctx, k = elim.ctx, elim.k
     table = {k: sol}
     if max_order == k:
         return table
     row = DifferentialFunction(sol, ctx)
     for m in range(k + 1, max_order + 1):
-        row = total_derivative(row, kept_axis)
+        row = total_derivative(row, elim.kept_axis)
         jetmap = {
-            _top_kept_jet(ctx, kept_axis, j): table[j]
+            elim.kept_jet(j): table[j]
             for j in range(k, m)
-            if _top_kept_jet(ctx, kept_axis, j) in row.body.free_symbols
+            if elim.kept_jet(j) in row.body.free_symbols
         }
         if jetmap:
             row = DifferentialFunction(_replace_jets(row.body, jetmap), ctx)
@@ -403,16 +406,15 @@ def _assert_same_consequences(L, Q, axis, above):
         elim = eliminate_on_Q(L, Q, axis)
     except BothCoefficientsZero:
         return False
-    k = ord(elim.hat)
+    k, kept = elim.k, elim.kept_axis
     if k == -1:
         return False
-    kept = elim.kept_axis
     try:
-        sol = solve_for_leader(elim.hat, _top_kept_jet(L.ctx, kept, k))
+        sol = solve_for_leader(elim.hat, elim.leader)
     except LeaderNotSolvable:
         return False
-    want = _old_consequence_table(elim.hat, kept, k, sol, k + above)
-    table = _consequences(L.ctx, kept, k, sol)
+    want = _old_consequence_table(elim, sol, k + above)
+    table = _consequences(elim, sol)
     for m in range(k, k + above + 1):
         got = table.value(0, m - k).body
         assert got == want[m] and sp.srepr(got) == sp.srepr(want[m])
