@@ -17,11 +17,11 @@ returned as it is, without building the ring. Inputs whose normal form
 depends on how sympy rewrites them (two exp factors in one product, exp of
 a sum, I, floats, other powers and kernels, generator powers that sympy
 merges into another generator) are declined by the walk and converted by
-the general route of powsimp, as_numer_denom and sring. The generators are
-ordered as sring orders their printed names, read from their names and
-kinds rather than printed. ring_form gives the ring, numerator and
-denominator of a normal value, so that callers read degrees, coefficients
-and the numerator's content and primitive rest (split_nonvanishing,
+the general route of powsimp, as_numer_denom and sring. The walk ranks the
+generators by their printed names with sring's own key, so both routes
+order them alike. ring_form gives the ring, numerator and denominator of a
+normal value, so that callers read degrees, coefficients and the
+numerator's content and primitive rest (split_nonvanishing,
 primitive_equation, is_zero) from the ring instead of the tree. The chain
 rule through unknown functions is implemented by structural recursion so
 that no foreign node kinds (Derivative, Subs) ever appear. The sampling
@@ -483,53 +483,9 @@ def _merges(gens, monoms):
     return False
 
 
-def _head(g):
-    """g's printed name up to and including its first parenthesis, or the
-    whole name when it has none, read from g's kind where it can be."""
-    if isinstance(g, (sp.exp, sp.log, AppliedMapBase)):
-        return type(g).__name__ + "("
-    if g is sp.pi:
-        return "pi"
-    if g is sp.E:
-        return "E"
-    if g.is_Pow and g.exp.is_Rational and g.exp > 0 and not g.exp.is_Integer:
-        b = g.base
-        if g.exp is sp.S.Half:
-            return "sqrt("
-        if b.is_Integer and b > 0:
-            return "%d**(" % b.p
-        if _named(b) and "(" not in b.name:
-            return b.name + "**("
-    name = str(g)
-    i = name.find("(")
-    return name if i < 0 else name[: i + 1]
-
-
-def _named(g):
-    """A symbol that prints as its name."""
-    return g.is_Symbol and not isinstance(g, (sp.Dummy, sp.Wild))
-
-
 def _sort_ring_gens(gens):
-    """gens in sring's order: _sort_gens ranks their printed names.
-
-    A symbol's name is read instead of printed. Any other generator is
-    ranked by its head (_head): when no name holds a parenthesis, a head
-    that ends in one is a prefix of the printed name that no name and no
-    other head extends, so it sorts against them as the whole printed name
-    does. Only generators that share a head are printed.
-    """
-    name, heads = {}, {}
-    for g in gens:
-        if _named(g):
-            name[g] = g.name
-        else:
-            heads.setdefault(_head(g), []).append(g)
-    plain = not any("(" in s for s in name.values())
-    for h, group in heads.items():
-        for g in group:
-            name[g] = h if plain and len(group) == 1 else str(g)
-    return sorted(gens, key=lambda g: _gen_key(name[g]))
+    """gens in sring's order: _sort_gens ranks their printed names."""
+    return sorted(gens, key=lambda g: _gen_key(str(g)))
 
 
 def _gen_key(name):

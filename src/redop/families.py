@@ -26,7 +26,7 @@ from .core import (
     normalize,
 )
 from .errors import DegenerateInverse, WrongCoorderBranch
-from .jets import VectorField, jet_values, substitute_jets
+from .jets import VectorField, jet_values, refuse_jets, substitute_jets
 from .reduction import determining_singular, solve_for_leader
 from .singular import eliminate_on_Q
 
@@ -51,9 +51,10 @@ SURFACE_SAMPLES = 10
 @dataclass(frozen=True)
 class SolutionFamily:
     """u = f(x1, x2, kappa) together with its declared inverse kappa = Phi,
-    both stored normalized. The inverse check substitutes u = f through the
-    jet rewrite, so Phi may hold declared functions of u; a parameter with
-    df/dkappa normalizing to 0 is rejected."""
+    both stored normalized. Neither may hold a jet of positive order. The
+    inverse check substitutes u = f through the jet rewrite, so Phi may hold
+    declared functions of u; a parameter with df/dkappa normalizing to 0 is
+    rejected."""
 
     ctx: object
     f: Expr
@@ -63,6 +64,8 @@ class SolutionFamily:
     def __post_init__(self):
         object.__setattr__(self, "f", normalize(self.f))
         object.__setattr__(self, "Phi", normalize(self.Phi))
+        refuse_jets("family", self.f, self.ctx)
+        refuse_jets("inverse", self.Phi, self.ctx)
         residual = normalize(substitute_jets(self.Phi, {self.ctx.u: self.f}) - self.kappa)
         if residual != 0:
             raise ValueError(

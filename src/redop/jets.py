@@ -163,6 +163,15 @@ def chain_jets(body, ctx):
     return out
 
 
+def refuse_jets(what, e, ctx):
+    """ValueError when e holds a jet of positive order, directly or through
+    the formal arguments of an unknown function (chain_jets); u may stay."""
+    positive = (str(s) for s, idx in chain_jets(e, ctx).items() if idx.order() > 0)
+    jet = min(positive, default=None)
+    if jet is not None:
+        raise ValueError("%s %s contains the jet variable %s" % (what, e, jet))
+
+
 def derivation(body, ctx, coefficients, jet_value=None):
     """The chain rule, not normalized: the sum of c * d(body)/dv over the
     pairs (v, c) of coefficients, plus d(body)/ds * jet_value(idx) over the
@@ -313,12 +322,7 @@ class VectorField:
         for name, c in zip(("xi1", "xi2", "eta"), (xi1, xi2, eta)):
             object.__setattr__(self, name, normalize(c))
         for c in self.coefficients():
-            for s in c.free_symbols:
-                idx = ctx.index(s)
-                if idx is not None and idx.order() > 0:
-                    raise ValueError(
-                        "coefficient %s contains the jet variable %s" % (c, s)
-                    )
+            refuse_jets("coefficient", c, ctx)
 
     def __repr__(self):
         return "VectorField(%s, %s, %s)" % (self.xi1, self.xi2, self.eta)

@@ -38,9 +38,9 @@ from types import MappingProxyType
 import sympy as sp
 
 from .core import UnknownFunction, normalize
-from .errors import ParseError, UndeclaredIdentifier
+from .errors import DivisionByZeroDetected, ParseError, UndeclaredIdentifier
 from .families import SolutionFamily
-from .jets import DifferentialFunction, JetContext, VectorField, ord
+from .jets import DifferentialFunction, JetContext, VectorField, ord, refuse_jets
 
 KEYWORDS = {
     "vars", "dep", "fn", "eq", "field", "family", "ansatz",
@@ -152,11 +152,14 @@ def _multi_index(t, symbols, what):
 
 @contextmanager
 def _declaring(t):
-    """A declaration its constructor refuses is a ParseError at statement t."""
+    """A declaration its constructor refuses, or whose normal form divides
+    by zero, is a ParseError at statement t."""
     try:
         yield
     except ValueError as e:
         raise ParseError(str(e), t.line, t.col)
+    except DivisionByZeroDetected as e:
+        raise ParseError("division by zero: %s" % e, t.line, t.col)
 
 
 @dataclass(frozen=True)
@@ -379,7 +382,8 @@ class _Parser:
             self.next()
             body = body - self.parse_expr()
         self.expect_punct(";")
-        L = DifferentialFunction(body, self.ctx)
+        with _declaring(t):
+            L = DifferentialFunction(body, self.ctx)
         if ord(L) < 1:
             raise ParseError("the equation must involve derivatives", t.line, t.col)
         self.equation = L
@@ -449,7 +453,11 @@ class _Parser:
         omega = self.parse_expr()
         self.in_ansatz = False
         self.expect_punct(";")
-        self.ansatzes[name] = Ansatz(f=normalize(f), omega=normalize(omega))
+        with _declaring(t):
+            f, omega = normalize(f), normalize(omega)
+            refuse_jets("ansatz", f, self.ctx)
+            refuse_jets("omega", omega, self.ctx)
+        self.ansatzes[name] = Ansatz(f=f, omega=omega)
 
     # expressions (precedence climbing; ^ is right-associative)
 

@@ -1,6 +1,7 @@
 """Kernel behavior: differentiation, normalization, zero testing, unknown maps."""
 
 import copy
+import itertools
 import random
 from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
@@ -9,7 +10,6 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy.core._print_helpers import Printable
 from sympy.core.cache import clear_cache
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import sring
@@ -431,6 +431,16 @@ def test_ring_cancellation_agrees_on_an_exp_half_over_a_product_with_an_exp():
     test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
 
 
+@pytest.mark.xfail(strict=True, reason="exp(6*x) and exp(-6*x) are independent ring generators, "
+                   "so normalize keeps exp(6*x) over a denominator the old kernel writes with "
+                   "exp(-6*x) factors: the exp-generator defect (ROADMAP direction 2)")
+def test_ring_cancellation_agrees_on_an_exp_over_a_square_with_an_exp():
+    # a quotient drawn by the property test above, which fails on it at
+    # random, written as Hypothesis printed it
+    e = sp.exp(-3 * u) * sp.exp(6 * x) / (8 * (_Fu + _F.sym((2,))) ** 2)
+    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
+
+
 _Fu = _F.sym((1,))
 _WIDE_ATOMS = _ATOMS + [sp.exp(-x / 2), sp.sqrt(u), sp.sqrt(2), _F(t + x), sp.log(x)]
 
@@ -539,8 +549,8 @@ def test_the_walk_takes_polynomial_bodies_and_declines_rewritten_inputs():
 
 
 # normalize keeps an input that is already normal, and _sort_ring_gens
-# ranks generators without printing them; the code each replaced is kept
-# here as the oracle
+# ranks generators by their printed names; the oracles are _rebuilt, the
+# code the first replaced, and _printed_order, which calls _sort_gens
 
 _CORPUS = []
 
@@ -563,7 +573,8 @@ def _rebuilt(e):
 
 
 def _printed_order(gens):
-    """_sort_ring_gens as it was: _sort_gens ranks every printed name."""
+    """_sort_ring_gens's order from _sort_gens itself: it ranks every
+    printed name."""
     name = {
         g: g.name if g.is_Symbol and not isinstance(g, (sp.Dummy, sp.Wild)) else str(g)
         for g in gens
@@ -734,20 +745,13 @@ def test_heads_order_generators_as_their_printed_names(gens):
     assert _sort_ring_gens(gens) == _printed_order(gens)
 
 
-def test_generators_are_printed_only_when_they_share_a_head(monkeypatch):
-    printed = []
-    real = Printable.__str__
-
-    def counting(self):
-        printed.append(self)
-        return real(self)
-
-    monkeypatch.setattr(Printable, "__str__", counting)
-    gens = [t, x, u, _Fu, sp.exp(u), _F(t + x), sp.sqrt(u), sp.log(x), sp.pi, sp.E, u ** sp.Rational(1, 3), 2 ** sp.Rational(1, 3)]
-    _sort_ring_gens(gens)
-    assert printed == []
-    _sort_ring_gens([u, sp.exp(u), sp.exp(x / 2), _F(t + x), sp.sqrt(u), sp.sqrt(2)])
-    assert set(printed) == {sp.exp(u), sp.exp(x / 2), sp.sqrt(u), sp.sqrt(2)}
+def test_the_generator_order_does_not_depend_on_the_input_order():
+    # x1 and x01 tie on _sort_gens's key; the full printed name breaks the tie
+    gens = [sp.Symbol("x1"), sp.Symbol("x01"), u, sp.exp(u), _F(t + x), sp.sqrt(2)]
+    orders = {tuple(_sort_ring_gens(p)) for p in itertools.permutations(gens)}
+    assert len(orders) == 1
+    (order,) = orders
+    assert order.index(sp.Symbol("x01")) + 1 == order.index(sp.Symbol("x1"))
 
 
 def test_is_zero_stops_at_the_first_nonzero_value(monkeypatch):
@@ -935,3 +939,24 @@ def test_numerator_reads_agree_on_an_exp_constant_and_its_reciprocal():
     # above fails at random
     test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(
         _random_normal(179887), 1)
+
+
+@pytest.mark.xfail(strict=True, reason="exp(exp(-x/2)) and exp(-exp(-x/2)), exp(2) and exp(-2) "
+                   "are independent ring generators, so the tree read of the primitive equation "
+                   "keeps a factor exp(exp(-x/2)) that the ring read divides out: the "
+                   "exp-generator defect (ROADMAP direction 2)")
+def test_numerator_reads_agree_on_an_exp_of_a_negative_exp_and_its_reciprocal():
+    # an input drawn by the property test above, which fails on it at
+    # random, written as Hypothesis printed it
+    e = (_Fu * sp.exp(2) * sp.exp(-sp.exp(-x / 2)) + 1) * sp.exp(-2) * sp.exp(sp.exp(-x / 2))
+    test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(e, 1)
+
+
+@pytest.mark.xfail(strict=True, reason="exp(x) and exp(-x) are independent ring generators, "
+                   "so the tree read of the primitive equation keeps a factor exp(x) that the "
+                   "ring read divides out: the exp-generator defect (ROADMAP direction 2)")
+def test_numerator_reads_agree_on_an_exp_factor_and_its_reciprocal_over_an_exp_of_an_exp():
+    # normalize(_random_quotient(_WIDE_ATOMS, 978595, True)), on which the
+    # property test above fails at random
+    test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(
+        normalize(_random_quotient(_WIDE_ATOMS, 978595, True)), 1)

@@ -211,6 +211,64 @@ class TestOneNamespace:
         assert (ei.value.line, ei.value.col) == (4, 26)  # the name after 'param'
 
 
+class TestRefusedStatements:
+    """A field coefficient, a family's f and Phi and an ansatz hold no jet of
+    positive order, not even through a declared function, and a division by
+    zero is a ParseError at its statement."""
+
+    @pytest.mark.parametrize("stmt, message", [
+        pytest.param(
+            "fn H(t, x, u, u_x) assume nonzero H;\nfield z: 0, 1, H(t, x, u, u_x);",
+            "coefficient H contains the jet variable u_x",
+            id="field-through-H",
+        ),
+        pytest.param(
+            "family k: kappa + u_x param kappa inverse u - u_x;",
+            "family u_x + kappa contains the jet variable u_x",
+            id="family-f",
+        ),
+        pytest.param(
+            "family k: kappa + t param kappa inverse u - t + u_xx;",
+            "inverse u + u_xx - t contains the jet variable u_xx",
+            id="family-inverse",
+        ),
+        pytest.param(
+            "field z: 0, 1, 0;\nansatz a: phi + u_t omega t;",
+            "ansatz phi + u_t contains the jet variable u_t",
+            id="ansatz-f",
+        ),
+        pytest.param(
+            "ansatz a: phi omega x + u_x;",
+            "omega u_x + x contains the jet variable u_x",
+            id="ansatz-omega",
+        ),
+    ])
+    def test_a_jet_of_positive_order_is_refused(self, stmt, message):
+        lines = stmt.split("\n")
+        with pytest.raises(ParseError) as ei:
+            parse_problem(HEAT + stmt + "\n")
+        assert str(ei.value) == "line %d, col 1: %s" % (3 + len(lines), message)
+
+    @pytest.mark.parametrize("text, where", [
+        pytest.param("vars t x;\ndep u;\neq: u_t = u_xx + 1/(u-u);\n", "line 3, col 1:", id="eq"),
+        pytest.param(HEAT + "field z: 0, 1, 1/0;\n", "line 4, col 1:", id="field"),
+        pytest.param(HEAT + "family k: kappa/0 param kappa inverse u;\n", "line 4, col 1:", id="family-f"),
+        pytest.param(
+            HEAT + "family k: kappa param kappa inverse u/(t-t);\n", "line 4, col 1:", id="family-inverse"
+        ),
+        pytest.param(HEAT + "field z: 0, 1, u;\nansatz a: phi/0 omega t;\n", "line 5, col 1:", id="ansatz-f"),
+        pytest.param(HEAT + "ansatz a: phi omega t/(x-x);\n", "line 4, col 1:", id="ansatz-omega"),
+    ])
+    def test_a_division_by_zero_is_a_parse_error_at_its_statement(self, text, where):
+        with pytest.raises(ParseError) as ei:
+            parse_problem(text)
+        assert str(ei.value).startswith(where + " division by zero: ")
+
+    def test_u_stays_allowed(self):
+        p = parse_problem(HEAT + "fn H(t, x, u);\nfield z: 0, 1, H(t, x, u)*u;\n")
+        assert set(p.fields) == {"z"}
+
+
 class TestEquality:
     def test_same_text_parses_equal(self):
         # parse_problem hands out one parse per text; __wrapped__ parses anew
