@@ -21,10 +21,14 @@ inverses share one namespace, and a family's parameter joins it while the
 family's f is parsed: no name may be declared twice, and a parameter may not
 shadow any of them. A declaration its constructor refuses, such as
 fn F(u, u); or fn F(u, t) inverse G; (only a one-argument function has an
-inverse), is a ParseError at the statement, so the CLI exits 2. The names phi
-(of ansatz statements) and zeta (of the reduced operator set) are reserved:
-every jet context holds both, but the text may use phi only from the first
-ansatz statement on, and zeta never.
+inverse), is a ParseError at the statement, so the CLI exits 2, and so is an
+expression whose value holds a complex constant (sqrt(-1), ln(-2)). The names
+phi (of ansatz statements) and zeta (of the reduced operator set) are
+reserved: every jet context holds both, but the text may use phi only in an
+ansatz body, as a family's parameter only in its f, and zeta never.
+
+render_problem gives a problem's canonical text, which parse_problem inverts,
+and two parsed problems are equal when their canonical texts are.
 """
 
 from __future__ import annotations
@@ -181,32 +185,11 @@ class ProblemFile:
     families: MappingProxyType
     ansatzes: MappingProxyType
 
-    def _signature(self):
-        fns = []
-        for name in self.function_names:
-            fn = self.ctx.functions[name]
-            fns.append((
-                name,
-                tuple(a.name for a in fn.args),
-                tuple(sorted(fn.nonzero)),
-                fn.inverse.name if fn.inverse is not None else None,
-            ))
-        return (
-            (self.ctx.x1.name, self.ctx.x2.name, self.ctx.dep),
-            tuple(fns),
-            self.equation.body,
-            tuple((k, v.xi1, v.xi2, v.eta) for k, v in sorted(self.fields.items())),
-            tuple(
-                (k, v.f, v.Phi, v.kappa.name) for k, v in sorted(self.families.items())
-            ),
-            tuple((k, v.f, v.omega) for k, v in sorted(self.ansatzes.items())),
-        )
-
     def __eq__(self, other):
         if not isinstance(other, ProblemFile):
             return NotImplemented
-        # each parse declares its own functions, so compare atoms by text
-        return sp.srepr(self._signature()) == sp.srepr(other._signature())
+        # each parse declares its own functions, so compare the canonical texts
+        return render_problem(self) == render_problem(other)
 
 
 class _Parser:
@@ -217,7 +200,6 @@ class _Parser:
         # what each name the text may use stands for: a symbol (an axis, u,
         # a family parameter) or an UnknownFunction
         self.names = {}
-        self.in_ansatz = False  # bare phi is phi's base only in an ansatz body
         self.function_names = []
         self.equation = None
         self.fields = {}
@@ -376,11 +358,11 @@ class _Parser:
         if self.equation is not None:
             raise ParseError("duplicate 'eq:' statement", t.line, t.col)
         self.expect_punct(":")
-        body = self.parse_expr()
+        body = self.parse_value(t)
         nxt = self.peek()
         if nxt.kind == "punct" and nxt.value == "=":
             self.next()
-            body = body - self.parse_expr()
+            body = body - self.parse_value(t)
         self.expect_punct(";")
         with _declaring(t):
             L = DifferentialFunction(body, self.ctx)
@@ -394,11 +376,11 @@ class _Parser:
         if name in self.fields:
             raise ParseError("duplicate field %r" % name, t.line, t.col)
         self.expect_punct(":")
-        xi1 = self.parse_expr()
+        xi1 = self.parse_value(t)
         self.expect_punct(",")
-        xi2 = self.parse_expr()
+        xi2 = self.parse_value(t)
         self.expect_punct(",")
-        eta = self.parse_expr()
+        eta = self.parse_value(t)
         self.expect_punct(";")
         with _declaring(t):
             self.fields[name] = VectorField(self.ctx, xi1, xi2, eta)
@@ -412,12 +394,12 @@ class _Parser:
         # the parameter is declared after the expression that uses it
         param = self._scan_ahead_param(t)
         kappa = self.names[param] = sp.Symbol(param)
-        f = self.parse_expr()
+        f = self.parse_value(t)
         self.expect_keyword("param")
         self.expect_name("parameter name")
         self.expect_keyword("inverse")
         del self.names[param]
-        Phi = self.parse_expr()
+        Phi = self.parse_value(t)
         self.expect_punct(";")
         with _declaring(t):
             self.families[name] = SolutionFamily(self.ctx, f, Phi, kappa)
@@ -447,11 +429,10 @@ class _Parser:
             raise ParseError("duplicate ansatz %r" % name, t.line, t.col)
         self.expect_punct(":")
         self.names["phi"] = self.ctx.functions["phi"]
-        self.in_ansatz = True
-        f = self.parse_expr()
+        f = self.parse_value(t)
         self.expect_keyword("omega")
-        omega = self.parse_expr()
-        self.in_ansatz = False
+        omega = self.parse_value(t)
+        del self.names["phi"]
         self.expect_punct(";")
         with _declaring(t):
             f, omega = normalize(f), normalize(omega)
@@ -460,6 +441,14 @@ class _Parser:
         self.ansatzes[name] = Ansatz(f=f, omega=omega)
 
     # expressions (precedence climbing; ^ is right-associative)
+
+    def parse_value(self, t):
+        """An expression of statement t: the kernel has no complex constants,
+        so one whose value holds I (sqrt(-1), ln(-2)) is refused at t."""
+        e = self.parse_expr()
+        if e.has(sp.I):
+            raise ParseError("complex constants are not supported", t.line, t.col)
+        return e
 
     _BINARY = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 
@@ -536,7 +525,7 @@ class _Parser:
         fn = self.names.get(t.value)
         if isinstance(fn, UnknownFunction):
             if not callable_next:
-                if t.value == "phi" and self.in_ansatz:
+                if t.value == "phi":
                     return fn.base
                 raise ParseError("%s needs arguments" % t.value, t.line, t.col)
             args = self.parse_call_args()

@@ -45,7 +45,7 @@ def _decimal(n):
 
 
 class GrammarPrinter(StrPrinter):
-    """Prints expressions in the problem-file notation: ^ powers, ln.
+    """Prints expressions in the problem-file notation: ^ powers, ln, exp(1).
 
     With call_form=True undifferentiated unknown functions print as calls
     at their formal arguments (F(u), H(t, x, u, u_x, u_xx)) so the output
@@ -62,6 +62,9 @@ class GrammarPrinter(StrPrinter):
         if expr.q == 1:
             return _decimal(expr.p)
         return "%s/%s" % (_decimal(expr.p), _decimal(expr.q))
+
+    def _print_Exp1(self, expr):
+        return "exp(1)"
 
     def _print_log(self, expr):
         return "ln(%s)" % self._print(expr.args[0])

@@ -358,87 +358,69 @@ def test_ring_cancellation_matches_the_old_kernel(e):
     assert normalize(e) == _old_kernel(e)
 
 
-@pytest.mark.xfail(strict=True, reason="exp(x) and exp(-x) are independent ring generators, "
-                   "so normalize keeps 4*exp(x) over a denominator the old kernel writes "
-                   "with exp(-x) factors: the exp-generator defect (ROADMAP direction 2)")
-def test_ring_cancellation_agrees_on_an_exp_factor_of_opposite_sign():
+def _pin(build, id, reason):
+    """A pinned input of a property test: build makes it when the test runs,
+    and the property's assertion fails on it through the exp-generator defect."""
+    xfail = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+    return pytest.param(build, id=id, marks=xfail)
+
+
+@pytest.mark.parametrize("build", [
     # seed 11822: a quotient on which the property test above fails at random
-    e = _random_quotient(_ATOMS, 11822, False)
-    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
-
-
-@pytest.mark.xfail(strict=True, reason="exp(x/2) and exp(2*x) are independent ring generators, "
-                   "so normalize keeps -exp(5*x/2) - exp(x/2) where the old kernel writes "
-                   "-exp(2*x) - 1 over exp(-x/2) factors: the exp-generator defect "
-                   "(ROADMAP direction 2)")
-def test_ring_cancellation_agrees_on_exp_factors_of_different_rational_multiples():
+    _pin(lambda: _random_quotient(_ATOMS, 11822, False), "an-exp-factor-of-opposite-sign",
+         "exp(x) and exp(-x) are independent ring generators, "
+         "so normalize keeps 4*exp(x) over a denominator the old kernel writes "
+         "with exp(-x) factors: the exp-generator defect (ROADMAP direction 2)"),
     # seed 3577: a quotient on which the property test above fails at random
-    e = _random_quotient(_ATOMS, 3577, False)
-    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
-
-
-@pytest.mark.xfail(strict=True, reason="exp(x) and exp(-x) are independent ring generators, "
-                   "so normalize keeps exp(x) in the numerator where the old kernel writes "
-                   "exp(2*u)*exp(-x) in each denominator term: the exp-generator defect "
-                   "(ROADMAP direction 2)")
-def test_ring_cancellation_agrees_on_an_exp_factor_over_a_sum():
+    _pin(lambda: _random_quotient(_ATOMS, 3577, False), "exp-factors-of-different-rational-multiples",
+         "exp(x/2) and exp(2*x) are independent ring generators, "
+         "so normalize keeps -exp(5*x/2) - exp(x/2) where the old kernel writes "
+         "-exp(2*x) - 1 over exp(-x/2) factors: the exp-generator defect "
+         "(ROADMAP direction 2)"),
     # seed 129766: a quotient on which the property test above fails at random
-    e = _random_quotient(_ATOMS, 129766, False)
-    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
-
-
-@pytest.mark.xfail(strict=True, reason="exp(x/2), exp(x) and exp(3*x/2) are independent ring "
-                   "generators, so normalize keeps exp(3*x/2) over terms in all three where "
-                   "the old kernel writes 1 over exp(-x) and exp(-x/2) terms: the "
-                   "exp-generator defect (ROADMAP direction 2)")
-def test_ring_cancellation_agrees_on_a_square_of_an_exp_half():
+    _pin(lambda: _random_quotient(_ATOMS, 129766, False), "an-exp-factor-over-a-sum",
+         "exp(x) and exp(-x) are independent ring generators, "
+         "so normalize keeps exp(x) in the numerator where the old kernel writes "
+         "exp(2*u)*exp(-x) in each denominator term: the exp-generator defect "
+         "(ROADMAP direction 2)"),
     # seed 2182076: exp(-2*u)*exp(x)/(u + exp(x/2))**2, on which the property
     # test above fails at random
-    e = _random_quotient(_ATOMS, 2182076, False)
-    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
-
-
-@pytest.mark.xfail(strict=True, reason="exp(x/2), exp(x) and exp(3*x/2) are independent ring "
-                   "generators, so normalize keeps exp(3*x/2) + exp(x/2) over terms in "
-                   "exp(2*u) where the old kernel writes exp(x) + 1 over exp(-x/2) terms: "
-                   "the exp-generator defect (ROADMAP direction 2)")
-def test_ring_cancellation_agrees_on_an_exp_half_over_a_sum_with_it():
+    _pin(lambda: _random_quotient(_ATOMS, 2182076, False), "a-square-of-an-exp-half",
+         "exp(x/2), exp(x) and exp(3*x/2) are independent ring "
+         "generators, so normalize keeps exp(3*x/2) over terms in all three where "
+         "the old kernel writes 1 over exp(-x) and exp(-x/2) terms: the "
+         "exp-generator defect (ROADMAP direction 2)"),
     # seed 1237040: (exp(x) + 1)*exp(-2*u)*exp(x/2)/(16*F_uu*(u + exp(x/2))),
     # on which the property test above fails at random
-    e = _random_quotient(_ATOMS, 1237040, False)
-    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
-
-
-@pytest.mark.xfail(strict=True, reason="exp(u) and exp(-u), exp(x/2) and exp(-x/2) are "
-                   "independent ring generators, so normalize keeps exp(x/2) over terms in "
-                   "exp(u) where the old kernel writes 3 over exp(u)*exp(-x/2) terms: the "
-                   "exp-generator defect (ROADMAP direction 2)")
-def test_ring_cancellation_agrees_on_an_exp_half_over_an_exp_of_opposite_sign():
+    _pin(lambda: _random_quotient(_ATOMS, 1237040, False), "an-exp-half-over-a-sum-with-it",
+         "exp(x/2), exp(x) and exp(3*x/2) are independent ring "
+         "generators, so normalize keeps exp(3*x/2) + exp(x/2) over terms in "
+         "exp(2*u) where the old kernel writes exp(x) + 1 over exp(-x/2) terms: "
+         "the exp-generator defect (ROADMAP direction 2)"),
     # seed 20267: 3*exp(-u)*exp(x/2)/(4*(F_u + u**2 + 4)), on which the
     # property test above fails at random
-    e = _random_quotient(_ATOMS, 20267, False)
-    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
-
-
-@pytest.mark.xfail(strict=True, reason="exp(u) and exp(-u), exp(x/2) and exp(-x/2) are "
-                   "independent ring generators, so normalize keeps exp(x/2) over terms in "
-                   "exp(u) where the old kernel writes 1 over exp(u)*exp(-x/2) terms: the "
-                   "exp-generator defect (ROADMAP direction 2)")
-def test_ring_cancellation_agrees_on_an_exp_half_over_a_product_with_an_exp():
+    _pin(lambda: _random_quotient(_ATOMS, 20267, False), "an-exp-half-over-an-exp-of-opposite-sign",
+         "exp(u) and exp(-u), exp(x/2) and exp(-x/2) are "
+         "independent ring generators, so normalize keeps exp(x/2) over terms in "
+         "exp(u) where the old kernel writes 3 over exp(u)*exp(-x/2) terms: the "
+         "exp-generator defect (ROADMAP direction 2)"),
     # seed 437294080: exp(-u)*exp(x/2)/(4*u*(u - 1)), on which the property
     # test above fails at random
-    e = _random_quotient(_ATOMS, 437294080, False)
-    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
-
-
-@pytest.mark.xfail(strict=True, reason="exp(6*x) and exp(-6*x) are independent ring generators, "
-                   "so normalize keeps exp(6*x) over a denominator the old kernel writes with "
-                   "exp(-6*x) factors: the exp-generator defect (ROADMAP direction 2)")
-def test_ring_cancellation_agrees_on_an_exp_over_a_square_with_an_exp():
+    _pin(lambda: _random_quotient(_ATOMS, 437294080, False), "an-exp-half-over-a-product-with-an-exp",
+         "exp(u) and exp(-u), exp(x/2) and exp(-x/2) are "
+         "independent ring generators, so normalize keeps exp(x/2) over terms in "
+         "exp(u) where the old kernel writes 1 over exp(u)*exp(-x/2) terms: the "
+         "exp-generator defect (ROADMAP direction 2)"),
     # a quotient drawn by the property test above, which fails on it at
     # random, written as Hypothesis printed it
-    e = sp.exp(-3 * u) * sp.exp(6 * x) / (8 * (_Fu + _F.sym((2,))) ** 2)
-    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(e)
+    _pin(lambda: sp.exp(-3 * u) * sp.exp(6 * x) / (8 * (_Fu + _F.sym((2,))) ** 2),
+         "an-exp-over-a-square-with-an-exp",
+         "exp(6*x) and exp(-6*x) are independent ring generators, "
+         "so normalize keeps exp(6*x) over a denominator the old kernel writes with "
+         "exp(-6*x) factors: the exp-generator defect (ROADMAP direction 2)"),
+])
+def test_ring_cancellation_agrees_on(build):
+    test_ring_cancellation_matches_the_old_kernel.hypothesis.inner_test(build())
 
 
 _Fu = _F.sym((1,))
@@ -898,65 +880,50 @@ def test_numerator_reads_from_the_ring_equal_the_tree_reads(e, scale):
         assert _old_kernel(multiplier - want_multiplier) == 0
 
 
-@pytest.mark.xfail(strict=True, reason="exp(4) and exp(-4) are independent ring generators, "
-                   "so the tree read of the primitive equation keeps a factor exp(4) that the "
-                   "ring read divides out: the exp-generator defect (ROADMAP direction 2)")
-def test_numerator_reads_agree_on_exp_factors_of_opposite_sign():
+@pytest.mark.parametrize("build", [
     # the quotient on which the property test above fails about once in 15 unseeded runs
-    e = normalize(_random_quotient(_WIDE_ATOMS, 352637431, True))
-    test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(e, 1)
-
-
-@pytest.mark.xfail(strict=True, reason="exp(u) and exp(-u) are independent ring generators, "
-                   "so the tree read of the primitive equation keeps a factor exp(u) that the "
-                   "ring read divides out: the exp-generator defect (ROADMAP direction 2)")
-def test_numerator_reads_agree_on_an_exp_factor_and_its_reciprocal():
+    _pin(lambda: normalize(_random_quotient(_WIDE_ATOMS, 352637431, True)),
+         "exp-factors-of-opposite-sign",
+         "exp(4) and exp(-4) are independent ring generators, "
+         "so the tree read of the primitive equation keeps a factor exp(4) that the "
+         "ring read divides out: the exp-generator defect (ROADMAP direction 2)"),
     # _random_normal(4857), (-64*F_u**5*exp(t)*exp(-u)*exp(x/2) - F_u**2*exp(x/2))
     # *exp(-t)*exp(u), on which the property test above fails at random
-    test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(
-        _random_normal(4857), 1)
-
-
-@pytest.mark.xfail(strict=True, reason="exp(exp(x/2)) and exp(-exp(x/2)) are independent ring "
-                   "generators, so the tree read of the primitive equation keeps a factor "
-                   "exp(exp(x/2)) that the ring read divides out: the exp-generator defect "
-                   "(ROADMAP direction 2)")
-def test_numerator_reads_agree_on_an_exp_of_an_exp_and_its_reciprocal():
+    _pin(lambda: _random_normal(4857), "an-exp-factor-and-its-reciprocal",
+         "exp(u) and exp(-u) are independent ring generators, "
+         "so the tree read of the primitive equation keeps a factor exp(u) that the "
+         "ring read divides out: the exp-generator defect (ROADMAP direction 2)"),
     # _random_normal(836938971), (-x*exp(F_uu)*exp(x)*exp(-exp(x/2)) - ...
     # - exp(x/2))*exp(-F_uu)*exp(exp(x/2))/3, on which the property test
     # above fails at random
-    test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(
-        _random_normal(836938971), 1)
-
-
-@pytest.mark.xfail(strict=True, reason="exp(4) and exp(-4), exp(F_uu) and exp(-F_uu) are "
-                   "independent ring generators, so the tree read of the primitive equation "
-                   "keeps a factor exp(4) that the ring read divides out: the exp-generator "
-                   "defect (ROADMAP direction 2)")
-def test_numerator_reads_agree_on_an_exp_constant_and_its_reciprocal():
+    _pin(lambda: _random_normal(836938971), "an-exp-of-an-exp-and-its-reciprocal",
+         "exp(exp(x/2)) and exp(-exp(x/2)) are independent ring "
+         "generators, so the tree read of the primitive equation keeps a factor "
+         "exp(exp(x/2)) that the ring read divides out: the exp-generator defect "
+         "(ROADMAP direction 2)"),
     # _random_normal(179887), (-3*F_u**2*u**3*exp(-4)*exp(F_uu)*exp(2*u) - ...
     # - 3*F_u**2*exp(2*u))*exp(4)*exp(-F_uu), on which the property test
     # above fails at random
-    test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(
-        _random_normal(179887), 1)
-
-
-@pytest.mark.xfail(strict=True, reason="exp(exp(-x/2)) and exp(-exp(-x/2)), exp(2) and exp(-2) "
-                   "are independent ring generators, so the tree read of the primitive equation "
-                   "keeps a factor exp(exp(-x/2)) that the ring read divides out: the "
-                   "exp-generator defect (ROADMAP direction 2)")
-def test_numerator_reads_agree_on_an_exp_of_a_negative_exp_and_its_reciprocal():
+    _pin(lambda: _random_normal(179887), "an-exp-constant-and-its-reciprocal",
+         "exp(4) and exp(-4), exp(F_uu) and exp(-F_uu) are "
+         "independent ring generators, so the tree read of the primitive equation "
+         "keeps a factor exp(4) that the ring read divides out: the exp-generator "
+         "defect (ROADMAP direction 2)"),
     # an input drawn by the property test above, which fails on it at
     # random, written as Hypothesis printed it
-    e = (_Fu * sp.exp(2) * sp.exp(-sp.exp(-x / 2)) + 1) * sp.exp(-2) * sp.exp(sp.exp(-x / 2))
-    test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(e, 1)
-
-
-@pytest.mark.xfail(strict=True, reason="exp(x) and exp(-x) are independent ring generators, "
-                   "so the tree read of the primitive equation keeps a factor exp(x) that the "
-                   "ring read divides out: the exp-generator defect (ROADMAP direction 2)")
-def test_numerator_reads_agree_on_an_exp_factor_and_its_reciprocal_over_an_exp_of_an_exp():
+    _pin(lambda: (_Fu * sp.exp(2) * sp.exp(-sp.exp(-x / 2)) + 1) * sp.exp(-2) * sp.exp(sp.exp(-x / 2)),
+         "an-exp-of-a-negative-exp-and-its-reciprocal",
+         "exp(exp(-x/2)) and exp(-exp(-x/2)), exp(2) and exp(-2) "
+         "are independent ring generators, so the tree read of the primitive equation "
+         "keeps a factor exp(exp(-x/2)) that the ring read divides out: the "
+         "exp-generator defect (ROADMAP direction 2)"),
     # normalize(_random_quotient(_WIDE_ATOMS, 978595, True)), on which the
     # property test above fails at random
-    test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(
-        normalize(_random_quotient(_WIDE_ATOMS, 978595, True)), 1)
+    _pin(lambda: normalize(_random_quotient(_WIDE_ATOMS, 978595, True)),
+         "an-exp-factor-and-its-reciprocal-over-an-exp-of-an-exp",
+         "exp(x) and exp(-x) are independent ring generators, "
+         "so the tree read of the primitive equation keeps a factor exp(x) that the "
+         "ring read divides out: the exp-generator defect (ROADMAP direction 2)"),
+])
+def test_numerator_reads_agree_on(build):
+    test_numerator_reads_from_the_ring_equal_the_tree_reads.hypothesis.inner_test(build(), 1)

@@ -149,9 +149,26 @@ class TestParsing:
         assert normalize(a.f - phi.base * sp.exp(p.ctx.x2)) == 0
         assert a.omega == p.ctx.x1
 
-    def test_a_field_after_an_ansatz_may_use_phi(self):
-        p = parse_problem(HEAT + "ansatz sep: phi*exp(x) omega t;\nfield f: 0, 1, phi_w;\n")
-        assert p.fields["f"].eta == p.ctx.functions["phi"].sym((1,))
+    @pytest.mark.parametrize("use, message", [
+        pytest.param("phi", "undeclared identifier 'phi'", id="phi"),
+        pytest.param("phi_w", "undeclared identifier 'phi'", id="phi_w"),
+        pytest.param("phi(u)", "'phi' is not a function", id="phi-call"),
+    ])
+    @pytest.mark.parametrize("stmt", [
+        pytest.param("field f: 0, 1, %s;", id="field"),
+        pytest.param("family k: kappa*%s param kappa inverse u;", id="family"),
+        pytest.param("eq: u_t = u_xx + %s;", id="eq"),
+    ])
+    def test_phi_is_a_name_of_ansatz_bodies_alone(self, stmt, use, message):
+        # the canonical text puts every ansatz last, so a use of phi after an
+        # ansatz would not parse back
+        text = "vars t x;\ndep u;\nansatz sep: phi*exp(x) omega t;\n" + stmt % use + "\n"
+        if not stmt.startswith("eq"):
+            text += "eq: u_t = u_xx;\n"
+        with pytest.raises(ParseError) as ei:
+            parse_problem(text)
+        assert str(ei.value).startswith("line 4, col ")
+        assert str(ei.value).endswith(message)
 
     def test_phi_is_reserved(self):
         with pytest.raises(ParseError):
@@ -264,6 +281,17 @@ class TestRefusedStatements:
             parse_problem(text)
         assert str(ei.value).startswith(where + " division by zero: ")
 
+    @pytest.mark.parametrize("stmt, line", [
+        pytest.param("field z: 0, 1, u*sqrt(-1);", 4, id="sqrt"),
+        pytest.param("family k: kappa + ln(-2) param kappa inverse u - ln(-2);", 4, id="ln"),
+        pytest.param("field z: 0, 1, 0;\nansatz a: phi*(-1)^(1/2) omega t;", 5, id="power"),
+    ])
+    def test_a_complex_constant_is_a_parse_error_at_its_statement(self, stmt, line):
+        # the kernel has no complex constants: I has no derivative rule
+        with pytest.raises(ParseError) as ei:
+            parse_problem(HEAT + stmt + "\n")
+        assert str(ei.value) == "line %d, col 1: complex constants are not supported" % line
+
     def test_u_stays_allowed(self):
         p = parse_problem(HEAT + "fn H(t, x, u);\nfield z: 0, 1, H(t, x, u)*u;\n")
         assert set(p.fields) == {"z"}
@@ -281,6 +309,12 @@ class TestEquality:
         a = parse_problem(HEAT + "field expo: 0, 1, u;\n")
         b = parse_problem(HEAT + "field other: 0, 1, u;\n")
         assert a != b
+
+    def test_equal_canonical_texts_are_equal_problems(self):
+        a = parse_problem(HEAT)
+        b = parse_problem("vars t x;\ndep u;\neq: u_t - u_xx = 0;\n")
+        assert render_problem(a) == render_problem(b)
+        assert a == b
 
     def test_not_a_problem_file(self):
         assert parse_problem(HEAT) != "text"
@@ -327,11 +361,21 @@ class TestReadOnly:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("stem", corpus_stems())
-    def test_parse_render_identity(self, stem):
-        p = parse_problem(corpus_text(stem))
+    @pytest.mark.parametrize("text", [pytest.param(corpus_text(stem), id=stem) for stem in corpus_stems()] + [
+        pytest.param("vars t x;\ndep u;\neq: u_t = u_xx + exp(1)*u;\n", id="exp-1"),
+        pytest.param(INVERSE_THROUGH_A_FUNCTION, id="inverse-through-a-function"),
+        pytest.param("vars t xx;\ndep u;\neq: u_t = u[0,2];\n", id="long-axis-name"),
+        pytest.param(
+            "vars t x;\ndep u;\nfn H(t, x, u, u_x) assume nonzero H;\n"
+            "eq: u_t = u_xx + H(t, x, u, u_x);\n",
+            id="function-of-a-jet",
+        ),
+    ])
+    def test_parse_render_identity(self, text):
+        p = parse_problem(text)
         rendered = render_problem(p)
-        p2 = parse_problem(rendered)
+        # parse_problem would hand back p itself for a text equal to its own
+        p2 = parse_problem.__wrapped__(rendered)
         assert p2 == p
         # canonical text is a fixed point of another round trip
         assert render_problem(p2) == rendered
