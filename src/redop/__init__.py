@@ -56,7 +56,6 @@ from .jets import (
     prolong,
     total_derivative,
     transpose,
-    transpose_field,
 )
 from .problems import ProblemFile, parse_problem, render_problem
 from .reduction import (
@@ -70,17 +69,14 @@ from .reduction import (
     reduce_with_ansatz,
     solve_for_leader,
 )
-from .report import AnalysisReport, CommandResult, Verdict, emit_report, parse_report, render
+from .report import AnalysisReport, CommandResult, Verdict, emit_report, render
 from .runner import run
 from .singular import (
     CoorderReport,
     SetAnalysis,
     analyze_reduced_set,
-    bracket,
     eliminate_on_Q,
-    module_closed,
     representation_check,
-    strong_coorder,
     weak_coorder,
 )
 

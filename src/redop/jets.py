@@ -412,7 +412,3 @@ def transpose(L):
                         "unknown-function argument %s cannot be transposed" % a
                     )
     return DifferentialFunction(L.body.xreplace(m), flipped)
-
-
-def transpose_field(Q, flipped_ctx):
-    return VectorField(flipped_ctx, Q.xi2, Q.xi1, Q.eta)

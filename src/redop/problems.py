@@ -444,9 +444,12 @@ class _Parser:
 
     def parse_value(self, t):
         """An expression of statement t: the kernel has no complex constants,
-        so one whose value holds I (sqrt(-1), ln(-2)) is refused at t."""
+        so one whose value holds I (sqrt(-1), ln(-2)) or a non-integer power
+        of a negative number ((-8)^(1/3), a principal root) is refused at t."""
         e = self.parse_expr()
-        if e.has(sp.I):
+        if e.has(sp.I) or any(
+            p.base.is_number and p.base.is_negative and not p.exp.is_integer for p in e.atoms(sp.Pow)
+        ):
             raise ParseError("complex constants are not supported", t.line, t.col)
         return e
 

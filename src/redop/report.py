@@ -1,4 +1,4 @@
-"""Analysis reports: verdict records, grammar-notation rendering, JSON I/O.
+"""Analysis reports: verdict records, grammar-notation rendering, JSON output.
 
 Statuses: proved (symbolic certificate), sampled (numeric evidence only),
 failed (counterexample or disproof), undecidable (no certificate either
@@ -14,7 +14,7 @@ claim with no outcome behind it is undecidable by itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import sympy as sp
 from sympy.printing.str import StrPrinter
@@ -123,13 +123,6 @@ class Verdict:
     status: str
     detail: str = ""
 
-    def to_dict(self):
-        return {"claim": self.claim, "status": self.status, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(claim=d["claim"], status=d["status"], detail=d.get("detail", ""))
-
 
 @dataclass
 class CommandResult:
@@ -139,25 +132,6 @@ class CommandResult:
     expressions: dict = field(default_factory=dict)
     timing_ms: float = 0.0
 
-    def to_dict(self):
-        return {
-            "command": self.command,
-            "inputs": dict(self.inputs),
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "expressions": dict(self.expressions),
-            "timing_ms": self.timing_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            command=d["command"],
-            inputs=dict(d.get("inputs", {})),
-            verdicts=[Verdict.from_dict(v) for v in d.get("verdicts", [])],
-            expressions=dict(d.get("expressions", {})),
-            timing_ms=d.get("timing_ms", 0.0),
-        )
-
 
 @dataclass
 class AnalysisReport:
@@ -166,18 +140,10 @@ class AnalysisReport:
     version: str = "1"
 
     def to_dict(self):
-        d = {"results": [r.to_dict() for r in self.results], "version": self.version}
-        if self.problem is not None:
-            d["problem"] = self.problem
+        d = asdict(self)
+        if self.problem is None:
+            del d["problem"]
         return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            problem=d.get("problem"),
-            results=[CommandResult.from_dict(r) for r in d.get("results", [])],
-            version=d.get("version", "1"),
-        )
 
     @property
     def worst_status(self):
@@ -213,8 +179,3 @@ def emit_report(report, format="text"):
                 line += "  (%s)" % v.detail
             lines.append(line)
     return "\n".join(lines)
-
-
-def parse_report(text):
-    """Inverse of emit_report(..., 'json')."""
-    return AnalysisReport.from_dict(json.loads(text))

@@ -2,13 +2,11 @@
 
 Elimination of one axis's derivatives on the invariant-surface manifold,
 strong and weak co-order computation, symbolic analysis of the reduced
-operator sets, representation checks in adapted jet coordinates, and Lie
-bracket closure of two-field modules.
+operator sets, and representation checks in adapted jet coordinates.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import sympy as sp
@@ -116,11 +114,6 @@ def eliminate_on_Q(L, Q, axis=None, session=Session()):
             "cannot eliminate along axis %d: its coefficient is zero" % axis
         )
     return Elimination(L, Q, axis)
-
-
-def strong_coorder(L, Q, session=Session()):
-    """Order of the associated function; -1 ultra-singular, ord L regular."""
-    return eliminate_on_Q(L, Q, session=session).k
 
 
 @dataclass
@@ -448,32 +441,3 @@ def representation_check(L, xi, k):
             "no omega atom with first index %d present" % k
         )
     return OmegaForm(body=body, omegas=omegas, values=values)
-
-
-def bracket(Q1, Q2):
-    """Lie bracket of two first-order fields in (x1, x2, u)."""
-    ctx = Q1.ctx
-    c1 = Q1.coefficients()
-    c2 = Q2.coefficients()
-    return VectorField(
-        ctx, *(Q1.apply_to(b) - Q2.apply_to(a) for a, b in zip(c1, c2))
-    )
-
-
-def _matrix_rank(rows, session):
-    n = len(rows)
-    for size in range(min(n, 3), 0, -1):
-        for rsel in itertools.combinations(range(n), size):
-            for csel in itertools.combinations(range(3), size):
-                m = sp.Matrix([[rows[i][j] for j in csel] for i in rsel])
-                det = normalize(m.det())
-                if is_zero(det, session) in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO):
-                    return size
-    return 0
-
-
-def module_closed(Q1, Q2, session=Session()):
-    """Whether [Q1,Q2] lies in the function-coefficient span of Q1 and Q2."""
-    b = bracket(Q1, Q2)
-    base = [Q1.coefficients(), Q2.coefficients()]
-    return _matrix_rank(base + [b.coefficients()], session) <= _matrix_rank(base, session)

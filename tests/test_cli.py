@@ -17,7 +17,7 @@ from redop.cli import main
 from redop.core import FnDerivSymbol, primitive_equation
 from redop.errors import SetNotFirstCoorder
 from redop.reduction import determining_singular
-from redop.report import AnalysisReport, emit_report, parse_report, render
+from redop.report import AnalysisReport, emit_report, render
 from redop.runner import _solved_display
 
 from helpers import (
@@ -251,15 +251,15 @@ class TestJsonOutput:
         assert main(["coorder", prob("heat"), "--field", "expo", "--json"]) == 0
         out = capsys.readouterr().out.strip()
         assert "\n" not in out
-        rep = parse_report(out)
-        assert rep.problem == "heat"
-        assert rep.results[0].command == "coorder"
-        assert emit_report(rep, "json") == out
+        d = json.loads(out)
+        assert d["problem"] == "heat"
+        assert d["results"][0]["command"] == "coorder"
+        assert json.dumps(d, sort_keys=True) == out
 
     def test_empty_report_serialization(self):
         rep = AnalysisReport(problem=None, results=[])
         assert emit_report(rep, "json") == '{"results": [], "version": "1"}'
-        assert parse_report(emit_report(rep, "json")) == rep
+        assert json.loads(emit_report(rep, "json")) == {"results": [], "version": "1"}
 
     def test_json_keys_are_sorted_and_stable(self, prob, capsys):
         assert main(["verify", prob("heat"), "--field", "expo", "--json"]) == 0

@@ -306,3 +306,42 @@ def test_the_elimination_owns_the_coorder_and_the_leader():
                         and node.args[1].attr == "leader"):
                     misses.append("%s (line %d): solve_for_leader" % (path.name, node.lineno))
     assert not misses, "leader decided outside the Elimination: " + ", ".join(misses)
+
+
+def _references(tree):
+    """Names and attributes that tree reads, leaving out those inside the
+    definition of the name itself (a recursive call is no caller)."""
+    refs = set()
+
+    def walk(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name not in defining:
+            refs.add(name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, defining)
+
+    walk(tree, frozenset())
+    return refs
+
+
+def test_every_exported_name_has_a_caller():
+    """Each name the package exports is reached by a command, an acceptance
+    criterion or the benchmark's tracer: another module of the package
+    references it, tests/test_acceptance.py does, or bench/spans.py traces it."""
+    init = Path(redop.__file__)
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    reached = set()
+    for path in MODULES:
+        reached |= _references(ast.parse(path.read_text()))
+    here = Path(__file__).parent
+    reached |= _references(ast.parse((here / "test_acceptance.py").read_text()))
+    spans = ast.parse((here.parent / "bench" / "spans.py").read_text())
+    for node in spans.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            reached |= {attr.split(".")[0] for _, _, attr in ast.literal_eval(node.value)}
+    unreached = sorted(exported - reached)
+    assert not unreached, "exported without a caller: " + ", ".join(unreached)

@@ -24,7 +24,6 @@ from redop import (
     prolong,
     total_derivative,
     transpose,
-    transpose_field,
 )
 from redop.core import _d
 from redop.errors import OrderUndefined
@@ -199,12 +198,6 @@ class TestTranspose:
         assert T.body == T.ctx.jet(0, 1) - T.ctx.jet(2, 0)
         back = transpose(T)
         assert back.body == L.body
-
-    def test_transpose_field_swaps_xi(self):
-        ctx, L = heat()
-        Q = VectorField(ctx, ctx.x1, 2, ctx.u)
-        QT = transpose_field(Q, transpose(L).ctx)
-        assert QT.coefficients() == (2, ctx.x1, ctx.u)
 
     def test_function_registry_is_copied_not_shared(self):
         ctx, L = heat()

@@ -285,6 +285,9 @@ class TestRefusedStatements:
         pytest.param("field z: 0, 1, u*sqrt(-1);", 4, id="sqrt"),
         pytest.param("family k: kappa + ln(-2) param kappa inverse u - ln(-2);", 4, id="ln"),
         pytest.param("field z: 0, 1, 0;\nansatz a: phi*(-1)^(1/2) omega t;", 5, id="power"),
+        pytest.param("field z: 0, 1, (-8)^(1/3)*u;", 4, id="cube-root"),
+        pytest.param("family k: kappa + (-1)^(2/3) param kappa inverse u - (-1)^(2/3);", 4, id="root-of-unity"),
+        pytest.param("field z: 0, 1, 0;\nansatz a: phi*(-4)^(1/4) omega t;", 5, id="fourth-root"),
     ])
     def test_a_complex_constant_is_a_parse_error_at_its_statement(self, stmt, line):
         # the kernel has no complex constants: I has no derivative rule

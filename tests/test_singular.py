@@ -13,14 +13,11 @@ from redop import (
     TriBool,
     VectorField,
     analyze_reduced_set,
-    bracket,
     eliminate_on_Q,
     is_zero,
-    module_closed,
     normalize,
     ord,
     representation_check,
-    strong_coorder,
     substitute,
     transpose,
     weak_coorder,
@@ -77,20 +74,20 @@ class TestEliminate:
 class TestStrongCoorder:
     def test_heat_fields(self):
         ctx, L = heat()
-        assert strong_coorder(L, VectorField(ctx, 0, 1, ctx.u)) == 1
-        assert strong_coorder(L, VectorField(ctx, 1, 0, 0)) == 2
+        assert eliminate_on_Q(L, VectorField(ctx, 0, 1, ctx.u)).k == 1
+        assert eliminate_on_Q(L, VectorField(ctx, 1, 0, 0)).k == 2
 
     def test_liouville_fields(self):
         ctx, L = liouville()
         zeta = -sp.sqrt(2) * sp.exp(ctx.u / 2)
-        assert strong_coorder(L, VectorField(ctx, 0, 1, zeta)) == 1
+        assert eliminate_on_Q(L, VectorField(ctx, 0, 1, zeta)).k == 1
         flat = -2 / (ctx.x1 + ctx.x2)
-        assert strong_coorder(L, VectorField(ctx, 0, 1, flat)) == 0
-        assert strong_coorder(L, VectorField(ctx, 1, 0, 0)) == 0
+        assert eliminate_on_Q(L, VectorField(ctx, 0, 1, flat)).k == 0
+        assert eliminate_on_Q(L, VectorField(ctx, 1, 0, 0)).k == 0
 
     def test_ultra_singular_is_minus_one(self):
         ctx, L = wave_zero()
-        assert strong_coorder(L, VectorField(ctx, 0, 1, ctx.x2)) == -1
+        assert eliminate_on_Q(L, VectorField(ctx, 0, 1, ctx.x2)).k == -1
 
     @pytest.mark.parametrize("lam_label", ["exp", "poly", "coord"])
     def test_invariant_under_nonzero_rescaling(self, lam_label):
@@ -106,7 +103,7 @@ class TestStrongCoorder:
             VectorField(ctx, 0, 2 * ctx.x1, -ctx.x2 * ctx.u),
         ):
             scaled = VectorField(ctx, lam * Q.xi1, lam * Q.xi2, lam * Q.eta)
-            assert strong_coorder(L, scaled) == strong_coorder(L, Q)
+            assert eliminate_on_Q(L, scaled).k == eliminate_on_Q(L, Q).k
 
 
 class TestWeakCoorder:
@@ -286,27 +283,6 @@ class TestRepresentation:
             representation_check(L, 0, 0)
 
 
-class TestBracket:
-    def test_bracket_of_reduced_fields(self):
-        ctx, L = heat()
-        Q1 = VectorField(ctx, 0, 1, ctx.u)
-        Q2 = VectorField(ctx, 0, 1, ctx.x2)
-        b = bracket(Q1, Q2)
-        assert b.coefficients() == (0, 0, 1 - ctx.x2)
-
-    def test_module_closed_within_one_reduced_set(self):
-        ctx, L = heat()
-        Q1 = VectorField(ctx, 0, 1, ctx.u)
-        Q2 = VectorField(ctx, 0, 1, ctx.x2)
-        assert module_closed(Q1, Q2)
-
-    def test_module_not_closed_across_orientations(self):
-        ctx, L = heat()
-        Q1 = VectorField(ctx, 1, 0, ctx.u)
-        Q2 = VectorField(ctx, 0, 1, ctx.x2)
-        assert not module_closed(Q1, Q2)
-
-
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10**9))
 def test_strong_coorder_rescaling_invariance_on_random_fields(seed):
@@ -319,7 +295,7 @@ def test_strong_coorder_rescaling_invariance_on_random_fields(seed):
     Q = VectorField(ctx, xi1, xi2, eta)
     lam = sp.exp(rng.choice([ctx.x1, ctx.x2, ctx.u]))
     scaled = VectorField(ctx, lam * Q.xi1, lam * Q.xi2, lam * Q.eta)
-    assert strong_coorder(L, scaled) == strong_coorder(L, Q)
+    assert eliminate_on_Q(L, scaled).k == eliminate_on_Q(L, Q).k
 
 
 # _poly_split reads the coefficients from the ring form; the sp.Poly split
