@@ -22,9 +22,11 @@ generators by their printed names with sring's own key, so both routes
 order them alike. ring_form gives the ring, numerator and denominator of a
 normal value, so that callers read degrees, coefficients and the
 numerator's content and primitive rest (split_nonvanishing,
-primitive_equation, is_zero) from the ring instead of the tree. The chain
-rule through unknown functions is implemented by structural recursion so
-that no foreign node kinds (Derivative, Subs) ever appear. The sampling
+primitive_equation, proven) from the ring instead of the tree. Zero testing
+has a proof phase, proven, which reads a normal value's form and never
+samples, and a sampling phase for what it leaves open, in is_zero. The
+chain rule through unknown functions is implemented by structural recursion
+so that no foreign node kinds (Derivative, Subs) ever appear. The sampling
 settings of a run travel in an immutable Session passed as a parameter.
 Besides the serial numbers of unknown functions, the module's one mutable
 state is normalize's bounded table of normal forms, which holds values,
@@ -815,29 +817,18 @@ def _sample_points(n, samples, seed):
         )
 
 
-def is_zero(e, session=Session()):
-    """Three-way-plus-one zero test.
+def proven(n):
+    """is_zero's proof phase on a normal n: PROVEN_ZERO, PROVEN_NONZERO or None.
 
-    PROVEN_ZERO only when the normal form is the zero quotient. PROVEN_NONZERO
-    for nonzero constants and for a value with no sum as a factor whose
-    numerator, read from the ring form, is a single term: a nonzero
-    rational times powers of provably nonvanishing generators (pi, E, exp
-    kernels, rational powers of nonzero numbers, symbols covered by
-    registered assumptions); no factorization is tried. Everything else is
-    sampled at the session's count of random rational points (default
-    ZERO_TEST_SAMPLES), drawn from a generator keyed by its seed and the
-    value: any nonzero value gives PROBABLY_NONZERO, all-zero gives
-    SAMPLED_ZERO.
+    PROVEN_ZERO for the zero quotient; PROVEN_NONZERO for a nonzero number
+    and for a value with no sum as a factor whose ring-form numerator is
+    one term, a nonzero rational times powers of generators that
+    _provably_nonzero keeps; no factorization is tried. It never samples.
     """
-    n = normalize(e)
     if n == 0:
         return TriBool.PROVEN_ZERO
     if n.is_Number:
-        z = n.is_zero
-        if z is True:
-            return TriBool.PROVEN_ZERO
-        if z is False:
-            return TriBool.PROVEN_NONZERO
+        return TriBool.PROVEN_NONZERO if n.is_zero is False else None
     if not any(isinstance(a, sp.Add) for a in sp.Mul.make_args(n)):
         # a normal value with a sum as a factor (or a sum) is the quotient
         # of a numerator of several terms
@@ -846,6 +837,22 @@ def is_zero(e, session=Session()):
             _provably_nonzero(g) for g, k in zip(P.ring.symbols, P.LM) if k
         ):
             return TriBool.PROVEN_NONZERO
+    return None
+
+
+def is_zero(e, session=Session()):
+    """Three-way-plus-one zero test: proven on the normal form, then sampling.
+
+    What the proof leaves open is sampled: a constant to 40 digits, else at
+    the session's count of random rational points (default
+    ZERO_TEST_SAMPLES) drawn from a generator keyed by its seed and the
+    value. Any nonzero value gives PROBABLY_NONZERO, all-zero SAMPLED_ZERO.
+    Only reported verdicts and solve_for_leader's nonvanishing coefficients
+    call it; branch decisions read the proof alone.
+    """
+    n = normalize(e)
+    if (verdict := proven(n)) is not None:
+        return verdict
     if not n.free_symbols and not n.atoms(AppliedMapBase):
         # constant the assumptions system cannot settle; decide numerically
         approx = sp.N(n, 40)

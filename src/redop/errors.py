@@ -32,7 +32,7 @@ class OrderUndefined(RedopError):
 # singularity analysis
 
 class BothCoefficientsZero(RedopError):
-    """Neither coefficient of the vector field is confirmably nonzero, no axis can be eliminated."""
+    """The vector field's coefficient of the axis to eliminate is zero (both are, by default)."""
 
 
 class NonPolynomialSplit(RedopError):
@@ -68,7 +68,7 @@ class DegenerateInverse(RedopError):
 
 
 class WrongCoorderBranch(RedopError):
-    """The requested adjoint branch conflicts with the verdict on zeta_u."""
+    """The requested adjoint branch conflicts with whether zeta_u is zero."""
 
 
 # cli frontend

@@ -75,12 +75,12 @@ class SolutionFamily:
             raise ValueError("the family parameter is not essential")
 
 
-def zeta_from_family(family, xi, session=Session()):
+def zeta_from_family(family, xi):
     """Operator coefficient zeta = -(xi*Phi_1 + Phi_2)/Phi_u."""
     ctx = family.ctx
     xi = normalize(xi)
     Phi_u = diff(family.Phi, ctx.u)
-    if is_zero(Phi_u, session) is TriBool.PROVEN_ZERO:
+    if Phi_u == 0:
         raise DegenerateInverse("Phi does not depend on u")
     return normalize(
         -(xi * diff(family.Phi, ctx.x1) + diff(family.Phi, ctx.x2)) / Phi_u
@@ -115,7 +115,7 @@ def verify_bijection(L, family, xi, session=Session()):
     ctx = family.ctx
     xi = normalize(xi)
     solves = verify_family_solves(L, family, session)
-    zeta = zeta_from_family(family, xi, session)
+    zeta = zeta_from_family(family, xi)
     on_f = {ctx.u: family.f}
     char = normalize(
         substitute_jets(zeta, on_f)
@@ -135,7 +135,7 @@ def verify_bijection(L, family, xi, session=Session()):
     )
 
 
-def adjoint_operator(zeta, F, coorder, ctx, session=Session()):
+def adjoint_operator(zeta, F, coorder, ctx):
     """Adjoint coefficient on the wave-type equation u_{1,1} = F(u).
 
     Co-order 1: zeta* = (F - zeta_1)/zeta_u. Co-order 0: zeta* =
@@ -144,14 +144,13 @@ def adjoint_operator(zeta, F, coorder, ctx, session=Session()):
     zeta = normalize(zeta)
     zu = diff(zeta, ctx.u)
     z1 = diff(zeta, ctx.x1)
-    zu_verdict = is_zero(zu, session)
     if coorder == 1:
-        if zu_verdict is TriBool.PROVEN_ZERO:
+        if zu == 0:
             raise WrongCoorderBranch("zeta does not depend on u")
         F_expr = F.base if isinstance(F, UnknownFunction) else normalize(F)
         return normalize((F_expr - z1) / zu)
     if coorder == 0:
-        if zu_verdict is not TriBool.PROVEN_ZERO:
+        if zu != 0:
             raise WrongCoorderBranch("zeta depends on u; co-order 0 needs zeta_u = 0")
         z11 = diff(z1, ctx.x1)
         if isinstance(F, UnknownFunction):
@@ -180,10 +179,10 @@ def coorder0_solution(L, zeta, xi, session=Session()):
     ctx = L.ctx
     zeta = normalize(zeta)
     xi = normalize(xi)
-    if is_zero(diff(zeta, ctx.u), session) is not TriBool.PROVEN_ZERO:
+    if diff(zeta, ctx.u) != 0:
         raise WrongCoorderBranch("zeta depends on u")
     Q = VectorField(ctx, xi, 1, zeta)
-    elim = eliminate_on_Q(L, Q, 2, session)
+    elim = eliminate_on_Q(L, Q, 2)
     if elim.k != 0:
         raise WrongCoorderBranch("strong co-order is %d; co-order 0 needs 0" % elim.k)
     G = solve_for_leader(elim.hat, elim.leader, session)
@@ -287,27 +286,29 @@ def backlund_verify(L, zeta, Phi, xi, session=Session()):
     Phi - kappa over u = 2**k, then u = -2**k (k = -20..20), and bisection
     of each cell that changes sign down to adjacent floats
     (_surface_roots). The roots are tried cell by cell, in scan order, and
-    the first whose mpmath Phi is within 1e-20 of kappa is taken; a root
-    failing that certificate (such as a pole the bisection closed in on)
-    or a cell where the evaluation fails during bisection passes the turn
-    to the next cell, and an attempt where no cell gives a certified root
-    is a failed attempt. The residual of L, with the implicit-function
-    prolongations, is evaluated in mpmath at each accepted root; when it
-    is structurally zero the points are recorded with exact zeros. The
-    zero tests on the way use the same session.
+    the first whose mpmath Phi is within 1e-20 of kappa is taken. That
+    certificate runs at mpmath's default 53 bits, where the ulp of Phi near
+    kappa is about 1e-16, so only a root at which Phi evaluates exactly to
+    kappa passes it. A root failing it (such as a pole the bisection
+    closed in on) or a cell where the evaluation fails during bisection
+    passes the turn to the next cell, and an attempt where no cell gives a
+    certified root is a failed attempt. The residual of L, with the
+    implicit-function prolongations, is evaluated in mpmath at each
+    accepted root; when it is structurally zero the points are recorded
+    with exact zeros. The reported zero tests use the same session.
     """
     ctx = L.ctx
     zeta = normalize(zeta)
     Phi = normalize(Phi)
     xi = normalize(xi)
     Phi_u = diff(Phi, ctx.u)
-    if is_zero(Phi_u, session) is TriBool.PROVEN_ZERO:
+    if Phi_u == 0:
         raise DegenerateInverse("Phi does not depend on u")
     identity_q = is_zero(
         xi * diff(Phi, ctx.x1) + diff(Phi, ctx.x2) + zeta * Phi_u, session
     )
     Q = VectorField(ctx, xi, 1, zeta)
-    elim = eliminate_on_Q(L, Q, 2, session)
+    elim = eliminate_on_Q(L, Q, 2)
     if elim.k == 1 or elim.k == 0 and elim.hat.depends_on_u:
         G = solve_for_leader(elim.hat, elim.leader, session)
     else:

@@ -24,6 +24,7 @@ from .core import (
     fingerprint,
     is_zero,
     normalize,
+    proven,
     ring_form,
     substitute,
 )
@@ -89,7 +90,7 @@ def solve_for_leader(Lhat, leader, session=Session()):
     if isinstance(K, sp.exp):
         if K.args[0] != leader:
             raise LeaderNotSolvable("exp argument %s is not the leader" % K.args[0])
-        if is_zero(rhs, session) is TriBool.PROVEN_ZERO:
+        if rhs == 0:
             raise LeaderNotSolvable("logarithm of a vanishing value")
         return normalize(sp.log(rhs))
     fn, order = K.fn, K.order
@@ -144,7 +145,7 @@ def _restricted_action(L, Q, ip, axis, session):
     with its consequences, into the eliminated ip. Raises LeaderNotSolvable
     if the leader cannot be solved for.
     """
-    elim = eliminate_on_Q(L, Q, axis, session)
+    elim = eliminate_on_Q(L, Q, axis)
     ip_elim = elim.apply(ip).body
     if elim.k == -1:
         return ip_elim
@@ -195,7 +196,7 @@ def determining_singular(L, xi, session=Session()):
     """
     ctx = L.ctx
     xi = normalize(xi)
-    elim = eliminate_on_Q(L, reduced_field(ctx, xi), 2, session)
+    elim = eliminate_on_Q(L, reduced_field(ctx, xi), 2)
     if 0 <= elim.k < ord(L):
         # the set must take the co-order-k shape in adapted coordinates
         representation_check(L, xi, elim.k)
@@ -204,7 +205,7 @@ def determining_singular(L, xi, session=Session()):
     coeff = diff(elim.hat.body, elim.leader)
     G = solve_for_leader(elim.hat, elim.leader, session)
     assumptions = []
-    if is_zero(coeff, session) is not TriBool.PROVEN_NONZERO:
+    if proven(coeff) is not TriBool.PROVEN_NONZERO:
         assumptions.append(coeff)
     zeta = ctx.functions["zeta"]
     z = zeta.base
@@ -284,9 +285,8 @@ def determining_regular(L, Q, session=Session()):
     to the usual axis-2 preference.
     """
     ctx = L.ctx
-    z1v = is_zero(Q.xi1, session)
-    z2v = is_zero(Q.xi2, session)
-    tau_on_1 = z1v is TriBool.PROVEN_NONZERO and z2v is not TriBool.PROVEN_NONZERO
+    z2v = proven(Q.xi2)
+    tau_on_1 = proven(Q.xi1) is TriBool.PROVEN_NONZERO and z2v is not TriBool.PROVEN_NONZERO
     axis = 1 if tau_on_1 or z2v is TriBool.PROVEN_ZERO else 2
     residual = _restricted_action(L, Q, apply_prolonged(Q, L), axis, session)
     split_vars = sorted(
@@ -389,12 +389,10 @@ def reduce_with_ansatz(L, Q, f, omega, session=Session()):
     char = normalize(
         substitute(Q.eta, {ctx.u: f}) - xi1 * diff(f, ctx.x1) - xi2 * diff(f, ctx.x2)
     )
-    if is_zero(char, session) is not TriBool.PROVEN_ZERO:
-        raise UnsupportedAnsatz(
-            "ansatz is not invariant under the field: Q[f] = %s" % char
-        )
+    if char != 0:
+        raise UnsupportedAnsatz("ansatz is not invariant under the field: Q[f] = %s" % char)
     omega_invariance = normalize(xi1 * diff(omega, ctx.x1) + xi2 * diff(omega, ctx.x2))
-    if is_zero(omega_invariance, session) is not TriBool.PROVEN_ZERO:
+    if omega_invariance != 0:
         raise UnsupportedAnsatz("omega is not an invariant of the field")
 
     body = substitute_jets(L.body, jet_values(L, f))

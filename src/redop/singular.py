@@ -93,26 +93,20 @@ class Elimination:
         return DifferentialFunction(_replace_jets(body, jetmap), self.ctx)
 
 
-def eliminate_on_Q(L, Q, axis=None, session=Session()):
+def eliminate_on_Q(L, Q, axis=None):
     """Remove derivatives along one axis using the invariant-surface relation.
 
-    The axis defaults to 2 whenever xi2 is not provably zero, else to 1;
-    forcing an axis with a provably zero coefficient is rejected.
+    The axis defaults to 2 whenever the normal xi2 is not 0, else to 1;
+    forcing an axis with a zero coefficient is rejected. Nothing is sampled.
     """
-    z1 = is_zero(Q.xi1, session)
-    z2 = is_zero(Q.xi2, session)
-    if z1 is TriBool.PROVEN_ZERO and z2 is TriBool.PROVEN_ZERO:
-        raise BothCoefficientsZero(
-            "vector field %s has no independent-variable part" % (Q,)
-        )
+    z1 = Q.xi1 == 0
+    z2 = Q.xi2 == 0
+    if z1 and z2:
+        raise BothCoefficientsZero("vector field %s has no independent-variable part" % (Q,))
     if axis is None:
-        axis = 2 if z2 is not TriBool.PROVEN_ZERO else 1
-    elif (axis == 2 and z2 is TriBool.PROVEN_ZERO) or (
-        axis == 1 and z1 is TriBool.PROVEN_ZERO
-    ):
-        raise BothCoefficientsZero(
-            "cannot eliminate along axis %d: its coefficient is zero" % axis
-        )
+        axis = 1 if z2 else 2
+    elif (axis == 2 and z2) or (axis == 1 and z1):
+        raise BothCoefficientsZero("cannot eliminate along axis %d: its coefficient is zero" % axis)
     return Elimination(L, Q, axis)
 
 
@@ -137,7 +131,7 @@ class CoorderReport:
 
 def weak_coorder(L, Q, session=Session()):
     """Strong co-order plus the best multiplier-extracted bound pair."""
-    elim = eliminate_on_Q(L, Q, session=session)
+    elim = eliminate_on_Q(L, Q)
     if elim.k == -1:
         return CoorderReport(
             strong=-1,
@@ -308,7 +302,7 @@ def analyze_reduced_set(L, xi, session=Session()):
     ctx = L.ctx
     xi = normalize(xi)
     Q = reduced_field(ctx, xi)
-    elim = eliminate_on_Q(L, Q, 2, session)
+    elim = eliminate_on_Q(L, Q, 2)
     hat, k = elim.hat, elim.k
     if k == ord(L):
         # a regular set has no sub-branches

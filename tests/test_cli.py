@@ -12,13 +12,14 @@ import sympy.core.random as sympy_random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redop import UnknownFunction, core, normalize, parse_problem, runner
+from redop import UnknownFunction, core, eliminate_on_Q, normalize, parse_problem, runner, zeta_from_family
 from redop.cli import main
 from redop.core import FnDerivSymbol, primitive_equation
 from redop.errors import SetNotFirstCoorder
 from redop.reduction import determining_singular
 from redop.report import AnalysisReport, emit_report, render
 from redop.runner import _solved_display
+from redop.singular import reduced_field
 
 from helpers import (
     INVERSE_THROUGH_A_FUNCTION,
@@ -26,6 +27,7 @@ from helpers import (
     corpus_problem,
     corpus_stems,
     corpus_text,
+    heat,
     rand_expr,
 )
 
@@ -194,6 +196,18 @@ class TestExitCodes:
         assert main(["detsys", str(path), "--xi", "0"]) == 2
         assert capsys.readouterr().err == "error: line 3, col 4: 'zeta' is a reserved word\n"
 
+    @pytest.mark.parametrize("command, code", [("coorder", 0), ("verify", 1), ("detsys", 0)])
+    def test_a_field_without_a_real_sample_point_is_analyzed(self, tmp_path, capsys, command, code):
+        # the elimination axis was chosen by sampling xi2 = sqrt(-1 - u^2),
+        # which has no real value, and each command exited 2 with "no valid
+        # sample point found"
+        path = tmp_path / "imaginary.prob"
+        path.write_text("vars t x;\ndep u;\neq: u_t = u_xx;\nfield z: 0, sqrt(-1 - u^2), u;\n")
+        assert main([command, str(path), "--field", "z"]) == code
+        out, err = capsys.readouterr()
+        assert "== %s (field=z xi=0)" % command in out
+        assert err == ""
+
     def test_an_inverse_through_a_declared_function_is_accepted(self, tmp_path, capsys):
         # the inverse check once substituted u = f into atoms only, so
         # F(u) - x stayed F - x and the file was a parse error
@@ -346,6 +360,35 @@ class TestFlags:
         with pytest.raises(SystemExit) as ei:
             main(["frobnicate", prob("heat")])
         assert ei.value.code == 2
+
+
+class TestBranchesNeverSample:
+    """A branch decision reads the proof phase of the zero test alone; each
+    of these once drew a sample point to decide a value that is structurally
+    nonzero."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(n, samples, seed):
+            raise AssertionError("sampled %s" % n)
+
+        monkeypatch.setattr(core, "_sample_points", refuse)
+
+    def test_the_elimination_axis(self):
+        ctx, L = heat()
+        elim = eliminate_on_Q(L, reduced_field(ctx, ctx.u))
+        assert (elim.k, elim.kept_axis, elim.leader) == (2, 1, ctx.jet(2, 0))
+
+    def test_whether_phi_depends_on_u(self):
+        fan = corpus_problem("transport").families["fan"]
+        ctx = fan.ctx
+        assert normalize(zeta_from_family(fan, 0) - ctx.u / ctx.x2) == 0
+
+    def test_the_ansatz_invariance_check(self, prob, capsys):
+        assert main(["reduce", prob("heat"), "--field", "expo", "--ansatz", "quad"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ansatz is not invariant under the field: Q[f] = x**2/2 - x + phi(t)\n"
+        )
 
 
 def test_coorder_time_does_not_depend_on_sympys_rng(prob):

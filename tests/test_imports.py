@@ -88,6 +88,20 @@ def test_every_call_passes_the_session_on():
     assert not misses, "session not passed on: " + ", ".join(misses)
 
 
+def test_branch_decisions_read_the_proof_alone():
+    """The elimination axis, whether Phi depends on u and whether zeta_u
+    vanishes are read from normal forms: the functions that decide them
+    take no Session and call no is_zero."""
+    branches = ("eliminate_on_Q", "zeta_from_family", "adjoint_operator")
+    found = {}
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and fn.name in branches:
+                calls = {getattr(n.func, "id", None) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+                found[fn.name] = ("session" in [a.arg for a in fn.args.args], "is_zero" in calls)
+    assert found == dict.fromkeys(branches, (False, False))
+
+
 def test_only_ansatz_reduction_factors():
     """reduce_with_ansatz keeps whole multi-term factors and so needs
     factor_list; every other split takes least exponents of single atoms."""
