@@ -49,12 +49,7 @@ from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _gens_order, _max_order, _re_gen
 from sympy.polys.rings import PolyRing, sring
 
-from .errors import (
-    DivisionByZeroDetected,
-    EvaluationExhausted,
-    UnknownVariable,
-    UnsupportedExpression,
-)
+from .errors import DivisionByZeroDetected, UnknownVariable, UnsupportedExpression
 
 # Expressions are immutable sympy objects; every public operation is pure.
 Expr = sp.Expr
@@ -776,18 +771,20 @@ def fingerprint(e):
 def _sample_points(n, samples, seed):
     """Evaluate n at random rational points, yielding exact-or-high-precision
     values one at a time, so that a caller that stops early draws no
-    further point. EvaluationExhausted when no valid point is found."""
+    further point; a constant has one point. Nothing is yielded when the
+    draws run out of budget before a valid point."""
     opaque = {}
     for node in n.atoms(AppliedMapBase):
         opaque[node] = sp.Dummy(node.func.__name__)
     body = n.xreplace(opaque) if opaque else n
     atoms = sorted(body.free_symbols, key=sp.default_sort_key)
+    samples = samples if atoms else 1
     # inside ln/sqrt keep arguments positive by sampling positive points
     positive_only = body.has(sp.log) or any(
         isinstance(p, sp.Pow) and not p.exp.is_Integer for p in body.atoms(sp.Pow)
     )
     rng = random.Random("%s:%s" % (seed, fingerprint(n)))
-    budget = samples + RETRIES * max(1, len(atoms))
+    budget = samples + RETRIES * len(atoms)
     found = 0
     while found < samples and budget > 0:
         budget -= 1
@@ -811,10 +808,6 @@ def _sample_points(n, samples, seed):
             continue
         found += 1
         yield sp.re(approx)
-    if not found:
-        raise EvaluationExhausted(
-            "no valid sample point found for %s" % sp.sstr(n)
-        )
 
 
 def proven(n):
@@ -843,22 +836,17 @@ def proven(n):
 def is_zero(e, session=Session()):
     """Three-way-plus-one zero test: proven on the normal form, then sampling.
 
-    What the proof leaves open is sampled: a constant to 40 digits, else at
-    the session's count of random rational points (default
-    ZERO_TEST_SAMPLES) drawn from a generator keyed by its seed and the
-    value. Any nonzero value gives PROBABLY_NONZERO, all-zero SAMPLED_ZERO.
-    Only reported verdicts and solve_for_leader's nonvanishing coefficients
-    call it; branch decisions read the proof alone.
+    What the proof leaves open is sampled at the session's count of random
+    rational points (default ZERO_TEST_SAMPLES; a constant has one) drawn
+    from a generator keyed by its seed and the value. Any nonzero value
+    gives PROBABLY_NONZERO, all-zero SAMPLED_ZERO, and no valid point None,
+    the outcome that decided nothing. Only reported verdicts and
+    solve_for_leader's nonvanishing coefficients call it; branch decisions
+    read the proof alone.
     """
     n = normalize(e)
     if (verdict := proven(n)) is not None:
         return verdict
-    if not n.free_symbols and not n.atoms(AppliedMapBase):
-        # constant the assumptions system cannot settle; decide numerically
-        approx = sp.N(n, 40)
-        if approx.is_number and abs(approx) > sp.Float(10) ** -30:
-            return TriBool.PROBABLY_NONZERO
-        return TriBool.SAMPLED_ZERO
     samples = ZERO_TEST_SAMPLES if session.samples is None else session.samples
     for v in _sample_points(n, samples, session.seed):
         if v.is_Rational:
@@ -866,7 +854,8 @@ def is_zero(e, session=Session()):
                 return TriBool.PROBABLY_NONZERO
         elif abs(v) > sp.Float(10) ** -30:
             return TriBool.PROBABLY_NONZERO
-    return TriBool.SAMPLED_ZERO
+        verdict = TriBool.SAMPLED_ZERO
+    return verdict
 
 
 def primitive_equation(e):

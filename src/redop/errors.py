@@ -15,10 +15,6 @@ class DivisionByZeroDetected(RedopError):
     """A denominator normalized to the zero polynomial."""
 
 
-class EvaluationExhausted(RedopError):
-    """All random sample attempts hit singularities of the expression."""
-
-
 class UnsupportedExpression(RedopError):
     """The expression contains a node kind outside the kernel's language."""
 

@@ -28,6 +28,7 @@ from .core import (
 from .errors import DegenerateInverse, WrongCoorderBranch
 from .jets import VectorField, jet_values, refuse_jets, substitute_jets
 from .reduction import determining_singular, solve_for_leader
+from .report import GrammarPrinter
 from .singular import eliminate_on_Q
 
 
@@ -329,11 +330,12 @@ def backlund_verify(L, zeta, Phi, xi, session=Session()):
     rng = random.Random(session.seed)
     can_evaluate = not any(isinstance(s, FnDerivSymbol) for s in Phi.free_symbols)
     if can_evaluate:
-        phi_fn = sp.lambdify((ctx.x1, ctx.x2, ctx.u), Phi, "mpmath")
+        args = (ctx.x1, ctx.x2, ctx.u)
+        phi_fn = sp.lambdify(args, Phi, "mpmath", printer=GrammarPrinter)
         res_fn = None
         if structural is not TriBool.PROVEN_ZERO:
-            res_fn = sp.lambdify((ctx.x1, ctx.x2, ctx.u), residual, "mpmath")
-        phi_float = sp.lambdify((ctx.x1, ctx.x2, ctx.u), Phi, "math")
+            res_fn = sp.lambdify(args, residual, "mpmath", printer=GrammarPrinter)
+        phi_float = sp.lambdify(args, Phi, "math", printer=GrammarPrinter)
         for kappa in DEFAULT_KAPPAS:
             kv = float(kappa)
             found = 0

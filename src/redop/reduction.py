@@ -309,14 +309,15 @@ def determining_regular(L, Q, session=Session()):
 @dataclass
 class AnsatzReduction:
     """order_verdict decides the essential order: is_zero on the coefficient
-    of phi's top derivative in reduced, or on a phi-free reduced (order -1)."""
+    of phi's top derivative in reduced, or on a phi-free reduced (order -1).
+    Either verdict is None when its value had no valid sample point."""
 
     multiplier: Expr
     reduced: Expr
     essential_order: int
-    order_verdict: TriBool
+    order_verdict: TriBool | None
     omega: Expr
-    multiplier_verdict: TriBool
+    multiplier_verdict: TriBool | None
 
 
 def _phi_order(e, phi):

@@ -98,7 +98,8 @@ def nonzero_claim_status(verdict):
     """Status for a claim of the form 'expression does not vanish'.
 
     All-zero samples neither certify nor refute such a claim, so they map
-    to undecidable rather than failed.
+    to undecidable rather than failed, as does None, a value with no valid
+    sample point.
     """
     if verdict is TriBool.PROVEN_NONZERO:
         return PROVED

@@ -40,6 +40,11 @@ def _xi_expr(ctx, label):
     raise ValueError("xi must be '0' or 'u'")
 
 
+def _outcome(verdict):
+    """The name of an is_zero verdict; None is the value with no valid sample point."""
+    return "no valid sample point found" if verdict is None else verdict.name
+
+
 def _named(mapping, name, what):
     if name is None:
         raise ValueError("this command needs --%s" % what)
@@ -99,7 +104,7 @@ def _cmd_coorder(problem, options, session):
         status, detail = EXACT, "a nonzero residual cannot drop below order 0"
     else:
         status = nonzero_claim_status(rep.maximal_rank)
-        detail = "top-jet coefficient verdict: %s" % rep.maximal_rank.name
+        detail = "top-jet coefficient verdict: %s" % _outcome(rep.maximal_rank)
     verdicts = [
         Verdict(claim="strong singularity co-order = %d" % rep.strong, status=EXACT),
         Verdict(
@@ -192,7 +197,7 @@ def _cmd_verify(problem, options, session):
         verdicts = [Verdict(
             claim="conditional invariance criterion holds on the manifold",
             status=zero_claim_status(verdict),
-            detail="residual verdict: %s" % verdict.name,
+            detail="residual verdict: %s" % _outcome(verdict),
         )]
         return verdicts, {}
     except LeaderNotSolvable as e:
@@ -213,7 +218,8 @@ def _cmd_reduce(problem, options, session):
             claim="ansatz reduces the equation to the identity 0 = 0",
             status=zero_claim_status(ar.order_verdict),
             detail="ultra-singular reduction, essential order -1" if vanishes
-            else "the reduced equation is free of phi and does not vanish",
+            else "the reduced equation is free of phi and %s" % (
+                "has no valid sample point" if ar.order_verdict is None else "does not vanish"),
         )]
     else:
         nonvanishing = ar.order_verdict in (TriBool.PROVEN_NONZERO, TriBool.PROBABLY_NONZERO)

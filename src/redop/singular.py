@@ -112,12 +112,15 @@ def eliminate_on_Q(L, Q, axis=None):
 
 @dataclass
 class CoorderReport:
+    """maximal_rank: is_zero on the residual's derivative by its top kept
+    jet (by u at order 0 or less); None when it had no valid sample point."""
+
     strong: int
     weak_lower: int
     weak_upper: int
     multiplier: Expr
     residual: DifferentialFunction
-    maximal_rank: TriBool
+    maximal_rank: TriBool | None
     elimination: Elimination
 
     def __post_init__(self):

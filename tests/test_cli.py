@@ -31,6 +31,9 @@ from helpers import (
     rand_expr,
 )
 
+# heat with a field on which no real point makes sqrt(-1 - u^2) real
+_NO_REAL_POINT = "vars t x;\ndep u;\neq: u_t = u_xx;\nfield w: sqrt(-1 - u^2), 1, u;\n"
+
 # int()'s digit limit; 0 means none, as on Python before 3.10.7
 _INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -206,6 +209,41 @@ class TestExitCodes:
         assert main([command, str(path), "--field", "z"]) == code
         out, err = capsys.readouterr()
         assert "== %s (field=z xi=0)" % command in out
+        assert err == ""
+
+    @pytest.mark.parametrize("command, line", [
+        ("coorder", "[undecidable] weak co-order is exactly 2  "
+                    "(top-jet coefficient verdict: no valid sample point found)"),
+        ("verify", "[undecidable] conditional invariance criterion holds on the manifold  "
+                   "(residual verdict: no valid sample point found)"),
+    ], ids=["coorder", "verify"])
+    def test_a_claim_without_a_real_sample_point_is_undecidable(self, tmp_path, capsys, command, line):
+        # the claim's own zero test, on values holding sqrt(-1 - u^2), drew no
+        # valid point, and the command exited 2 with "no valid sample point found"
+        path = tmp_path / "imaginary.prob"
+        path.write_text(_NO_REAL_POINT)
+        assert main([command, str(path), "--field", "w"]) == 3
+        out, err = capsys.readouterr()
+        assert "  %s\n" % line in out
+        assert err == ""
+
+    def test_detsys_on_a_field_without_a_real_sample_point_is_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "imaginary.prob"
+        path.write_text(_NO_REAL_POINT)
+        assert main(["detsys", str(path), "--field", "w"]) == 0
+        out, err = capsys.readouterr()
+        assert "[proved] regular-case determining system with 4 equations" in out
+        assert "equation_4: 2*u^3*sqrt(-u^2 - 1) = 0" in out
+        assert err == ""
+
+    def test_a_phi_free_residual_without_a_real_sample_point_is_undecidable(self, tmp_path, capsys):
+        path = tmp_path / "imaginary.prob"
+        path.write_text("vars t x;\ndep u;\neq: u_t = sqrt(-1 - x^2) + x*sqrt(-1 - x^2);\n"
+                        "field shift: 1, 0, 0;\nansatz flat: phi omega x;\n")
+        assert main(["reduce", str(path), "--field", "shift", "--ansatz", "flat"]) == 3
+        out, err = capsys.readouterr()
+        assert "  [undecidable] ansatz reduces the equation to the identity 0 = 0  (the reduced " \
+            "equation is free of phi and has no valid sample point)\n" in out
         assert err == ""
 
     def test_an_inverse_through_a_declared_function_is_accepted(self, tmp_path, capsys):

@@ -26,7 +26,7 @@ from redop.core import (
 )
 from redop.jets import substitute_jets
 from redop.reduction import _split_factors
-from redop.errors import DivisionByZeroDetected, EvaluationExhausted, UnknownVariable, UnsupportedExpression
+from redop.errors import DivisionByZeroDetected, UnknownVariable, UnsupportedExpression
 
 from helpers import corpus_problem, corpus_values, rand_expr
 
@@ -753,9 +753,32 @@ def test_is_zero_stops_at_the_first_nonzero_value(monkeypatch):
     assert draws == []
 
 
-def test_a_value_with_no_valid_sample_point_still_raises():
-    with pytest.raises(EvaluationExhausted):
-        is_zero(sp.sqrt(-(u**2) - 1) + u)
+def test_a_value_with_no_valid_sample_point_is_undecided():
+    assert is_zero(sp.sqrt(-(u**2) - 1) + u) is None
+
+
+@pytest.mark.parametrize("samples", [5, 50])
+@pytest.mark.parametrize(
+    "c, verdict",
+    [
+        (sp.pi - 3, TriBool.PROBABLY_NONZERO),
+        (1 + sp.sqrt(2), TriBool.PROBABLY_NONZERO),
+        (sp.log(2) + sp.log(3) - sp.log(6), TriBool.SAMPLED_ZERO),
+    ],
+    ids=["pi-3", "1+sqrt2", "log-sum"],
+)
+def test_a_constant_is_evaluated_once(monkeypatch, c, verdict, samples):
+    # a constant takes one point, evaluated once, whatever the session's count
+    evaluations = []
+    N = sp.N
+
+    def counting(*args, **kwargs):
+        evaluations.append(args[0])
+        return N(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "N", counting)
+    assert is_zero(c, Session(samples=samples, seed=3)) is verdict
+    assert len(evaluations) == 1
 
 
 # split_nonvanishing, primitive_equation and is_zero's proof of "nonzero"
@@ -820,20 +843,21 @@ def _old_is_zero(e, session):
         if approx.is_number and abs(approx) > sp.Float(10) ** -30:
             return TriBool.PROBABLY_NONZERO
         return TriBool.SAMPLED_ZERO
+    verdict = None
     for v in core._sample_points(n, session.samples, session.seed):
         if v.is_Rational:
             if v != 0:
                 return TriBool.PROBABLY_NONZERO
         elif abs(v) > sp.Float(10) ** -30:
             return TriBool.PROBABLY_NONZERO
-    return TriBool.SAMPLED_ZERO
+        verdict = TriBool.SAMPLED_ZERO
+    # where no valid point was drawn the former _sample_points raised; that
+    # outcome is None now
+    return verdict
 
 
 def _verdict(is_zero_fn, e):
-    try:
-        return is_zero_fn(e, Session(samples=5, seed=0))
-    except EvaluationExhausted:
-        return EvaluationExhausted
+    return is_zero_fn(e, Session(samples=5, seed=0))
 
 
 def _same(got, want):

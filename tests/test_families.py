@@ -1,9 +1,15 @@
 """Solution families, operator recovery, adjoints, transformation checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import pytest
 import sympy as sp
 
+import redop
 from redop import (
     DifferentialFunction,
     JetContext,
@@ -237,6 +243,21 @@ class TestBacklundVerify:
         ctx, L = heat()
         with pytest.raises(DegenerateInverse):
             backlund_verify(L, ctx.u, ctx.x1 + ctx.x2, 0)
+
+    def test_a_bijection_job_imports_no_code_printer(self):
+        # the surface evaluators are printed by the grammar printer; sympy's
+        # code printers import sympy.codegen, a cost of every cold bijection job
+        corpus = Path(redop.__file__).parent / "corpus" / "wave_liouville.prob"
+        script = (
+            "import sys\n"
+            "from redop.cli import main\n"
+            "code = main(['bijection', %r, '--family', 'main', '--samples', '5', '--json'])\n"
+            "print(code, 'sympy.codegen' in sys.modules)\n" % str(corpus)
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(redop.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1] == "0 False"
 
 
 CORPUS_FAMILIES = [
