@@ -43,19 +43,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as e:
-        print("error: %s is not UTF-8 text: %s" % (args.file, e), file=sys.stderr)
-        return 2
-    try:
-        problem = parse_problem(text)
-    except RedopError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    try:
+        problem = parse_problem(Path(args.file).read_text(encoding="utf-8"))
         report = run(
             args.command,
             problem,
@@ -67,7 +55,10 @@ def main(argv=None):
             seed=args.seed,
             problem_name=Path(args.file).stem,
         )
-    except (RedopError, ValueError) as e:
+    except UnicodeDecodeError as e:
+        print("error: %s is not UTF-8 text: %s" % (args.file, e), file=sys.stderr)
+        return 2
+    except (OSError, RedopError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     print(emit_report(report, "json" if args.json else "text"))

@@ -14,7 +14,9 @@ A problem file is a sequence of semicolon-terminated statements:
 Derivative tokens spell multi-indices with the declared variable letters
 (u_txx is the t-once, x-twice jet) or numerically (u[1,2]); derivatives of
 declared functions use the formal argument names, braced when longer than
-one character (H_{u_xx}). Comments run from '#' to end of line.
+one character (H_{u_xx}). Comments run from '#' to end of line. Names start
+with a letter and go on with letters and digits; numbers are ASCII digits
+with no decimal point; a braced suffix part ends on its line.
 
 The two axes, the dependent variable, the declared functions and their
 inverses share one namespace, and a family's parameter joins it while the
@@ -34,6 +36,8 @@ and two parsed problems are equal when their canonical texts are.
 from __future__ import annotations
 
 import functools
+import operator
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -53,9 +57,22 @@ KEYWORDS = {
 BUILTINS = {"exp", "ln", "sqrt"}
 RESERVED = KEYWORDS | BUILTINS | {"phi", "zeta"}
 
-_PUNCT = set(";:,()[]+-*/^=")
-# a number is a run of ASCII digits; str.isdigit also accepts "²" and "３"
-_DIGITS = set("0123456789")
+# The tokens, one alternative per kind, tried in order; blanks and comments
+# make none. A name starts with a letter: [^\W\d_] also holds numerals that
+# are not decimal digits, such as "²", which _tokenize refuses. A number is
+# ASCII digits (\d takes "３" too). The end of the text matches 'end', which
+# takes a comment on the last line with it, so the end token sits at its '#'.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n) | (?P<blank>[ \t\r]+)
+  | (?P<end>(?:\#[^\n]*)?\Z) | (?P<comment>\#[^\n]*)
+  | (?P<decimal>[0-9]+\.) | (?P<num>[0-9]+)
+  | (?P<word>(?P<base>[^\W\d_][^\W_]*)
+      (?:_(?P<suffix>(?:\{[^}\n]*\}|[^\W_])*)(?P<brace>\{)?)?)
+  | (?P<punct>[;:,()\[\]+\-*/^=])
+  | (?P<other>.)
+""", re.VERBOSE)
+# splits a suffix that _TOKEN matched into its parts: braced text or one character
+_PART = re.compile(r"\{(.*?)\}|(.)")
 
 
 @dataclass
@@ -68,78 +85,39 @@ class Token:
 
 def _tokenize(text):
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == ".":
-                raise ParseError("decimal literals are not supported, use fractions", line, start_col)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "end":
+            tokens.append(Token("end", None, line, col))
+            return tokens
+        elif kind == "decimal":
+            raise ParseError("decimal literals are not supported, use fractions", line, col)
+        elif kind == "num":
             # int() refuses longer digit strings; the limit is process-wide
             # state and is only read here (Python before 3.10.7 has none)
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if limit and j - i > limit:
-                raise ParseError("integer literal has more than %d digits" % limit, line, start_col)
-            tokens.append(Token("num", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            name = text[i:j]
-            col += j - i
-            i = j
-            if i < n and text[i] == "_":
-                i += 1
-                col += 1
-                parts = []
-                while i < n:
-                    if text[i] == "{":
-                        k = text.find("}", i)
-                        if k < 0:
-                            raise ParseError("unterminated '{' in derivative token", line, col)
-                        parts.append(text[i + 1 : k])
-                        col += k - i + 1
-                        i = k + 1
-                    elif text[i].isalnum():
-                        parts.append(text[i])
-                        i += 1
-                        col += 1
-                    else:
-                        break
-                if not parts:
-                    raise ParseError("derivative token needs a suffix after '_'", line, col)
-                tokens.append(Token("deriv", (name, tuple(parts)), line, start_col))
+            if limit and len(m[kind]) > limit:
+                raise ParseError("integer literal has more than %d digits" % limit, line, col)
+            tokens.append(Token("num", int(m[kind]), line, col))
+        elif kind == "word" and m[0][0].isalpha():
+            if m["brace"]:
+                col = m.start("brace") - line_start + 1
+                raise ParseError("unterminated '{' in derivative token", line, col)
+            if m["suffix"] == "":
+                col = m.start("suffix") - line_start + 1
+                raise ParseError("derivative token needs a suffix after '_'", line, col)
+            if m["suffix"] is None:
+                tokens.append(Token("name", m["base"], line, col))
             else:
-                tokens.append(Token("name", name, line, start_col))
-            continue
-        if c in _PUNCT:
-            tokens.append(Token("punct", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % c, line, col)
-    tokens.append(Token("end", None, line, col))
-    return tokens
+                parts = tuple(a or b for a, b in _PART.findall(m["suffix"]))
+                tokens.append(Token("deriv", (m["base"], parts), line, col))
+        elif kind == "punct":
+            tokens.append(Token("punct", m[kind], line, col))
+        elif kind in ("word", "other"):
+            raise ParseError("unexpected character %r" % m[0][0], line, col)
 
 
 def _multi_index(t, symbols, what):
@@ -216,22 +194,12 @@ class _Parser:
         self.pos += 1
         return t
 
-    def expect_punct(self, c):
+    def expect(self, kind, value=None, what=None):
+        """The next token, which must be of kind and, given value, equal it;
+        anything else is "expected <what>", what defaulting to repr(value)."""
         t = self.next()
-        if t.kind != "punct" or t.value != c:
-            raise ParseError("expected %r" % c, t.line, t.col)
-        return t
-
-    def expect_name(self, what="identifier"):
-        t = self.next()
-        if t.kind != "name":
-            raise ParseError("expected %s" % what, t.line, t.col)
-        return t
-
-    def expect_keyword(self, kw):
-        t = self.next()
-        if t.kind != "name" or t.value != kw:
-            raise ParseError("expected %r" % kw, t.line, t.col)
+        if t.kind != kind or value is not None and t.value != value:
+            raise ParseError("expected %s" % (what or repr(value)), t.line, t.col)
         return t
 
     def fresh_name(self, t, taken=()):
@@ -273,11 +241,11 @@ class _Parser:
     def stmt_vars(self, t):
         if self.ctx is not None:
             raise ParseError("duplicate 'vars' statement", t.line, t.col)
-        a = self.fresh_name(self.expect_name("independent variable"))
-        b = self.expect_name("independent variable")
+        a = self.fresh_name(self.expect("name", what="independent variable"))
+        b = self.expect("name", what="independent variable")
         if b.value in RESERVED or b.value == a:
             raise ParseError("bad independent variable %r" % b.value, b.line, b.col)
-        self.expect_punct(";")
+        self.expect("punct", ";")
         self._vars = (a, b.value)
 
     def stmt_dep(self, t):
@@ -285,17 +253,17 @@ class _Parser:
             raise ParseError("duplicate 'dep' statement", t.line, t.col)
         if not hasattr(self, "_vars"):
             raise ParseError("'dep' must follow 'vars'", t.line, t.col)
-        d = self.expect_name("dependent variable")
+        d = self.expect("name", what="dependent variable")
         if d.value in RESERVED or d.value in self._vars:
             raise ParseError("bad dependent variable %r" % d.value, d.line, d.col)
-        self.expect_punct(";")
+        self.expect("punct", ";")
         ctx = self.ctx = JetContext(self._vars[0], self._vars[1], d.value)
         self.names.update({ctx.x1.name: ctx.x1, ctx.x2.name: ctx.x2, ctx.dep: ctx.u})
 
     def stmt_fn(self, t):
         self.need_ctx(t)
-        name = self.fresh_name(self.expect_name("function name"))
-        self.expect_punct("(")
+        name = self.fresh_name(self.expect("name", what="function name"))
+        self.expect("punct", "(")
         args = []
         while True:
             args.append(self.parse_fn_arg())
@@ -311,11 +279,11 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "name" and nxt.value == "assume":
                 self.next()
-                self.expect_keyword("nonzero")
+                self.expect("name", "nonzero")
                 nonzero.extend(self.parse_assume_tokens(name, args))
             elif nxt.kind == "name" and nxt.value == "inverse":
                 self.next()
-                inverse = self.fresh_name(self.expect_name("inverse name"), (name,))
+                inverse = self.fresh_name(self.expect("name", what="inverse name"), (name,))
             elif nxt.kind == "punct" and nxt.value == ";":
                 self.next()
                 break
@@ -357,13 +325,13 @@ class _Parser:
         self.need_ctx(t)
         if self.equation is not None:
             raise ParseError("duplicate 'eq:' statement", t.line, t.col)
-        self.expect_punct(":")
+        self.expect("punct", ":")
         body = self.parse_value(t)
         nxt = self.peek()
         if nxt.kind == "punct" and nxt.value == "=":
             self.next()
             body = body - self.parse_value(t)
-        self.expect_punct(";")
+        self.expect("punct", ";")
         with _declaring(t):
             L = DifferentialFunction(body, self.ctx)
         if ord(L) < 1:
@@ -372,35 +340,35 @@ class _Parser:
 
     def stmt_field(self, t):
         self.need_ctx(t)
-        name = self.fresh_name(self.expect_name("field name"))
+        name = self.fresh_name(self.expect("name", what="field name"))
         if name in self.fields:
             raise ParseError("duplicate field %r" % name, t.line, t.col)
-        self.expect_punct(":")
+        self.expect("punct", ":")
         xi1 = self.parse_value(t)
-        self.expect_punct(",")
+        self.expect("punct", ",")
         xi2 = self.parse_value(t)
-        self.expect_punct(",")
+        self.expect("punct", ",")
         eta = self.parse_value(t)
-        self.expect_punct(";")
+        self.expect("punct", ";")
         with _declaring(t):
             self.fields[name] = VectorField(self.ctx, xi1, xi2, eta)
 
     def stmt_family(self, t):
         self.need_ctx(t)
-        name = self.fresh_name(self.expect_name("family name"))
+        name = self.fresh_name(self.expect("name", what="family name"))
         if name in self.families:
             raise ParseError("duplicate family %r" % name, t.line, t.col)
-        self.expect_punct(":")
+        self.expect("punct", ":")
         # the parameter is declared after the expression that uses it
         param = self._scan_ahead_param(t)
         kappa = self.names[param] = sp.Symbol(param)
         f = self.parse_value(t)
-        self.expect_keyword("param")
-        self.expect_name("parameter name")
-        self.expect_keyword("inverse")
+        self.expect("name", "param")
+        self.expect("name", what="parameter name")
+        self.expect("name", "inverse")
         del self.names[param]
         Phi = self.parse_value(t)
-        self.expect_punct(";")
+        self.expect("punct", ";")
         with _declaring(t):
             self.families[name] = SolutionFamily(self.ctx, f, Phi, kappa)
 
@@ -424,16 +392,16 @@ class _Parser:
 
     def stmt_ansatz(self, t):
         self.need_ctx(t)
-        name = self.fresh_name(self.expect_name("ansatz name"))
+        name = self.fresh_name(self.expect("name", what="ansatz name"))
         if name in self.ansatzes:
             raise ParseError("duplicate ansatz %r" % name, t.line, t.col)
-        self.expect_punct(":")
+        self.expect("punct", ":")
         self.names["phi"] = self.ctx.functions["phi"]
         f = self.parse_value(t)
-        self.expect_keyword("omega")
+        self.expect("name", "omega")
         omega = self.parse_value(t)
         del self.names["phi"]
-        self.expect_punct(";")
+        self.expect("punct", ";")
         with _declaring(t):
             f, omega = normalize(f), normalize(omega)
             refuse_jets("ansatz", f, self.ctx)
@@ -453,7 +421,11 @@ class _Parser:
             raise ParseError("complex constants are not supported", t.line, t.col)
         return e
 
-    _BINARY = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+    _BINARY = {
+        "+": (10, operator.add), "-": (10, operator.sub),
+        "*": (20, operator.mul), "/": (20, operator.truediv),
+        "^": (30, operator.pow),
+    }
 
     def parse_expr(self, rbp=0):
         left = self.parse_prefix()
@@ -461,23 +433,11 @@ class _Parser:
             t = self.peek()
             if t.kind != "punct" or t.value not in self._BINARY:
                 break
-            lbp = self._BINARY[t.value]
+            lbp, op = self._BINARY[t.value]
             if lbp <= rbp:
                 break
             self.next()
-            if t.value == "^":
-                right = self.parse_expr(lbp - 1)
-                left = left ** right
-            else:
-                right = self.parse_expr(lbp)
-                if t.value == "+":
-                    left = left + right
-                elif t.value == "-":
-                    left = left - right
-                elif t.value == "*":
-                    left = left * right
-                else:
-                    left = left / right
+            left = op(left, self.parse_expr(lbp - 1 if t.value == "^" else lbp))
         return left
 
     def parse_prefix(self):
@@ -490,7 +450,7 @@ class _Parser:
             return self.parse_expr(15)
         if t.kind == "punct" and t.value == "(":
             e = self.parse_expr()
-            self.expect_punct(")")
+            self.expect("punct", ")")
             return e
         if t.kind == "deriv":
             return self.resolve_deriv(t)
@@ -543,16 +503,16 @@ class _Parser:
         if s == self.ctx.u and self.peek().kind == "punct" and self.peek().value == "[":
             self.next()
             i1 = self.next()
-            self.expect_punct(",")
+            self.expect("punct", ",")
             i2 = self.next()
-            self.expect_punct("]")
+            self.expect("punct", "]")
             if i1.kind != "num" or i2.kind != "num":
                 raise ParseError("numeric multi-index expected", i1.line, i1.col)
             return self.ctx.jet(i1.value, i2.value)
         return s
 
     def parse_call_args(self):
-        self.expect_punct("(")
+        self.expect("punct", "(")
         args = [self.parse_expr()]
         while True:
             t = self.next()

@@ -1,13 +1,15 @@
 """Shared builders for the tests: standard equations, corpus access, random data."""
 
 import importlib.util
+import sys
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import sympy as sp
 
 from redop import DifferentialFunction, JetContext, diff, normalize, parse_problem
-from redop.errors import RedopError
+from redop.errors import ParseError, RedopError
 from redop.report import FAILED, UNDECIDABLE, emit_report
 from redop.runner import run
 
@@ -150,3 +152,96 @@ def rand_jet_body(rng, ctx, max_order=2, depth=3, extra=()):
             if a1 + a2 > 0:
                 atoms.append(ctx.jet(a1, a2))
     return rand_expr(rng, atoms, depth=depth)
+
+
+# The problem-file lexer as it was before it became one regular expression,
+# kept verbatim (but for its name) as the reference of the differential test in
+# tests/test_problems.py.
+
+_PUNCT = set(";:,()[]+-*/^=")
+# a number is a run of ASCII digits; str.isdigit also accepts "²" and "３"
+_DIGITS = set("0123456789")
+
+
+@dataclass
+class Token:
+    kind: str  # num | name | deriv | punct | end
+    value: object
+    line: int
+    col: int
+
+
+def reference_tokenize(text):
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if c in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            if j < n and text[j] == ".":
+                raise ParseError("decimal literals are not supported, use fractions", line, start_col)
+            # int() refuses longer digit strings; the limit is process-wide
+            # state and is only read here (Python before 3.10.7 has none)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and j - i > limit:
+                raise ParseError("integer literal has more than %d digits" % limit, line, start_col)
+            tokens.append(Token("num", int(text[i:j]), line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and text[j].isalnum():
+                j += 1
+            name = text[i:j]
+            col += j - i
+            i = j
+            if i < n and text[i] == "_":
+                i += 1
+                col += 1
+                parts = []
+                while i < n:
+                    if text[i] == "{":
+                        k = text.find("}", i)
+                        if k < 0:
+                            raise ParseError("unterminated '{' in derivative token", line, col)
+                        parts.append(text[i + 1 : k])
+                        col += k - i + 1
+                        i = k + 1
+                    elif text[i].isalnum():
+                        parts.append(text[i])
+                        i += 1
+                        col += 1
+                    else:
+                        break
+                if not parts:
+                    raise ParseError("derivative token needs a suffix after '_'", line, col)
+                tokens.append(Token("deriv", (name, tuple(parts)), line, start_col))
+            else:
+                tokens.append(Token("name", name, line, start_col))
+            continue
+        if c in _PUNCT:
+            tokens.append(Token("punct", c, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError("unexpected character %r" % c, line, col)
+    tokens.append(Token("end", None, line, col))
+    return tokens

@@ -1,9 +1,12 @@
 """Exit codes, report formats, and flag handling of the console entry point."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +15,7 @@ import sympy.core.random as sympy_random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import redop
 from redop import UnknownFunction, core, eliminate_on_Q, normalize, parse_problem, runner, zeta_from_family
 from redop.cli import main
 from redop.core import FnDerivSymbol, primitive_equation
@@ -73,6 +77,16 @@ class TestExitCodes:
     def test_missing_file_is_two(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.prob")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_a_missing_file_exits_two_without_a_traceback(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(redop.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "redop.cli", "analyze", str(tmp_path / "nope.prob")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
 
     def test_undecodable_file_is_two(self, tmp_path, capsys):
         # read in the locale's encoding, these bytes escaped main as a

@@ -1,14 +1,17 @@
 """Problem-file grammar: tokenizing, parsing, rendering, round trips."""
 
+import string
 from dataclasses import FrozenInstanceError
 
 import pytest
 import sympy as sp
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from redop import TriBool, UnknownFunction, is_zero, parse_problem, render_problem, normalize, ord
+from redop import TriBool, UnknownFunction, is_zero, parse_problem, problems, render_problem, normalize, ord
 from redop.errors import ParseError, UndeclaredIdentifier
 
-from helpers import INVERSE_THROUGH_A_FUNCTION, corpus_stems, corpus_text
+from helpers import INVERSE_THROUGH_A_FUNCTION, corpus_stems, corpus_text, reference_tokenize
 
 HEAT = "vars t x;\ndep u;\neq: u_t = u_xx;\n"
 
@@ -45,6 +48,69 @@ class TestTokenizer:
         with pytest.raises(ParseError) as ei:
             parse_problem("vars t, x;\ndep u;\neq: u_t = u_xx;\n")
         assert ei.value.line == 1
+
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("vars t x;\ndep u;\neq: u_t = u @ 2;\n", 3, 13, "unexpected character '@'"),
+        ("vars t x;\ndep u;\neq: u_t = 1.5*u_xx;\n", 3, 11,
+         "decimal literals are not supported, use fractions"),
+        ("vars t x;\ndep u;\nfn H(u_xx);\neq: u_t = H_{u_xx;\n", 4, 13,
+         "unterminated '{' in derivative token"),
+        ("vars t x;\ndep u;\neq: u_ = 0;\n", 3, 7, "derivative token needs a suffix after '_'"),
+        ("vars t x;\ndep u;\neq: u_t = u_xx + \u00b2*u;\n", 3, 18, "unexpected character '\u00b2'"),
+        ("vars t x;\ndep u;\neq: u_t = u_xx + \uff13*u;\n", 3, 18, "unexpected character '\uff13'"),
+        ("vars t x;\ndep u;\neq: u_t = u_xx # no semicolon", 3, 16, "expected ';'"),
+    ], ids=["character", "decimal", "brace", "underscore", "superscript", "fullwidth", "comment-end"])
+    def test_each_lexical_error_names_its_position(self, text, line, col, message):
+        with pytest.raises(ParseError) as ei:
+            parse_problem(text)
+        assert str(ei.value) == "line %d, col %d: %s" % (line, col, message)
+        assert (ei.value.line, ei.value.col) == (line, col)
+
+    def test_a_braced_suffix_ends_on_its_line(self):
+        # the '}' on the next line once closed the part, which then held the
+        # newline, and every later position was one line short
+        with pytest.raises(ParseError) as ei:
+            parse_problem("vars t x;\ndep u;\nfn H(u_xx);\neq: u_t = H_{u_x\nx};\n")
+        assert str(ei.value) == "line 4, col 13: unterminated '{' in derivative token"
+
+
+_LEXER_ALPHABET = (
+    string.ascii_letters + string.digits + "_{}[]();:,+-*/^=.#" + " \t\r\n"
+    + "\u00e9\u00df\u00b2\uff13\u0663\u216b\u0301"  # é ß ² ３ ٣ Ⅻ and a combining acute
+)
+
+
+def _lexed(tokenize, text):
+    """The tokens of text as (kind, value, line, col), or its ParseError's
+    message, line and column."""
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in tokenize(text)]
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+def _braced_part_spans_a_line(text, lexed):
+    """Whether lexed is an unterminated '{' whose first '}' is on a later line,
+    which the reference lexer read as a part holding the newline."""
+    if not isinstance(lexed, tuple) or not lexed[0].endswith("unterminated '{' in derivative token"):
+        return False
+    _, line, col = lexed
+    rest = text[sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + col - 1 :]
+    return "}" in rest and "\n" in rest[: rest.index("}")]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet=_LEXER_ALPHABET, max_size=20))
+@example("u_{a}#c")
+@example("a_x{b}\n#")
+@example("\u00b2x \u216b u\u0663_\u00b2")
+@example("e\u0301_{}_")
+@example("H_{a{b} 12.")
+@example("u_x_y")
+def test_the_lexer_matches_the_reference_lexer(text):
+    lexed = _lexed(problems._tokenize, text)
+    assume(not _braced_part_spans_a_line(text, lexed))
+    assert lexed == _lexed(reference_tokenize, text)
 
 
 class TestUndeclaredNames:
