@@ -720,9 +720,9 @@ def _provably_nonzero(f):
 def _primitive_numerator(e):
     """(c, P, Q, den) with a normal nonzero e = c*P/Q, from its ring form
     (den as _ring_form gives it): c is the numerator's content, negated
-    when its leading coefficient is a negative number (factor_list's sign
-    rule), or the numerator itself when that is a number; P is the
-    primitive rest, a ring element."""
+    when its leading coefficient is a negative number (the sign rule of
+    sympy's factorization), or the numerator itself when that is a number;
+    P is the primitive rest, a ring element."""
     ring, P, Q, den = _ring_form(e)
     if P.is_ground:
         return ring.domain.to_sympy(P.LC), ring.one, Q, den

@@ -8,9 +8,9 @@ residual polynomially as in the classical nonclassical-symmetry method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import sympy as sp
-from sympy.core import random as sympy_random
 
 from .core import (
     AppliedMapBase,
@@ -21,7 +21,6 @@ from .core import (
     _d,
     depends_on,
     diff,
-    fingerprint,
     is_zero,
     normalize,
     proven,
@@ -327,39 +326,31 @@ def _phi_order(e, phi):
     )
 
 
-def _split_factors(p, keep):
-    """(multiplier, residual) with p = multiplier*residual, both unnormalized.
+def _content_split(P, gens):
+    """(cofactor, content) with the ring element P = cofactor*content.
 
-    The rational content and every irreducible factor power whose base
-    satisfies keep go to the multiplier, the other factors to the residual.
-    When p cannot be factored it is a single factor of itself.
-
-    factor_list draws evaluation points from sympy's global generator. It
-    is seeded from p for the call and restored afterwards, so the cost of
-    the split depends on p alone and no other draw of that generator moves.
+    The content is the gcd of P's coefficients as a polynomial in the
+    generators at the indices gens: the product of P's factors free of
+    them, primitive and with a positive leading coefficient. The cofactor
+    takes P's numeric content and sign and its factors that hold them.
     """
-    state = sympy_random.rng.getstate()
-    sympy_random.rng.seed(fingerprint(p))
-    try:
-        content, factors = sp.factor_list(p)
-    except Exception:
-        # opaque kernels can defeat the polynomial machinery in many ways;
-        # an unsplit p is always a correct answer
-        content, factors = sp.S.One, [(p, 1)]
-    finally:
-        sympy_random.rng.setstate(state)
-    multiplier = content
-    residual = sp.S.One
-    for base, k in factors:
-        if keep(base):
-            multiplier = multiplier * base**k
-        else:
-            residual = residual * base**k
-    return multiplier, residual
+    groups = {}
+    for monom, coeff in P.iterterms():
+        rest = tuple(0 if i in gens else k for i, k in enumerate(monom))
+        groups.setdefault(tuple(monom[i] for i in gens), {})[rest] = coeff
+    content = reduce(lambda a, b: a.gcd(b), map(P.ring.from_dict, groups.values()))
+    content = content.primitive()[1]
+    if P.ring.domain.is_negative(content.LC):
+        content = -content
+    return P.exquo(content), content
 
 
 def reduce_with_ansatz(L, Q, f, omega, session=Session()):
-    """Substitute u = f(x, phi(omega)) into L and factor the multiplier.
+    """Substitute u = f(x, phi(omega)) into L and split off the multiplier.
+
+    The multiplier is read from the content of the substituted body's ring
+    form in the generators that hold the non-invariant variable (and, in
+    the denominator, in those that hold phi), without factorization.
 
     Only coordinate invariants omega in {x1, x2} are supported; the ansatz
     must contain the context's phi, and any antiderivative baked into f is
@@ -413,25 +404,22 @@ def reduce_with_ansatz(L, Q, f, omega, session=Session()):
             to_syms[node] = phi.sym(node.order)
     body = normalize(body.xreplace(to_syms))
 
-    def noninvariant(base, where):
-        """Whether the factor has noninv in it; it must then be free of phi's derivatives."""
-        if noninv not in base.free_symbols:
-            return False
-        if _phi_order(base, phi) > 0:
+    # the multiplier takes the numerator's factors with noninv in them and
+    # the denominator's factors with noninv in them or free of phi
+    ring, num, den = ring_form(body)
+    noninv_gens = [i for i, g in enumerate(ring.symbols) if noninv in g.free_symbols]
+    phi_gens = [i for i, g in enumerate(ring.symbols) if _phi_order(g, phi) >= 0]
+    num_noninv, num_res = _content_split(num, noninv_gens)
+    den_noninv, den_free = _content_split(den, noninv_gens)
+    for where, cofactor in (("numerator", num_noninv), ("denominator", den_noninv)):
+        if _phi_order(cofactor.as_expr(), phi) > 0:
             raise ResidualNonInvariant(
-                "%s %s mixes %s with derivatives of phi" % (where, base, noninv)
+                "the %s's part %s that holds %s also holds derivatives of phi"
+                % (where, cofactor.as_expr(), noninv)
             )
-        return True
-
-    # the multiplier takes the numerator factors with noninv in them and
-    # the denominator factors with noninv in them or free of phi
-    num, den = (p.as_expr() for p in ring_form(body)[1:])
-    num_mult, num_res = _split_factors(num, lambda b: noninvariant(b, "factor"))
-    den_mult, den_res = _split_factors(
-        den, lambda b: noninvariant(b, "denominator factor") or _phi_order(b, phi) < 0
-    )
-    multiplier = normalize(num_mult / den_mult)
-    residual = normalize(num_res / den_res)
+    den_res = _content_split(den_free, phi_gens)[0]
+    multiplier = normalize(num_noninv.as_expr() / den.exquo(den_res).as_expr())
+    residual = normalize(num_res.as_expr() / den_res.as_expr())
     order = _phi_order(residual, phi)
     top_coeff = residual if order < 0 else diff(residual, phi.sym((order,)))
     return AnsatzReduction(

@@ -110,10 +110,11 @@ def nonzero_claim_status(verdict):
     return UNDECIDABLE
 
 
-def closure_status(contradiction):
-    """Status for a sub-branch verdict: an inconsistent one rests on its
-    contradicting member, and None, a search that found none, is sampled."""
-    if contradiction is None:
+def closure_status(contradiction, member):
+    """Status for a sub-branch verdict from consistency_closure's outcome:
+    an inconsistent one rests on its contradicting member; a search that
+    found none is sampled, or undecidable when it left a member untested."""
+    if contradiction is None and member is None:
         return SAMPLED
     return nonzero_claim_status(contradiction)
 

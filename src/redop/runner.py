@@ -84,15 +84,18 @@ def _cmd_analyze(problem, options, session):
                     detail="no finite coefficient split in the kept jets",
                 ))
                 continue
-            branches = [("ultra-singular", sa.ultra_contradiction, sa.s_ultra)]
+            branches = [("ultra-singular", sa.ultra_closure, sa.s_ultra)]
             if sa.k >= 1:
-                branches.append(("lower co-order", sa.zero_contradiction, sa.s_zero))
-            for name, contradiction, system in branches:
+                branches.append(("lower co-order", sa.zero_closure, sa.s_zero))
+            for name, (contradiction, member), system in branches:
+                detail = "conditions: %s" % "; ".join(render(e) for e in system)
+                if contradiction is None and member is not None:
+                    detail += "; no valid sample point for %s" % render(member)
                 verdicts.append(Verdict(
                     claim="%s: %s sub-branch is %s"
                     % (where, name, "consistent" if contradiction is None else "inconsistent"),
-                    status=closure_status(contradiction),
-                    detail="conditions: %s" % "; ".join(render(e) for e in system),
+                    status=closure_status(contradiction, member),
+                    detail=detail,
                 ))
     return verdicts, expressions
 

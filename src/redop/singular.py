@@ -233,16 +233,19 @@ CLOSURE_DEPTH = 2
 
 
 def consistency_closure(equations, unknown, u, session=Session()):
-    """Search a normal ζ-system for a contradiction: the is_zero verdict of
-    a member free of the unknown that does not vanish, or None.
+    """Search a normal ζ-system for a contradiction: (verdict, member) for
+    a member free of the unknown that does not vanish, with its is_zero
+    verdict; else (None, member) for the first such member whose zero test
+    drew no valid point; else (None, None).
 
     Differentiates the system with respect to u, propagates vanishing
     derivative symbols upward, and looks for such a member in each round,
-    preferring a PROVEN_NONZERO one within a round. None means only that
-    no contradiction was found within CLOSURE_DEPTH rounds.
+    preferring a PROVEN_NONZERO one within a round. (None, None) means only
+    that no contradiction was found within CLOSURE_DEPTH rounds.
     """
     eqs = [e for e in equations if e != 0]
     null_orders = []
+    untested = None
     for round_no in range(CLOSURE_DEPTH + 1):
         changed = False
         reduced = []
@@ -261,9 +264,11 @@ def consistency_closure(equations, unknown, u, session=Session()):
             if not any(isinstance(s, FnDerivSymbol) and s.fn is unknown for s in e.free_symbols):
                 verdict = is_zero(e, session)
                 if verdict is TriBool.PROVEN_NONZERO:
-                    return verdict
+                    return verdict, e
                 if verdict is TriBool.PROBABLY_NONZERO:
-                    sampled = verdict
+                    sampled = verdict, e
+                if verdict is None and untested is None:
+                    untested = e
                 continue
             s = _bare_symbol(e)
             if s is not None and s.fn is unknown and s.order not in null_orders:
@@ -282,20 +287,20 @@ def consistency_closure(equations, unknown, u, session=Session()):
                 changed = True
         if not changed:
             break
-    return None
+    return None, untested
 
 
 @dataclass
 class SetAnalysis:
     """Symbolic analysis of the one-parameter reduced operator set; the
-    sub-branch systems and their consistency_closure verdicts are None for
+    sub-branch systems and their consistency_closure outcomes are None for
     a regular set and when the coefficient split fails."""
 
     k: int
     s_ultra: list | None
     s_zero: list | None
-    ultra_contradiction: TriBool | None
-    zero_contradiction: TriBool | None
+    ultra_closure: tuple | None
+    zero_closure: tuple | None
     regular_value: Expr | None
     hat: DifferentialFunction
 

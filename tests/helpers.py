@@ -7,8 +7,10 @@ from importlib import resources
 from pathlib import Path
 
 import sympy as sp
+from sympy.core import random as sympy_random
 
 from redop import DifferentialFunction, JetContext, diff, normalize, parse_problem
+from redop.core import fingerprint
 from redop.errors import ParseError, RedopError
 from redop.report import FAILED, UNDECIDABLE, emit_report
 from redop.runner import run
@@ -96,6 +98,38 @@ def job_outcome(matrix, problem, job, seed):
         return matrix.outcome(2, "", "error: %s" % e)
     code = {FAILED: 1, UNDECIDABLE: 3}.get(report.worst_status, 0)
     return matrix.outcome(code, emit_report(report, "json"), "")
+
+
+def split_factors(p, keep):
+    """Factorization oracle: (multiplier, residual) with p = multiplier*residual,
+    both unnormalized.
+
+    The rational content and every irreducible factor power whose base
+    satisfies keep go to the multiplier, the other factors to the residual.
+    When p cannot be factored it is a single factor of itself.
+
+    factor_list draws evaluation points from sympy's global generator. It
+    is seeded from p for the call and restored afterwards, so the cost of
+    the split depends on p alone and no other draw of that generator moves.
+    """
+    state = sympy_random.rng.getstate()
+    sympy_random.rng.seed(fingerprint(p))
+    try:
+        content, factors = sp.factor_list(p)
+    except Exception:
+        # opaque kernels can defeat the polynomial machinery in many ways;
+        # an unsplit p is always a correct answer
+        content, factors = sp.S.One, [(p, 1)]
+    finally:
+        sympy_random.rng.setstate(state)
+    multiplier = content
+    residual = sp.S.One
+    for base, k in factors:
+        if keep(base):
+            multiplier = multiplier * base**k
+        else:
+            residual = residual * base**k
+    return multiplier, residual
 
 
 def corpus_values():

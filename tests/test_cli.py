@@ -260,6 +260,22 @@ class TestExitCodes:
             "equation is free of phi and has no valid sample point)\n" in out
         assert err == ""
 
+    def test_a_closure_member_without_a_real_sample_point_is_undecidable(self, tmp_path, capsys):
+        # the closure skipped the member it could not test, and analyze exited
+        # 0 with both ultra-singular sub-branches sampled consistent
+        path = tmp_path / "closure.prob"
+        path.write_text("vars x y; dep u; eq: u_xy = u*sqrt(-1 - u^2);\n")
+        assert main(["analyze", str(path)]) == 3
+        out, err = capsys.readouterr()
+        for axis, other in (("y", "x"), ("x", "y")):
+            where = "normalized on %s, xi = 0" % axis
+            assert "  [undecidable] %s: ultra-singular sub-branch is consistent  (conditions: " \
+                "zeta_u; zeta_%s - u*sqrt(-u^2 - 1); no valid sample point for " \
+                "(2*u^2 + 1)/sqrt(-u^2 - 1))\n" % (where, other) in out
+            assert "  [sampled] %s: lower co-order sub-branch is consistent  " \
+                "(conditions: zeta_u)\n" % where in out
+        assert err == ""
+
     def test_an_inverse_through_a_declared_function_is_accepted(self, tmp_path, capsys):
         # the inverse check once substituted u = f into atoms only, so
         # F(u) - x stayed F - x and the file was a parse error

@@ -25,10 +25,9 @@ from redop.core import (
     split_nonvanishing,
 )
 from redop.jets import substitute_jets
-from redop.reduction import _split_factors
 from redop.errors import DivisionByZeroDetected, UnknownVariable, UnsupportedExpression
 
-from helpers import corpus_problem, corpus_values, rand_expr
+from helpers import corpus_problem, corpus_values, rand_expr, split_factors
 
 t, x, u, y = sp.symbols("t x u y")
 
@@ -293,7 +292,7 @@ def _random_normal(seed):
 def test_split_by_least_exponent_matches_factorization(e):
     num, den = e.as_numer_denom()
     multiplier, residual = split_nonvanishing(e)
-    ref_multiplier, ref_residual = _split_factors(num, _provably_nonzero)
+    ref_multiplier, ref_residual = split_factors(num, _provably_nonzero)
     assert multiplier == normalize(ref_multiplier / den)
     assert normalize(residual) == normalize(ref_residual)
     # is_zero's certificate against factorization: "nonzero" is proven

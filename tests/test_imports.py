@@ -102,17 +102,12 @@ def test_branch_decisions_read_the_proof_alone():
     assert found == dict.fromkeys(branches, (False, False))
 
 
-def test_only_ansatz_reduction_factors():
-    """reduce_with_ansatz keeps whole multi-term factors and so needs
-    factor_list; every other split takes least exponents of single atoms."""
-    users = []
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if "factor_list" in (getattr(node, "attr", None), getattr(node, "id", None),
-                                 getattr(node, "name", None)):
-                users.append(path.name)
-                break
-    assert users == ["reduction.py"]
+def test_no_module_names_factor_list():
+    """Every split is read from a ring form: least exponents of single atoms,
+    or the content in some generators (reduce_with_ansatz). No module
+    factors, so none draws from sympy's global generator."""
+    paths = Path(redop.__file__).parent.glob("*.py")
+    assert [p.name for p in paths if "factor_list" in p.read_text()] == []
 
 
 def test_no_module_calls_sympy_cancel():

@@ -1,10 +1,11 @@
 """Determining equations, invariance testing, ansatz reduction."""
 
+import json
 import random
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.core import random as sympy_random
 
@@ -27,19 +28,31 @@ from redop import (
     solve_for_leader,
     transpose,
 )
-from redop.core import FnDerivSymbol
+from redop.cli import main
+from redop.core import FnDerivSymbol, ring_form
 from redop.errors import (
     BothCoefficientsZero,
     LeaderNotSolvable,
+    ResidualNonInvariant,
     SetNotFirstCoorder,
     UnsupportedAnsatz,
 )
 from redop.families import instantiate_function
 from redop.jets import chain_jets, total_derivative
-from redop.reduction import _consequences, _restrict_to_solved, _split_factors
+from redop.reduction import _consequences, _phi_order, _restrict_to_solved
 from redop.singular import _replace_jets, eliminate_on_Q, reduced_field
 
-from helpers import corpus_problem, corpus_stems, heat, liouville, rand_expr, wave_generic, wave_zero
+from helpers import (
+    bench_matrix,
+    corpus_problem,
+    corpus_stems,
+    heat,
+    liouville,
+    rand_expr,
+    split_factors,
+    wave_generic,
+    wave_zero,
+)
 
 
 def heat_reference_equation(zeta):
@@ -272,31 +285,88 @@ class TestRestrictToSolved:
         assert normalize(got - want) == 0
 
 
-class TestSplitFactors:
-    def test_sympys_generator_is_seeded_from_the_input_and_restored(self, monkeypatch):
-        # multivariate factorization draws evaluation points from sympy's
-        # global generator; the split must neither depend on nor move it
-        a, b, c, d = sp.symbols("a b c d")
-        factors = (a * b + c + 1, b * c - d**2 + 2, a + b * d - 3)
-        p = sp.expand(factors[0] * factors[1] * factors[2])
-        rng = sympy_random.rng
-        on_entry = []
-        factor_list = sp.factor_list
+def test_corpus_reductions_neither_factor_nor_move_sympys_generator(monkeypatch, capsys):
+    # factor_list drew evaluation points from sympy's global generator, which
+    # the split had to seed and restore; the content split draws nothing
+    matrix = bench_matrix()
+    recorded = json.loads(matrix.REFERENCE.read_text())
+    jobs = [job for job in matrix.symbolic_jobs() if job.command == "reduce"]
+    assert len(jobs) == 25
+    calls = []
+    factor_list = sp.factor_list
+    monkeypatch.setattr(sp, "factor_list", lambda *a, **kw: calls.append(a) or factor_list(*a, **kw))
+    monkeypatch.chdir(matrix.ROOT)
+    before = sympy_random.rng.getstate()
+    for job in jobs:
+        code = main(job.argv(recorded["seed"]))
+        out, err = capsys.readouterr()
+        assert matrix.outcome(code, out, err) == recorded["jobs"][job.key]
+    assert calls == []
+    assert sympy_random.rng.getstate() == before
 
-        def spy(q):
-            on_entry.append(rng.getstate())
-            return factor_list(q)
 
-        monkeypatch.setattr(sp, "factor_list", spy)
-        for prior in (1, 2):
-            sympy_random.seed(prior)
-            before = rng.getstate()
-            multiplier, residual = _split_factors(p, lambda f: f == factors[1])
-            assert rng.getstate() == before
-            assert normalize(multiplier - factors[1]) == 0
-            assert normalize(residual - factors[0] * factors[2]) == 0
-        assert len(on_entry) == 2
-        assert on_entry[0] == on_entry[1]
+# the reductions below substitute u = phi(t) with Q = d_x, so x is the
+# non-invariant variable and u_t becomes phi's first derivative
+_CTX = heat()[0]
+_PHI = _CTX.add_function("phi", (sp.Symbol("w"),))
+_X, _U_T = _CTX.x2, _CTX.jet(1, 0)
+# a polynomial in (t, x, u, u_t): up to three terms, each a nonzero
+# coefficient and one exponent per atom
+_POLY = st.lists(
+    st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.tuples(*[st.integers(0, 2)] * 4)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _poly(terms, atoms):
+    return sp.Add(*(c * sp.Mul(*(a**k for a, k in zip(atoms, ks))) for c, ks in terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_POLY, min_size=2, max_size=4), st.lists(_POLY, max_size=2), st.booleans(), st.booleans())
+def test_the_content_split_matches_factorization(num_polys, den_polys, with_noninv, with_derivative):
+    t, u = _CTX.x1, _CTX.u
+    atoms = [t, _X if with_noninv else 1, u, _U_T if with_derivative else 1]
+    num, den = (sp.Mul(*(_poly(p, atoms) for p in polys)) for polys in (num_polys, den_polys))
+    assume(num != 0 and den != 0)
+    L = DifferentialFunction(normalize(num / den), _CTX)
+    body = normalize(L.body.xreplace({u: _PHI.base, _U_T: _PHI.sym((1,))}))
+    P, D = (q.as_expr() for q in ring_form(body)[1:])
+    mixed = []
+
+    def noninvariant(base):
+        """A factor holding x goes to the multiplier; one that also holds a
+        derivative of phi makes the reduction raise."""
+        if _X not in base.free_symbols:
+            return False
+        mixed.append(_phi_order(base, _PHI) > 0)
+        return True
+
+    num_mult, num_res = split_factors(P, noninvariant)
+    den_mult, den_res = split_factors(D, lambda b: noninvariant(b) or _phi_order(b, _PHI) < 0)
+    Q = VectorField(_CTX, 0, 1, 0)
+    if any(mixed):
+        with pytest.raises(ResidualNonInvariant):
+            reduce_with_ansatz(L, Q, _PHI.base, t)
+        return
+    ar = reduce_with_ansatz(L, Q, _PHI.base, t)
+    assert ar.multiplier == normalize(num_mult / den_mult)
+    assert ar.reduced == normalize(num_res / den_res)
+
+
+class TestResidualNonInvariant:
+    @pytest.mark.parametrize("body, message", [
+        (_U_T * (_X + _U_T),
+         "the numerator's part phi_w + x that holds x also holds derivatives of phi"),
+        (_U_T / (_X**2 * (_X + _U_T)),
+         "the denominator's part phi_w*x**2 + x**3 that holds x also holds derivatives of phi"),
+    ], ids=["numerator", "denominator"])
+    def test_the_message_names_the_noninvariant_part(self, body, message):
+        L = DifferentialFunction(normalize(body), _CTX)
+        with pytest.raises(ResidualNonInvariant) as raised:
+            reduce_with_ansatz(L, VectorField(_CTX, 0, 1, 0), _PHI.base, _CTX.x1)
+        assert str(raised.value) == message
 
 
 class TestReduceWithAnsatz:

@@ -183,8 +183,8 @@ class TestAnalyzeReducedSet:
         ctx, L = heat()
         sa = analyze_reduced_set(L, 0)
         assert sa.k == 1
-        assert sa.ultra_contradiction is TriBool.PROVEN_NONZERO
-        assert sa.zero_contradiction is TriBool.PROVEN_NONZERO
+        assert sa.ultra_closure[0] is TriBool.PROVEN_NONZERO
+        assert sa.zero_closure[0] is TriBool.PROVEN_NONZERO
 
     def test_heat_t_orientation_is_regular(self):
         ctx, L = heat()
@@ -201,7 +201,7 @@ class TestAnalyzeReducedSet:
         ctx, L = heat()
         sa = analyze_reduced_set(transpose(L), 0)
         assert sa.k == ord(L)
-        assert (sa.s_ultra, sa.s_zero, sa.ultra_contradiction, sa.zero_contradiction) == (None,) * 4
+        assert (sa.s_ultra, sa.s_zero, sa.ultra_closure, sa.zero_closure) == (None,) * 4
         assert calls == []
         assert analyze_reduced_set(L, 0).k == 1
         assert len(calls) == 2
@@ -210,17 +210,28 @@ class TestAnalyzeReducedSet:
         ctx, L = heat()
         zeta = ctx.add_function("zeta", (ctx.x1, ctx.x2, ctx.u))
         u = ctx.u
-        assert consistency_closure([-u], zeta, u) is TriBool.PROBABLY_NONZERO
+        assert consistency_closure([-u], zeta, u) == (TriBool.PROBABLY_NONZERO, -u)
         # a proven member of the same round wins over a sampled one before it
-        assert consistency_closure([-u, sp.S(2)], zeta, u) is TriBool.PROVEN_NONZERO
-        assert consistency_closure([zeta.base], zeta, u) is None
+        assert consistency_closure([-u, sp.S(2)], zeta, u) == (TriBool.PROVEN_NONZERO, 2)
+        assert consistency_closure([zeta.base], zeta, u) == (None, None)
+
+    def test_closure_names_a_member_it_could_not_test(self):
+        ctx, L = heat()
+        zeta = ctx.add_function("zeta", (ctx.x1, ctx.x2, ctx.u))
+        u = ctx.u
+        untested = normalize(sp.sqrt(-1 - u**2))
+        assert consistency_closure([zeta.base, untested], zeta, u) == (None, untested)
+        # contradiction evidence wins over an untested member, in any round
+        assert consistency_closure([untested, -u], zeta, u) == (TriBool.PROBABLY_NONZERO, -u)
+        later = [untested, zeta.sym((0, 0, 1)), zeta.base - u]
+        assert consistency_closure(later, zeta, u) == (TriBool.PROVEN_NONZERO, -1)
 
     def test_liouville_lower_branch_requires_zeta_u(self):
         ctx, L = liouville()
         sa = analyze_reduced_set(L, 0)
         assert sa.k == 1
-        assert sa.ultra_contradiction is TriBool.PROVEN_NONZERO
-        assert sa.zero_contradiction is None
+        assert sa.ultra_closure[0] is TriBool.PROVEN_NONZERO
+        assert sa.zero_closure == (None, None)
         zeta_u = ctx.functions["zeta"].sym((0, 0, 1))
         assert normalize(sa.regular_value - zeta_u) == 0
 
@@ -228,7 +239,7 @@ class TestAnalyzeReducedSet:
         ctx, L = wave_zero()
         sa = analyze_reduced_set(L, 0)
         assert sa.k == 1
-        assert sa.ultra_contradiction is None
+        assert sa.ultra_closure == (None, None)
 
     def test_unknown_function_with_xi_u_degrades_to_regular(self):
         ctx = JetContext("t", "x", "u")
@@ -240,7 +251,7 @@ class TestAnalyzeReducedSet:
         sa = analyze_reduced_set(L, ctx.u)
         # no finite coefficient split exists; the verdict stays regular
         assert sa.k == ord(L)
-        assert sa.s_ultra is None and sa.zero_contradiction is None
+        assert sa.s_ultra is None and sa.zero_closure is None
 
 
 class TestRepresentation:
