@@ -26,11 +26,14 @@ primitive_equation, proven) from the ring instead of the tree. Zero testing
 has a proof phase, proven, which reads a normal value's form and never
 samples, and a sampling phase for what it leaves open, in is_zero. The
 chain rule through unknown functions is implemented by structural recursion
-so that no foreign node kinds (Derivative, Subs) ever appear. The sampling
-settings of a run travel in an immutable Session passed as a parameter.
-Besides the serial numbers of unknown functions, the module's one mutable
-state is normalize's bounded table of normal forms, which holds values,
-never settings.
+so that no foreign node kinds (Derivative, Subs) ever appear. formal_arguments
+is the one statement that a derivative symbol depends on its function's formal
+arguments, and an unknown function applied elsewhere is an AppliedMapBase node
+whose eval collapses a declared inverse pair and whose fdiff differentiates it.
+The sampling settings of a run travel in an immutable Session passed as a
+parameter. Besides the serial numbers of unknown functions, the module's one
+mutable state is normalize's bounded table of normal forms, which holds
+values, never settings.
 """
 
 from __future__ import annotations
@@ -124,22 +127,27 @@ class FnDerivSymbol(sp.Symbol):
 
 
 class AppliedMapBase(sp.Function):
-    """Base class for unknown functions applied at non-formal arguments."""
+    """Base class for unknown functions applied at non-formal arguments: the
+    subclass of UnknownFunction.applied_cls names its fn and order."""
 
     fn: "UnknownFunction" = None
     order: tuple = ()
 
+    @classmethod
+    def eval(cls, *args):
+        """F(Ftil(s)) and Ftil(F(s)) collapse to s for a declared inverse pair."""
+        a = args[0]
+        pair = isinstance(a, AppliedMapBase) and a.fn is cls.fn.inverse
+        return a.args[0] if pair and not any(cls.order + a.order) else None
 
-def _applied_fdiff(self, argindex=1):
-    fn = self.fn
-    if fn.inverse_of is not None and not any(self.order):
-        # derivative of a declared inverse: Ftil'(s) = 1/F'(Ftil(s))
-        f = fn.inverse_of
-        one = tuple(1 if i == 0 else 0 for i in range(len(f.args)))
-        return 1 / f.applied(one, (self,))
-    new = list(self.order)
-    new[argindex - 1] += 1
-    return fn.applied(tuple(new), self.args)
+    def fdiff(self, argindex=1):
+        fn = self.fn
+        if fn.inverse_of is not None and not any(self.order):
+            # derivative of a declared inverse: Ftil'(s) = 1/F'(Ftil(s))
+            return 1 / fn.inverse_of.applied((1,), (self,))
+        new = list(self.order)
+        new[argindex - 1] += 1
+        return fn.applied(tuple(new), self.args)
 
 
 _SERIALS = itertools.count()
@@ -213,34 +221,11 @@ class UnknownFunction:
         order = self._check_order(order)
         cls = self._applied.get(order)
         if cls is None:
-            fn = self
-
-            @classmethod
-            def _eval(cls_, *fargs):
-                if any(order) or len(fargs) != 1:
-                    return None
-                a = fargs[0]
-                if (
-                    isinstance(a, AppliedMapBase)
-                    and fn.inverse is not None
-                    and a.fn is fn.inverse
-                    and not any(a.order)
-                ):
-                    return a.args[0]
-                return None
-
-            cls = type(
+            cls = self._applied[order] = type(
                 self.deriv_name(order),
                 (AppliedMapBase,),
-                {
-                    "nargs": len(self.args),
-                    "fn": self,
-                    "order": order,
-                    "fdiff": _applied_fdiff,
-                    "eval": _eval,
-                },
+                {"nargs": len(self.args), "fn": self, "order": order},
             )
-            self._applied[order] = cls
         return cls
 
     def applied(self, order, argexprs):
@@ -699,11 +684,17 @@ def _normal_pass(e):
     return e, den is not None
 
 
+def formal_arguments(symbols):
+    """The formal arguments of the derivative symbols among the free symbols
+    of an expression: H_u of H(t, x, u, u_x) depends on u_x although only
+    the atom H_u is in the tree. The one statement of that rule."""
+    return {a for s in symbols if isinstance(s, FnDerivSymbol) for a in s.fn.args}
+
+
 def depends_on(e, v):
     """Dependence through free symbols or unknown-function formal arguments."""
-    return v in e.free_symbols or any(
-        isinstance(s, FnDerivSymbol) and v in s.fn.args for s in e.free_symbols
-    )
+    symbols = e.free_symbols
+    return v in symbols or v in formal_arguments(symbols)
 
 
 def _provably_nonzero(f):

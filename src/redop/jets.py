@@ -2,7 +2,9 @@
 
 Multi-indices, jet symbols, the chain rule through jets (derivation) and
 its rewrite half (substitute_jets), total derivatives, order computation,
-characteristics and prolongation of vector fields.
+characteristics, prolongation of vector fields and transposition. The jets
+a body depends on (chain_jets) are its jet atoms and the formal jet arguments
+of its derivative symbols, which core.formal_arguments reads.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .core import (
     _d,
     _read_only,
     depends_on,
+    formal_arguments,
     normalize,
 )
 from .errors import OrderUndefined
@@ -144,23 +147,12 @@ class JetContext:
 
 
 def chain_jets(body, ctx):
-    """Jet symbols the body depends on, directly or through unknown functions.
-
-    Formal jet arguments of derivative symbols count: H(t,x,u,u_x) depends on
-    u_x even though only the atom H appears in the expression tree.
-    """
-    out = {}
-    for s in body.free_symbols:
-        idx = ctx.index(s)
-        if idx is not None:
-            out[s] = idx
-            continue
-        if isinstance(s, FnDerivSymbol):
-            for a in s.fn.args:
-                aidx = ctx.index(a)
-                if aidx is not None:
-                    out[a] = aidx
-    return out
+    """Jet symbols the body depends on, directly or through unknown functions
+    (core.formal_arguments): H(t,x,u,u_x) depends on u_x even though only
+    the atom H appears in the expression tree."""
+    symbols = body.free_symbols
+    atoms = symbols | formal_arguments(symbols)
+    return {s: idx for s in atoms if (idx := ctx.index(s)) is not None}
 
 
 def refuse_jets(what, e, ctx):
@@ -392,23 +384,12 @@ def transpose(L):
     Formal jet arguments of unknown functions keep their printed names, so
     they must denote the transposed index under the flipped naming scheme;
     single-character variable names guarantee that, positional names do not.
+    When some do not, the least such name is refused.
     """
-    ctx = L.ctx
-    flipped = ctx.flipped
-    m = {}
-    for s in L.body.free_symbols:
-        idx = ctx.index(s)
-        if idx is not None:
-            m[s] = flipped.jet(idx.a2, idx.a1)
-            continue
-        if isinstance(s, FnDerivSymbol):
-            for a in s.fn.args:
-                aidx = ctx.index(a)
-                if aidx is None:
-                    continue
-                t = flipped.jet(aidx.a2, aidx.a1)
-                if t != a:
-                    raise ValueError(
-                        "unknown-function argument %s cannot be transposed" % a
-                    )
+    flipped = L.ctx.flipped
+    m = {s: flipped.jet(idx.a2, idx.a1) for s, idx in chain_jets(L.body, L.ctx).items()}
+    formal = formal_arguments(L.body.free_symbols)
+    refused = min((str(a) for a in formal if m.get(a, a) != a), default=None)
+    if refused is not None:
+        raise ValueError("unknown-function argument %s cannot be transposed" % refused)
     return DifferentialFunction(L.body.xreplace(m), flipped)

@@ -194,13 +194,40 @@ class _Parser:
         self.pos += 1
         return t
 
+    def accept(self, kind, value=None):
+        """The next token, taken, when it is of kind and, given value, equals
+        it; else None, and nothing is taken."""
+        t = self.peek()
+        if t.kind != kind or value is not None and t.value != value:
+            return None
+        return self.next()
+
     def expect(self, kind, value=None, what=None):
         """The next token, which must be of kind and, given value, equal it;
         anything else is "expected <what>", what defaulting to repr(value)."""
-        t = self.next()
-        if t.kind != kind or value is not None and t.value != value:
+        t = self.accept(kind, value)
+        if t is None:
+            t = self.peek()
             raise ParseError("expected %s" % (what or repr(value)), t.line, t.col)
         return t
+
+    def parse_list(self, item):
+        """item() for each element of a parenthesized, comma-separated list."""
+        self.expect("punct", "(")
+        items = [item()]
+        while not self.accept("punct", ")"):
+            self.expect("punct", ",", "',' or ')'")
+            items.append(item())
+        return items
+
+    def header(self, t, table):
+        """The name of the field, family or ansatz statement t, new in table,
+        and the ':' after it."""
+        name = self.fresh_name(self.expect("name", what="%s name" % t.value))
+        if name in table:
+            raise ParseError("duplicate %s %r" % (t.value, name), t.line, t.col)
+        self.expect("punct", ":")
+        return name
 
     def fresh_name(self, t, taken=()):
         if t.value in RESERVED:
@@ -219,6 +246,8 @@ class _Parser:
             handler = getattr(self, "stmt_" + t.value, None)
             if t.value not in KEYWORDS or handler is None:
                 raise ParseError("unknown statement %r" % t.value, t.line, t.col)
+            if self.ctx is None and t.value not in ("vars", "dep"):
+                raise ParseError("'vars' and 'dep' must come first", t.line, t.col)
             handler(t)
         if self.ctx is None:
             raise ParseError("missing 'vars' statement", 1, 1)
@@ -233,10 +262,6 @@ class _Parser:
             families=MappingProxyType(self.families),
             ansatzes=MappingProxyType(self.ansatzes),
         )
-
-    def need_ctx(self, t):
-        if self.ctx is None:
-            raise ParseError("'vars' and 'dep' must come first", t.line, t.col)
 
     def stmt_vars(self, t):
         if self.ctx is not None:
@@ -261,34 +286,16 @@ class _Parser:
         self.names.update({ctx.x1.name: ctx.x1, ctx.x2.name: ctx.x2, ctx.dep: ctx.u})
 
     def stmt_fn(self, t):
-        self.need_ctx(t)
         name = self.fresh_name(self.expect("name", what="function name"))
-        self.expect("punct", "(")
-        args = []
-        while True:
-            args.append(self.parse_fn_arg())
-            nxt = self.next()
-            if nxt.kind == "punct" and nxt.value == ",":
-                continue
-            if nxt.kind == "punct" and nxt.value == ")":
-                break
-            raise ParseError("expected ',' or ')'", nxt.line, nxt.col)
-        nonzero = []
-        inverse = None
-        while True:
-            nxt = self.peek()
-            if nxt.kind == "name" and nxt.value == "assume":
-                self.next()
+        args = self.parse_list(self.parse_fn_arg)
+        nonzero, inverse = [], None
+        while not self.accept("punct", ";"):
+            if self.accept("name", "assume"):
                 self.expect("name", "nonzero")
                 nonzero.extend(self.parse_assume_tokens(name, args))
-            elif nxt.kind == "name" and nxt.value == "inverse":
-                self.next()
-                inverse = self.fresh_name(self.expect("name", what="inverse name"), (name,))
-            elif nxt.kind == "punct" and nxt.value == ";":
-                self.next()
-                break
             else:
-                raise ParseError("expected 'assume', 'inverse' or ';'", nxt.line, nxt.col)
+                self.expect("name", "inverse", "'assume', 'inverse' or ';'")
+                inverse = self.fresh_name(self.expect("name", what="inverse name"), (name,))
         with _declaring(t):
             fn = self.ctx.add_function(name, args, nonzero=nonzero, inverse=inverse)
         self.names.update((f.name, f) for f in (fn, fn.inverse) if f is not None)
@@ -311,8 +318,7 @@ class _Parser:
             if t.kind == "deriv" and t.value[0] == fname:
                 self.next()
                 orders.append(_multi_index(t, args, "an argument of %s" % fname))
-            elif t.kind == "name" and t.value == fname:
-                self.next()
+            elif self.accept("name", fname):
                 orders.append((0,) * len(args))
             else:
                 break
@@ -322,14 +328,11 @@ class _Parser:
         return orders
 
     def stmt_eq(self, t):
-        self.need_ctx(t)
         if self.equation is not None:
             raise ParseError("duplicate 'eq:' statement", t.line, t.col)
         self.expect("punct", ":")
         body = self.parse_value(t)
-        nxt = self.peek()
-        if nxt.kind == "punct" and nxt.value == "=":
-            self.next()
+        if self.accept("punct", "="):
             body = body - self.parse_value(t)
         self.expect("punct", ";")
         with _declaring(t):
@@ -339,11 +342,7 @@ class _Parser:
         self.equation = L
 
     def stmt_field(self, t):
-        self.need_ctx(t)
-        name = self.fresh_name(self.expect("name", what="field name"))
-        if name in self.fields:
-            raise ParseError("duplicate field %r" % name, t.line, t.col)
-        self.expect("punct", ":")
+        name = self.header(t, self.fields)
         xi1 = self.parse_value(t)
         self.expect("punct", ",")
         xi2 = self.parse_value(t)
@@ -354,11 +353,7 @@ class _Parser:
             self.fields[name] = VectorField(self.ctx, xi1, xi2, eta)
 
     def stmt_family(self, t):
-        self.need_ctx(t)
-        name = self.fresh_name(self.expect("name", what="family name"))
-        if name in self.families:
-            raise ParseError("duplicate family %r" % name, t.line, t.col)
-        self.expect("punct", ":")
+        name = self.header(t, self.families)
         # the parameter is declared after the expression that uses it
         param = self._scan_ahead_param(t)
         kappa = self.names[param] = sp.Symbol(param)
@@ -391,11 +386,7 @@ class _Parser:
         raise ParseError("family statement needs a 'param' clause", t.line, t.col)
 
     def stmt_ansatz(self, t):
-        self.need_ctx(t)
-        name = self.fresh_name(self.expect("name", what="ansatz name"))
-        if name in self.ansatzes:
-            raise ParseError("duplicate ansatz %r" % name, t.line, t.col)
-        self.expect("punct", ":")
+        name = self.header(t, self.ansatzes)
         self.names["phi"] = self.ctx.functions["phi"]
         f = self.parse_value(t)
         self.expect("name", "omega")
@@ -481,7 +472,7 @@ class _Parser:
         if t.value in BUILTINS:
             if not callable_next:
                 raise ParseError("%s needs arguments" % t.value, t.line, t.col)
-            args = self.parse_call_args()
+            args = self.parse_list(self.parse_expr)
             if len(args) != 1:
                 raise ParseError("%s takes one argument" % t.value, t.line, t.col)
             return {"exp": sp.exp, "ln": sp.log, "sqrt": sp.sqrt}[t.value](args[0])
@@ -491,7 +482,7 @@ class _Parser:
                 if t.value == "phi":
                     return fn.base
                 raise ParseError("%s needs arguments" % t.value, t.line, t.col)
-            args = self.parse_call_args()
+            args = self.parse_list(self.parse_expr)
             if len(args) != len(fn.args):
                 raise ParseError(
                     "%s expects %d arguments" % (t.value, len(fn.args)), t.line, t.col
@@ -500,8 +491,7 @@ class _Parser:
         if callable_next:
             raise ParseError("%r is not a function" % t.value, t.line, t.col)
         s = self.lookup_variable(t)
-        if s == self.ctx.u and self.peek().kind == "punct" and self.peek().value == "[":
-            self.next()
+        if s == self.ctx.u and self.accept("punct", "["):
             i1 = self.next()
             self.expect("punct", ",")
             i2 = self.next()
@@ -510,18 +500,6 @@ class _Parser:
                 raise ParseError("numeric multi-index expected", i1.line, i1.col)
             return self.ctx.jet(i1.value, i2.value)
         return s
-
-    def parse_call_args(self):
-        self.expect("punct", "(")
-        args = [self.parse_expr()]
-        while True:
-            t = self.next()
-            if t.kind == "punct" and t.value == ",":
-                args.append(self.parse_expr())
-            elif t.kind == "punct" and t.value == ")":
-                return args
-            else:
-                raise ParseError("expected ',' or ')'", t.line, t.col)
 
 
 @functools.lru_cache(maxsize=64)

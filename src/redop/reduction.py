@@ -65,13 +65,8 @@ def solve_for_leader(Lhat, leader, session=Session()):
             raise LeaderNotSolvable(
                 "coefficient %s of %s is not confirmably nonzero" % (a, leader)
             )
-    kernels = []
-    for node in body.atoms(sp.exp, AppliedMapBase):
-        if node.has(leader):
-            kernels.append(node)
-    for s in body.free_symbols:
-        if isinstance(s, FnDerivSymbol) and leader in s.fn.args:
-            kernels.append(s)
+    kernels = [node for node in body.atoms(sp.exp, AppliedMapBase) if node.has(leader)]
+    kernels += [s for s in body.free_symbols - {leader} if depends_on(s, leader)]
     if len(kernels) != 1:
         raise LeaderNotSolvable(
             "body is not affine in %s and has no single invertible kernel" % leader

@@ -427,11 +427,6 @@ def representation_check(L, xi, k):
     jetmap = {s: invert(idx) for s, idx in chain_jets(L.body, ctx).items()}
     body = substitute_jets(L.body, jetmap)
     present = [idx for idx, w in omegas.items() if w in body.free_symbols]
-    for s in body.free_symbols:
-        if isinstance(s, FnDerivSymbol):
-            for idx, w in omegas.items():
-                if w in s.fn.args and idx not in present:
-                    present.append(idx)
     bad = [idx for idx in present if idx.a1 > k]
     if bad:
         worst = max(bad, key=lambda i: (i.a1, i.a2))

@@ -10,7 +10,7 @@ import sympy as sp
 from sympy.core import random as sympy_random
 
 from redop import DifferentialFunction, JetContext, diff, normalize, parse_problem
-from redop.core import fingerprint
+from redop.core import FnDerivSymbol, fingerprint
 from redop.errors import ParseError, RedopError
 from redop.report import FAILED, UNDECIDABLE, emit_report
 from redop.runner import run
@@ -186,6 +186,37 @@ def rand_jet_body(rng, ctx, max_order=2, depth=3, extra=()):
             if a1 + a2 > 0:
                 atoms.append(ctx.jet(a1, a2))
     return rand_expr(rng, atoms, depth=depth)
+
+
+# The statements of formal-argument dependence as they were before
+# core.formal_arguments became their one home, kept verbatim (but for their
+# names) as the references of the differential test in tests/test_jets.py.
+
+def reference_chain_jets(body, ctx):
+    """Jet symbols the body depends on, directly or through unknown functions.
+
+    Formal jet arguments of derivative symbols count: H(t,x,u,u_x) depends on
+    u_x even though only the atom H appears in the expression tree.
+    """
+    out = {}
+    for s in body.free_symbols:
+        idx = ctx.index(s)
+        if idx is not None:
+            out[s] = idx
+            continue
+        if isinstance(s, FnDerivSymbol):
+            for a in s.fn.args:
+                aidx = ctx.index(a)
+                if aidx is not None:
+                    out[a] = aidx
+    return out
+
+
+def reference_depends_on(e, v):
+    """Dependence through free symbols or unknown-function formal arguments."""
+    return v in e.free_symbols or any(
+        isinstance(s, FnDerivSymbol) and v in s.fn.args for s in e.free_symbols
+    )
 
 
 # The problem-file lexer as it was before it became one regular expression,

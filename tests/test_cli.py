@@ -16,12 +16,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redop
-from redop import UnknownFunction, core, eliminate_on_Q, normalize, parse_problem, runner, zeta_from_family
+from redop import TriBool, UnknownFunction, core, eliminate_on_Q, normalize, parse_problem, runner, zeta_from_family
 from redop.cli import main
 from redop.core import FnDerivSymbol, primitive_equation
 from redop.errors import SetNotFirstCoorder
 from redop.reduction import determining_singular
-from redop.report import AnalysisReport, emit_report, render
+from redop.report import (
+    FAILED,
+    PROVED,
+    SAMPLED,
+    UNDECIDABLE,
+    AnalysisReport,
+    emit_report,
+    nonzero_claim_status,
+    render,
+    zero_claim_status,
+)
 from redop.runner import _solved_display
 from redop.singular import reduced_field
 
@@ -290,6 +300,26 @@ class TestExitCodes:
         assert "[failed] family solves the equation" in out
         assert err == ""
 
+    def test_a_jet_argument_that_is_also_a_free_atom_cannot_transpose(self, tmp_path, capsys):
+        # u_tx is both an atom of the equation and a formal argument of H;
+        # on the axes (x, t) the same index is named u_xt
+        path = tmp_path / "transpose.prob"
+        path.write_text("vars t x; dep u; fn H(t, x, u, u_tx); eq: u_tt = u_tx + H(t, x, u, u_tx);\n")
+        assert main(["analyze", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: unknown-function argument u_tx cannot be transposed\n"
+        assert out == ""
+
+    def test_a_failed_surface_names_its_largest_residual(self, tmp_path, capsys):
+        # u = kappa*x^2 does not solve the heat equation: the residual is
+        # -u_xx = -2*kappa on each of the 25 points of the five kappas
+        path = tmp_path / "bad.prob"
+        path.write_text(corpus_text("heat") + "family bad: kappa*x^2 param kappa inverse u/x^2;\n")
+        assert main(["bijection", str(path), "--family", "bad", "--samples", "5", "--seed", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "  [failed] implicit-surface residual vanishes at sampled points  " \
+            "(max residual 5 over 25 points)\n" in out
+
 
 class TestStatusFromTheDecidingVerdict:
     """A claim decided by a sampled verdict is sampled, however the claim
@@ -314,6 +344,16 @@ class TestStatusFromTheDecidingVerdict:
         out = capsys.readouterr().out
         for claim in claims:
             assert "  [sampled] %s  (" % claim in out
+
+    @pytest.mark.parametrize("verdict, zero, nonzero", [
+        (TriBool.PROVEN_ZERO, PROVED, FAILED),
+        (TriBool.SAMPLED_ZERO, SAMPLED, UNDECIDABLE),
+        (TriBool.PROBABLY_NONZERO, FAILED, SAMPLED),
+        (TriBool.PROVEN_NONZERO, FAILED, PROVED),
+        (None, UNDECIDABLE, UNDECIDABLE),
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_each_verdict_gives_one_status_per_claim_form(self, verdict, zero, nonzero):
+        assert (zero_claim_status(verdict), nonzero_claim_status(verdict)) == (zero, nonzero)
 
 
 @pytest.mark.parametrize("n", [

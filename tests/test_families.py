@@ -29,7 +29,8 @@ from redop import (
 from redop import core
 from redop.errors import DegenerateInverse, WrongCoorderBranch
 from redop.families import instantiate_function
-from redop.report import UNDECIDABLE, zero_claim_status
+from redop.report import SAMPLED, UNDECIDABLE, zero_claim_status
+from redop.singular import eliminate_on_Q
 from redop.runner import run
 
 from helpers import (
@@ -65,6 +66,14 @@ class TestSolutionFamily:
         ctx, L = heat()
         with pytest.raises(ValueError):
             SolutionFamily(ctx, kappa * sp.exp(ctx.x1), ctx.u, kappa)
+
+    def test_a_parameter_the_family_does_not_hold_is_refused(self):
+        # only the library can give Phi the parameter: the parser reads the
+        # inverse after the parameter's scope has ended
+        ctx, L = heat()
+        t, u = ctx.x1, ctx.u
+        with pytest.raises(ValueError, match="^the family parameter is not essential$"):
+            SolutionFamily(ctx, t, kappa + u - t, kappa)
 
     def test_heat_families_validate(self):
         ctx, L, fam = heat_grow_family()
@@ -105,6 +114,12 @@ class TestSolutionFamily:
 
 
 class TestZetaFromFamily:
+    def test_a_u_free_inverse_is_degenerate(self):
+        ctx, L = heat()
+        fam = SolutionFamily(ctx, kappa * ctx.x2, kappa, kappa)
+        with pytest.raises(DegenerateInverse, match="^Phi does not depend on u$"):
+            zeta_from_family(fam, 0)
+
     def test_heat_values(self):
         ctx, L = heat()
         t, x, u = ctx.x1, ctx.x2, ctx.u
@@ -347,6 +362,35 @@ class TestSurfaceRootSearch:
         report = run("bijection", parse_problem(text), family="g", samples=2)
         surface = [v for v in report.results[0].verdicts if v.claim.startswith("implicit-surface")]
         assert [(v.status, v.detail) for v in surface] == [(UNDECIDABLE, "no sample point found")]
+
+    def test_a_residual_zero_at_every_point_without_a_proof_is_sampled(self):
+        # sqrt(x^2) - x vanishes at the positive base points and at the
+        # positive sample points of the zero test, but has no proof
+        ctx = JetContext("t", "x", "u")
+        t, x, u = ctx.x1, ctx.x2, ctx.u
+        L = DifferentialFunction(ctx.jet(1, 0) - ctx.jet(0, 2) + (sp.sqrt(x**2) - x) * u, ctx)
+        rep = backlund_verify(L, u, u * sp.exp(-t - x), 0, Session(samples=2))
+        assert rep.structural is TriBool.SAMPLED_ZERO
+        assert len(rep.points) == 10
+        assert all(res <= 1e-9 for _pt, res in rep.points)
+        assert rep.surface is TriBool.SAMPLED_ZERO
+        assert zero_claim_status(rep.surface) == SAMPLED
+
+    @pytest.mark.parametrize("Phi, identity", [
+        (lambda x, y, u: u - y**2 / 2, TriBool.PROVEN_ZERO),
+        (lambda x, y, u: u - y**2 / 2 + x, TriBool.PROVEN_NONZERO),
+    ], ids=["on-one-surface", "across-surfaces"])
+    def test_the_coorder_zero_flow_identity(self, Phi, identity):
+        # the wave_linear corpus operator zeta = y: its set has strong
+        # co-order 0, and the unique invariant solution is G = 0
+        L = corpus_problem("wave_linear").equation
+        ctx = L.ctx
+        x, y, u = ctx.x1, ctx.x2, ctx.u
+        elim = eliminate_on_Q(L, VectorField(ctx, 0, 1, y), 2)
+        assert (elim.k, elim.hat.depends_on_u) == (0, True)
+        rep = backlund_verify(L, y, Phi(x, y, u), 0, Session(samples=2))
+        assert rep.identity_q is TriBool.PROVEN_ZERO
+        assert rep.identity_g is identity
 
     def test_nonzero_residual_is_evaluated_at_each_root(self):
         ctx, L = heat()

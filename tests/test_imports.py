@@ -354,3 +354,47 @@ def test_every_exported_name_has_a_caller():
             reached |= {attr.split(".")[0] for _, _, attr in ast.literal_eval(node.value)}
     unreached = sorted(exported - reached)
     assert not unreached, "exported without a caller: " + ", ".join(unreached)
+
+
+def _reads_formal_arguments(node):
+    """Whether node reads a function's formal arguments: fn.args or x.fn.args."""
+    return isinstance(node, ast.Attribute) and node.attr == "args" and (
+        getattr(node.value, "id", None) == "fn" or getattr(node.value, "attr", None) == "fn")
+
+
+def test_core_alone_decides_formal_argument_dependence():
+    """core.formal_arguments is the one statement that a derivative symbol
+    depends on its function's formal arguments. Outside core.py a function's
+    formal arguments are read by the grammar and its printer, by the jet
+    rewrite, by the partials of a concrete value, and by solve_for_leader's
+    one check that a kernel is a function of the leader alone."""
+    allowed = {("jets.py", "_replace_jets"), ("families.py", "instantiate_function"),
+               ("reduction.py", "solve_for_leader")}
+    misses = []
+    for path in MODULES:
+        if path.name in ("core.py", "problems.py", "report.py"):
+            continue
+        for scope, top in _scopes(ast.parse(path.read_text())):
+            reads = [n for n in ast.walk(top) if _reads_formal_arguments(n)]
+            if reads and (path.name, scope) not in allowed:
+                misses.append("%s (line %d): %s" % (path.name, reads[0].lineno, scope))
+            if scope == "solve_for_leader":
+                checks = [n for n in ast.walk(top) if isinstance(n, ast.If)
+                          and any(map(_reads_formal_arguments, ast.walk(n.test)))]
+                assert len(checks) == 1 and "len(fn.args) != 1" in ast.unparse(checks[0].test)
+                assert sum(map(_reads_formal_arguments, ast.walk(checks[0].test))) == len(reads)
+    assert not misses, "formal arguments read outside core: " + ", ".join(misses)
+
+
+def test_an_applied_map_class_names_its_function_and_order_alone():
+    """AppliedMapBase holds the calculus of an applied unknown function (eval,
+    fdiff); UnknownFunction.applied_cls makes each class from nargs, fn and
+    order alone, and defines no function of its own."""
+    tree = ast.parse((Path(redop.__file__).parent / "core.py").read_text())
+    scopes = dict(_scopes(tree))
+    assert {"AppliedMapBase.eval", "AppliedMapBase.fdiff"} <= set(scopes)
+    assert "_applied_fdiff" not in scopes
+    applied_cls = scopes["UnknownFunction.applied_cls"]
+    assert [n for n in ast.walk(applied_cls) if isinstance(n, ast.FunctionDef)] == [applied_cls]
+    (made,) = _calls(applied_cls, {"type"})
+    assert [k.value for k in made.args[2].keys] == ["nargs", "fn", "order"]

@@ -25,12 +25,20 @@ from redop import (
     total_derivative,
     transpose,
 )
-from redop.core import _d
+from redop.core import _d, depends_on
 from redop.errors import OrderUndefined
 from redop.jets import _prolonged_coefficients, chain_jets
 from redop.singular import _omega_table
 
-from helpers import corpus_problem, corpus_stems, heat, rand_expr, rand_jet_body
+from helpers import (
+    corpus_problem,
+    corpus_stems,
+    heat,
+    rand_expr,
+    rand_jet_body,
+    reference_chain_jets,
+    reference_depends_on,
+)
 
 
 @pytest.fixture
@@ -238,6 +246,20 @@ class TestTranspose:
         with pytest.raises(ValueError):
             transpose(L)
 
+    def test_the_least_refused_argument_is_named(self):
+        ctx = JetContext("t", "x", "u")
+        H = ctx.add_function("H", (ctx.jet(1, 1), ctx.u, ctx.jet(2, 1)))
+        L = DifferentialFunction(ctx.jet(2, 0) - H.base, ctx)
+        with pytest.raises(ValueError, match="^unknown-function argument u_ttx cannot be transposed$"):
+            transpose(L)
+
+    def test_jet_arguments_whose_names_survive_the_swap_transpose(self):
+        ctx = JetContext("t", "x", "u")
+        H = ctx.add_function("H", (ctx.u, ctx.jet(1, 0), ctx.jet(0, 1)))
+        L = DifferentialFunction(ctx.jet(1, 1) - ctx.jet(0, 1) * H.sym((0, 1, 0)), ctx)
+        T = transpose(L)
+        assert T.body == T.ctx.jet(1, 1) - T.ctx.jet(1, 0) * H.sym((0, 1, 0))
+
 
 def test_total_derivatives_commute_on_a_quotient():
     # each total derivative puts its terms over Q and Q**2; normalizing
@@ -372,3 +394,28 @@ def test_derivation_matches_the_loops_it_replaced_on_every_corpus_field(stem):
     p = corpus_problem(stem)
     for Q in p.fields.values():
         _check_every_site(p.equation, Q, Q.eta, operator.eq)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+def test_formal_argument_dependence_matches_the_loops_it_replaced(seed):
+    """chain_jets and depends_on read the formal arguments from
+    core.formal_arguments; on bodies that hold derivative symbols of
+    functions of jets, and such functions applied elsewhere, they agree with
+    the loops that each stated the rule on its own."""
+    rng = random.Random(seed)
+    ctx = JetContext("t", "x", "u")
+    t, x, u = ctx.x1, ctx.x2, ctx.u
+    H = ctx.add_function("H", (t, x, u, ctx.jet(0, 1)))
+    G = ctx.add_function("G", (ctx.jet(1, 1), ctx.jet(0, 2)))
+    F = ctx.add_function("F", (u,), inverse="Ftil")
+    kernels = (
+        H.base, H.sym((0, 0, 1, 1)), G.sym((1, 0)), F.base, F.sym((1,)),
+        F(ctx.jet(1, 0)), F.inverse(x + ctx.jet(0, 1)), ctx.functions["zeta"].sym((0, 1, 0)),
+        ctx.functions["phi"].base,
+    )
+    body = rand_jet_body(rng, ctx, depth=3, extra=rng.sample(kernels, 3))
+    assert chain_jets(body, ctx) == reference_chain_jets(body, ctx)
+    candidates = [t, x, sp.Symbol("w"), sp.Symbol("s"), *(ctx.jet(a, b) for a in range(3) for b in range(3 - a))]
+    for v in candidates:
+        assert depends_on(body, v) == reference_depends_on(body, v)

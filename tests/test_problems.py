@@ -262,6 +262,55 @@ class TestParsing:
             parse_problem("dep u;\neq: u_t = 0;\n")
 
 
+class TestStatementErrors:
+    """Each error of a statement's shape names its exact position."""
+
+    @pytest.mark.parametrize("text, line, col, message", [
+        pytest.param("vars t x;\ndep u;\nfn F(u t);\neq: u_t = u_xx;\n", 3, 8,
+                     "expected ',' or ')'", id="fn-argument-separator"),
+        pytest.param("vars t x;\ndep u;\nfn F u;\neq: u_t = u_xx;\n", 3, 6,
+                     "expected '('", id="fn-open-parenthesis"),
+        pytest.param("vars t x;\ndep u;\nfn F();\neq: u_t = u_xx;\n", 3, 6,
+                     "expected a formal argument", id="fn-no-argument"),
+        pytest.param("vars t x;\ndep u;\neq: u_t = exp(u u);\n", 3, 17,
+                     "expected ',' or ')'", id="call-argument-separator"),
+        pytest.param("vars t x;\ndep u;\nfn H(t, u);\neq: u_t = H(t, u;\n", 4, 17,
+                     "expected ',' or ')'", id="call-argument-end"),
+        pytest.param(HEAT + "field z: 0, 1, u;\nfield z: 0, 1, 0;\n", 5, 1,
+                     "duplicate field 'z'", id="duplicate-field"),
+        pytest.param(HEAT + "family g: kappa param kappa inverse u;\nfamily g: kappa param kappa inverse u;\n",
+                     5, 1, "duplicate family 'g'", id="duplicate-family"),
+        pytest.param(HEAT + "ansatz a: phi omega t;\nansatz a: phi omega x;\n", 5, 1,
+                     "duplicate ansatz 'a'", id="duplicate-ansatz"),
+        pytest.param(HEAT + "field: 0, 1, u;\n", 4, 6, "expected field name", id="field-name"),
+        pytest.param(HEAT + "family g kappa param kappa inverse u;\n", 4, 10, "expected ':'", id="family-colon"),
+        pytest.param("vars t x;\ndep u;\nfn F(u) nonzero F_u;\neq: u_t = u_xx;\n", 3, 9,
+                     "expected 'assume', 'inverse' or ';'", id="fn-clause"),
+        pytest.param("vars t x;\ndep u;\nfn F(u) assume nonzero;\neq: u_t = u_xx;\n", 3, 23,
+                     "expected derivative tokens after 'nonzero'", id="fn-assumption"),
+        pytest.param("fn F(u);\nvars t x;\ndep u;\neq: u_t = u_xx;\n", 1, 1,
+                     "'vars' and 'dep' must come first", id="fn-first"),
+        pytest.param("vars t x;\neq: u_t = u_xx;\ndep u;\n", 2, 1,
+                     "'vars' and 'dep' must come first", id="eq-before-dep"),
+        pytest.param("field z: 0, 1, u;\n", 1, 1, "'vars' and 'dep' must come first", id="field-first"),
+        pytest.param("family g: kappa param kappa inverse u;\n", 1, 1,
+                     "'vars' and 'dep' must come first", id="family-first"),
+        pytest.param("ansatz a: phi omega t;\n", 1, 1, "'vars' and 'dep' must come first", id="ansatz-first"),
+        pytest.param("dep u;\nvars t x;\n", 1, 1, "'dep' must follow 'vars'", id="dep-first"),
+        pytest.param("vars t x;\ndep u;\neq: u_t = u[a, 1];\n", 3, 13,
+                     "numeric multi-index expected", id="multi-index-first"),
+        pytest.param("vars t x;\ndep u;\neq: u_t = u[1, b];\n", 3, 13,
+                     "numeric multi-index expected", id="multi-index-second"),
+        pytest.param("vars t x;\ndep u;\neq: u_t = u[1 1];\n", 3, 15, "expected ','", id="multi-index-comma"),
+        pytest.param("vars t x;\ndep u;\neq: u_t = u_xx = u;\n", 3, 16, "expected ';'", id="eq-second-sign"),
+    ])
+    def test_each_error_names_its_position(self, text, line, col, message):
+        with pytest.raises(ParseError) as ei:
+            parse_problem(text)
+        assert str(ei.value) == "line %d, col %d: %s" % (line, col, message)
+        assert (ei.value.line, ei.value.col) == (line, col)
+
+
 class TestOneNamespace:
     """Axes, u, functions, inverses and a family's parameter share one namespace,
     and a declaration its constructor refuses is a ParseError at its statement."""

@@ -264,6 +264,36 @@ class TestSolveForLeader:
         with pytest.raises(LeaderNotSolvable):
             solve_for_leader(hat, ctx.jet(1, 0))
 
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda c, v, F: sp.exp(v) * v - c.u, "kernel exp(u_t) does not enter affinely",
+                     id="exp-coefficient-holds-the-leader"),
+        pytest.param(lambda c, v, F: F(v) ** 2 - c.u, "kernel G(u_t) does not enter affinely",
+                     id="squared-kernel"),
+        pytest.param(lambda c, v, F: sp.exp(v) + v**2, "u_t appears outside the kernel exp(u_t)",
+                     id="leader-outside-the-kernel"),
+        pytest.param(lambda c, v, F: (sp.sqrt(c.x2**2) - c.x2) * sp.exp(v) - c.u,
+                     "kernel coefficient -x + sqrt(x**2) may vanish", id="coefficient-may-vanish"),
+        pytest.param(lambda c, v, F: sp.sqrt(-1 - c.x2**2) * F(v) - c.u,
+                     "kernel coefficient sqrt(-x**2 - 1) may vanish", id="coefficient-has-no-sample-point"),
+    ])
+    def test_kernel_case_refusals(self, build, message):
+        ctx, L = heat()
+        G = ctx.add_function("G", (ctx.u,), inverse="Gtil")
+        hat = DifferentialFunction(build(ctx, ctx.jet(1, 0), G), ctx)
+        with pytest.raises(LeaderNotSolvable) as ei:
+            solve_for_leader(hat, ctx.jet(1, 0))
+        assert str(ei.value) == message
+
+    def test_a_function_of_the_leader_is_a_kernel_through_its_formal_argument(self):
+        ctx = JetContext("t", "x", "u")
+        H = ctx.add_function("H", (ctx.x2, ctx.jet(1, 0)))
+        hat = DifferentialFunction(H.base - ctx.u, ctx)
+        with pytest.raises(LeaderNotSolvable, match="^kernel H is not a plain function of the leader$"):
+            solve_for_leader(hat, ctx.jet(1, 0))
+        F = ctx.add_function("F", (ctx.jet(1, 0),), inverse="Ftil")
+        hat = DifferentialFunction(F.base - ctx.u, ctx)
+        assert solve_for_leader(hat, ctx.jet(1, 0)) == F.inverse(ctx.u)
+
 
 class TestRestrictToSolved:
     def test_higher_consequences_substitute_the_lower_ones(self):
