@@ -29,11 +29,11 @@ chain rule through unknown functions is implemented by structural recursion
 so that no foreign node kinds (Derivative, Subs) ever appear. formal_arguments
 is the one statement that a derivative symbol depends on its function's formal
 arguments, and an unknown function applied elsewhere is an AppliedMapBase node
-whose eval collapses a declared inverse pair and whose fdiff differentiates it.
-The sampling settings of a run travel in an immutable Session passed as a
-parameter. Besides the serial numbers of unknown functions, the module's one
-mutable state is normalize's bounded table of normal forms, which holds
-values, never settings.
+whose eval collapses a declared inverse pair and whose fdiff differentiates it;
+arbitrary_elements finds both kinds in a value. The sampling settings of a run
+travel in an immutable Session passed as a parameter. Besides the serial
+numbers of unknown functions, the module's one mutable state is normalize's
+bounded table of normal forms, which holds values, never settings.
 """
 
 from __future__ import annotations
@@ -695,6 +695,14 @@ def depends_on(e, v):
     """Dependence through free symbols or unknown-function formal arguments."""
     symbols = e.free_symbols
     return v in symbols or v in formal_arguments(symbols)
+
+
+def arbitrary_elements(e, fn=None):
+    """The unknown-function nodes of e, of fn alone when it is given: its
+    derivative symbols and its applied maps, each with .fn and .order. The
+    one statement of which arbitrary elements a value holds."""
+    nodes = {s for s in e.free_symbols if isinstance(s, FnDerivSymbol)} | e.atoms(AppliedMapBase)
+    return {n for n in nodes if fn is None or n.fn is fn}
 
 
 def _provably_nonzero(f):

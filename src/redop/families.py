@@ -17,32 +17,32 @@ import sympy as sp
 
 from .core import (
     Expr,
-    FnDerivSymbol,
     Session,
     TriBool,
     UnknownFunction,
+    arbitrary_elements,
     diff,
     is_zero,
     normalize,
 )
 from .errors import DegenerateInverse, WrongCoorderBranch
-from .jets import VectorField, jet_values, refuse_jets, substitute_jets
+from .jets import VectorField, _replace_jets, jet_values, refuse_jets, substitute_jets
 from .reduction import determining_singular, solve_for_leader
 from .report import GrammarPrinter
 from .singular import eliminate_on_Q
 
 
 def instantiate_function(e, fn, value):
-    """Replace derivative symbols of fn by the partials of a concrete value."""
+    """Replace the nodes of fn by the partials of a concrete value, taken at
+    the arguments of each applied map."""
     m = {}
-    for s in e.free_symbols:
-        if isinstance(s, FnDerivSymbol) and s.fn is fn:
-            val = value
-            for var, count in zip(fn.args, s.order):
-                for _ in range(count):
-                    val = diff(val, var)
-            m[s] = val
-    return normalize(e.xreplace(m)) if m else normalize(e)
+    for s in arbitrary_elements(e, fn):
+        val = value
+        for var, count in zip(fn.args, s.order):
+            for _ in range(count):
+                val = diff(val, var)
+        m[s] = _replace_jets(val, dict(zip(fn.args, s.args)))
+    return normalize(e.xreplace(m))
 
 
 # surface points per kappa when the session sets no sample count
@@ -296,7 +296,9 @@ def backlund_verify(L, zeta, Phi, xi, session=Session()):
     certified root is a failed attempt. The residual of L, with the
     implicit-function prolongations, is evaluated in mpmath at each
     accepted root; when it is structurally zero the points are recorded
-    with exact zeros. The reported zero tests use the same session.
+    with exact zeros. No point is sampled when Phi, or a residual that is
+    not structurally zero, holds an unknown function, which has no value
+    at a point. The reported zero tests use the same session.
     """
     ctx = L.ctx
     zeta = normalize(zeta)
@@ -328,7 +330,8 @@ def backlund_verify(L, zeta, Phi, xi, session=Session()):
     samples = SURFACE_SAMPLES if session.samples is None else session.samples
     points = []
     rng = random.Random(session.seed)
-    can_evaluate = not any(isinstance(s, FnDerivSymbol) for s in Phi.free_symbols)
+    can_evaluate = not arbitrary_elements(Phi) and (
+        structural is TriBool.PROVEN_ZERO or not arbitrary_elements(residual))
     if can_evaluate:
         args = (ctx.x1, ctx.x2, ctx.u)
         phi_fn = sp.lambdify(args, Phi, "mpmath", printer=GrammarPrinter)

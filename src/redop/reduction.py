@@ -15,10 +15,10 @@ import sympy as sp
 from .core import (
     AppliedMapBase,
     Expr,
-    FnDerivSymbol,
     Session,
     TriBool,
     _d,
+    arbitrary_elements,
     depends_on,
     diff,
     is_zero,
@@ -315,10 +315,7 @@ class AnsatzReduction:
 
 
 def _phi_order(e, phi):
-    return max(
-        [s.order[0] for s in e.free_symbols if isinstance(s, FnDerivSymbol) and s.fn is phi],
-        default=-1,
-    )
+    return max([s.order[0] for s in arbitrary_elements(e, phi)], default=-1)
 
 
 def _content_split(P, gens):
@@ -348,8 +345,9 @@ def reduce_with_ansatz(L, Q, f, omega, session=Session()):
     the denominator, in those that hold phi), without factorization.
 
     Only coordinate invariants omega in {x1, x2} are supported; the ansatz
-    must contain the context's phi, and any antiderivative baked into f is
-    taken at face value (it is verified through the Q[f] check).
+    must contain the context's phi, as phi or applied at omega and nowhere
+    else, and any antiderivative baked into f is taken at face value (it is
+    verified through the Q[f] check).
     """
     ctx = L.ctx
     omega = normalize(omega)
@@ -361,14 +359,13 @@ def reduce_with_ansatz(L, Q, f, omega, session=Session()):
         raise UnsupportedAnsatz("omega must be one of the independent variables")
     phi = ctx.functions["phi"]
     f = sp.sympify(f)
-    applied_map = {
-        s: phi.applied(s.order, (omega,))
-        for s in f.free_symbols
-        if isinstance(s, FnDerivSymbol) and s.fn is phi
-    }
-    if not applied_map:
+    nodes = arbitrary_elements(f, phi)
+    if not nodes:
         raise UnsupportedAnsatz("ansatz does not involve phi")
-    f = normalize(f.xreplace(applied_map))
+    stray = sorted({a for s in nodes for a in s.args} - {omega}, key=sp.default_sort_key)
+    if stray:
+        raise UnsupportedAnsatz("phi is applied at %s, not at omega = %s" % (stray[0], omega))
+    f = normalize(f.xreplace({s: phi.applied(s.order, (omega,)) for s in nodes}))
     if depends_on(f, ctx.u):
         raise UnsupportedAnsatz("ansatz body may not depend on u")
 
@@ -393,11 +390,7 @@ def reduce_with_ansatz(L, Q, f, omega, session=Session()):
             multiplier_verdict=TriBool.PROVEN_NONZERO,
         )
 
-    to_syms = {}
-    for node in body.atoms(AppliedMapBase):
-        if node.fn is phi and node.args == (omega,):
-            to_syms[node] = phi.sym(node.order)
-    body = normalize(body.xreplace(to_syms))
+    body = normalize(body.xreplace({s: phi.sym(s.order) for s in arbitrary_elements(body, phi)}))
 
     # the multiplier takes the numerator's factors with noninv in them and
     # the denominator's factors with noninv in them or free of phi

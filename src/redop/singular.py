@@ -16,6 +16,7 @@ from .core import (
     FnDerivSymbol,
     Session,
     TriBool,
+    arbitrary_elements,
     diff,
     is_zero,
     normalize,
@@ -207,13 +208,8 @@ def _null_covers(null_orders, order):
 
 def _reduce_by_null(e, unknown, null_orders):
     """e with every derivative of unknown at or above a vanishing order set to 0."""
-    if not null_orders:
-        return e
-    m = {}
-    for s in e.free_symbols:
-        if isinstance(s, FnDerivSymbol) and s.fn is unknown and _null_covers(null_orders, s.order):
-            m[s] = sp.S.Zero
-    return normalize(e.xreplace(m)) if m else e
+    covered = [s for s in arbitrary_elements(e, unknown) if _null_covers(null_orders, s.order)]
+    return normalize(e.xreplace(dict.fromkeys(covered, sp.S.Zero))) if covered else e
 
 
 def _bare_symbol(e):
@@ -261,7 +257,7 @@ def consistency_closure(equations, unknown, u, session=Session()):
         eqs = reduced
         sampled = None
         for e in eqs:
-            if not any(isinstance(s, FnDerivSymbol) and s.fn is unknown for s in e.free_symbols):
+            if not arbitrary_elements(e, unknown):
                 verdict = is_zero(e, session)
                 if verdict is TriBool.PROVEN_NONZERO:
                     return verdict, e

@@ -320,6 +320,59 @@ class TestExitCodes:
         assert "  [failed] implicit-surface residual vanishes at sampled points  " \
             "(max residual 5 over 25 points)\n" in out
 
+    def test_a_residual_with_an_applied_map_samples_no_surface(self, tmp_path, capsys):
+        # the residual holds H applied at u_xx, which the surface sampler
+        # once evaluated and died on with a NameError
+        path = tmp_path / "applied.prob"
+        path.write_text("vars t x; dep u; fn H(u) assume nonzero H_u; eq: u_t = H(u_xx);\n"
+                        "family g: kappa param kappa inverse u;\n")
+        assert main(["bijection", str(path), "--family", "g"]) == 1
+        out, err = capsys.readouterr()
+        assert "  [failed] family solves the equation" in out
+        assert "  [failed] flow identity " in out
+        assert "  [undecidable] implicit-surface residual vanishes at sampled points  " \
+            "(no sample point found)\n" in out
+        assert err == ""
+
+    def test_an_inverse_with_an_applied_map_samples_no_surface(self, tmp_path, capsys):
+        # Phi = F(u + x) is an applied map, which the surface root search
+        # once evaluated and died on with a NameError
+        path = tmp_path / "applied.prob"
+        path.write_text("vars t x; dep u; fn F(u) assume nonzero F_u inverse Ftil; eq: u_t = u_xx;\n"
+                        "family g: Ftil(kappa) - x param kappa inverse F(u + x);\n")
+        assert main(["bijection", str(path), "--family", "g"]) == 0
+        out, err = capsys.readouterr()
+        assert out.count("  [proved] ") == 7
+        assert "  [proved] implicit-surface residual vanishes at sampled points  " \
+            "(residual is structurally zero; 0 points exact)\n" in out
+        assert err == ""
+
+    @pytest.mark.xfail(strict=True, reason="zeta = 0 is instantiated into the determining "
+                       "equation over its zeta_u denominator, and the flow solve needs an "
+                       "inverse of F that is not declared")
+    def test_bijection_on_a_generic_wave_equation_is_not_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "wave.prob"
+        path.write_text("vars x y; dep u; fn F(u) assume nonzero F_u; eq: u_xy = F(u);\n"
+                        "family g: kappa param kappa inverse u;\n")
+        assert main(["bijection", str(path), "--family", "g"]) != 2
+
+    def test_an_ansatz_may_apply_phi_at_omega_alone(self, tmp_path, capsys):
+        # phi(t) with omega t was once read as an ansatz without phi
+        path = tmp_path / "applied.prob"
+        path.write_text(corpus_text("heat") + "field z: 0, 1, 0;\n"
+                        "ansatz a: phi(t) omega t;\nansatz b: phi omega t;\nansatz c: phi(x) omega t;\n")
+        reports = {}
+        for name in "ab":
+            assert main(["reduce", str(path), "--field", "z", "--ansatz", name, "--json"]) == 0
+            reports[name] = json.loads(capsys.readouterr().out)
+            reports[name]["results"][0].pop("timing_ms")
+            reports[name]["results"][0].pop("inputs")
+        assert reports["a"] == reports["b"]
+        assert main(["reduce", str(path), "--field", "z", "--ansatz", "c"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: phi is applied at x, not at omega = t\n"
+
 
 class TestStatusFromTheDecidingVerdict:
     """A claim decided by a sampled verdict is sampled, however the claim

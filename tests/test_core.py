@@ -126,6 +126,17 @@ class TestUnknownFunction:
         assert diff(Ftil.applied((1,), (s,)), s) == Ftil.applied((2,), (s,))
         assert diff(H(s**2, s), s) == normalize(2 * s * H.applied((1, 0), (s**2, s)) + H.applied((0, 1), (s**2, s)))
 
+    def test_arbitrary_elements_are_symbols_and_applied_maps(self):
+        F = UnknownFunction("F", (u,), inverse="Ftil")
+        H = UnknownFunction("H", (t, u))
+        e = F.sym((1,)) * x + H(F(x), u) + sp.exp(F.inverse(t)) + F.applied((2,), (t,))
+        assert core.arbitrary_elements(e) == {
+            F.sym((1,)), H(F(x), u), F(x), F.inverse(t), F.applied((2,), (t,))}
+        assert core.arbitrary_elements(e, F) == {F.sym((1,)), F(x), F.applied((2,), (t,))}
+        assert core.arbitrary_elements(e, H) == {H(F(x), u)}
+        assert {(n.fn, n.order) for n in core.arbitrary_elements(e, F.inverse)} == {(F.inverse, (0,))}
+        assert core.arbitrary_elements(x * u + sp.exp(t)) == set()
+
     def test_applied_refuses_a_wrong_number_of_arguments(self):
         F = UnknownFunction("F", (u,))
         with pytest.raises(ValueError, match="^F expects 1 arguments$"):

@@ -410,3 +410,13 @@ class TestInstantiate:
         e = zeta.sym((0, 1, 0)) + ctx.u * zeta.sym((0, 0, 1))
         got = instantiate_function(e, zeta, ctx.x2 * ctx.u)
         assert normalize(got - (ctx.u + ctx.u * ctx.x2)) == 0
+
+    def test_an_applied_map_takes_the_partials_at_its_arguments(self):
+        ctx, L = heat()
+        H = ctx.add_function("H", (ctx.x1, ctx.u))
+        F = ctx.add_function("F", (ctx.u,))
+        e = H.sym((0, 1)) + H.applied((0, 1), (ctx.x2, ctx.u**2)) + F(ctx.x2)
+        # H_u of t*F(u) is t*F_u, and at (x, u^2) it is x*F_u(u^2)
+        got = instantiate_function(e, H, ctx.x1 * F.base)
+        want = ctx.x1 * F.sym((1,)) + ctx.x2 * F.applied((1,), (ctx.u**2,)) + F(ctx.x2)
+        assert normalize(got - want) == 0

@@ -398,3 +398,49 @@ def test_an_applied_map_class_names_its_function_and_order_alone():
     assert [n for n in ast.walk(applied_cls) if isinstance(n, ast.FunctionDef)] == [applied_cls]
     (made,) = _calls(applied_cls, {"type"})
     assert [k.value for k in made.args[2].keys] == ["nargs", "fn", "order"]
+
+
+def _naming(name):
+    """(module, scope) of each reference to name outside core.py."""
+    return {(path.name, scope)
+            for path in MODULES if path.name != "core.py"
+            for scope, node in _scopes(ast.parse(path.read_text()))
+            if any(getattr(n, "id", getattr(n, "attr", None)) == name
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))}
+
+
+def test_core_alone_says_which_arbitrary_elements_a_value_holds():
+    """core.arbitrary_elements is the one scan for the unknown-function nodes
+    of a value. Outside core.py the applied-map class is named only by
+    solve_for_leader's kernel scan and argument check, and the derivative
+    symbol class only by the jet rewrite, the printer, the solved display and
+    the closure's read of a bare symbol; of these, the jet rewrite alone
+    filters free symbols by it."""
+    assert _naming("AppliedMapBase") == {("reduction.py", "solve_for_leader")}
+    assert _naming("FnDerivSymbol") == {
+        ("jets.py", "_replace_jets"),
+        ("report.py", "GrammarPrinter._print_Symbol"),
+        ("runner.py", "_solved_display"),
+        ("singular.py", "_bare_symbol"),
+    }
+    scans = set()
+    for path in MODULES:
+        if path.name == "core.py":
+            continue
+        for scope, top in _scopes(ast.parse(path.read_text())):
+            for node in ast.walk(top):
+                if isinstance(node, ast.For):
+                    loops, body = [node], node.body
+                elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                    loops, body = node.generators, [node]
+                else:
+                    continue
+                if any(getattr(n, "attr", None) == "free_symbols"
+                       for loop in loops for n in ast.walk(loop.iter)) \
+                        and any(getattr(n, "id", None) == "FnDerivSymbol"
+                                for stmt in body for n in ast.walk(stmt)):
+                    scans.add((path.name, scope))
+    assert scans == {("jets.py", "_replace_jets")}
+    leader = dict(_scopes(ast.parse((Path(redop.__file__).parent / "reduction.py").read_text())))
+    named = [n for n in ast.walk(leader["solve_for_leader"]) if getattr(n, "id", None) == "AppliedMapBase"]
+    assert len(named) == 2
